@@ -54,6 +54,7 @@ from .errors import (
     DomainError,
     FisherCapError,
     PositivityError,
+    RangeError,
     ToleranceError,
     UnboundedTiltError,
     ValidationError,

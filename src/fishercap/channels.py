@@ -228,27 +228,25 @@ def fisher_energy_detection(theta, rule=None, peak=None):
     Given theta = |x|, the statistic 2|y|^2 is noncentral chi-square with
     2 degrees of freedom; J(theta) is the second moment of the score
     -2 theta + sqrt(2 y~) I1/I0(theta sqrt(2 y~)), computed with scaled
-    Bessels and semi-infinite quadrature.
+    Bessels and one semi-infinite quadrature over the whole batch of
+    theta values, each meeting the rule's tolerance.
     """
     if rule is None:
         rule = _ENERGY_RULE
     hi = peak if peak is not None else np.inf
     th = _check_profile(theta, 0.0, hi, "fisher_energy_detection")
-
-    def one(t):
-        if t == 0.0:
-            return 0.0  # score is identically zero
+    flat = np.ravel(th)
+    out = np.zeros(flat.shape)
+    live = flat > 0.0  # the score is identically zero at theta = 0
+    if np.any(live):
+        t = flat[live][:, None]
 
         def integrand(y):
             sc = _energy_score(y, t)
             return sc * sc * _energy_density(y, t)
 
-        value, _ = integrate_semiinf(integrand, 0.0, rule)
-        return value
-
-    if np.ndim(theta) == 0:
-        return one(float(th))
-    return np.array([one(float(t)) for t in np.ravel(th)]).reshape(th.shape)
+        out[live], _ = integrate_semiinf(integrand, 0.0, rule)
+    return float(out[0]) if np.ndim(theta) == 0 else out.reshape(th.shape)
 
 
 def mimo_sqrt_det_fisher(r, nt, sigma2, peak=None):
@@ -519,21 +517,9 @@ def energy_detection_channel(peak, rule=None):
     if not A > 0:
         raise ValidationError("energy_detection_channel: peak must be positive")
     ps = ParameterSpace.interval(0.0, A)
-    memo = {}
 
     def fisher(theta):
-        th = _check_profile(theta, 0.0, A, "energy_detection.fisher")
-
-        def lookup(t):
-            v = memo.get(t)
-            if v is None:
-                v = fisher_energy_detection(t, rule=rule, peak=A)
-                memo[t] = v
-            return v
-
-        if np.ndim(theta) == 0:
-            return lookup(float(th))
-        return np.array([lookup(float(x)) for x in np.ravel(th)]).reshape(th.shape)
+        return fisher_energy_detection(theta, rule=rule, peak=A)
 
     def logdensity_dtheta(y, theta):
         # y here is the scaled energy statistic 2|output|^2

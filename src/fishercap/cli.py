@@ -9,6 +9,7 @@ failure.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ from .errors import (
     DegenerateChannelError,
     DomainError,
     PositivityError,
+    RangeError,
     ToleranceError,
     UnboundedTiltError,
     ValidationError,
@@ -34,7 +36,7 @@ from .errors import (
 _VALIDATION_ERRORS = (ValidationError, DomainError, PositivityError, ValueError,
                       KeyError, OSError, json.JSONDecodeError)
 _NUMERICAL_ERRORS = (ToleranceError, ConvergenceError, UnboundedTiltError,
-                     BudgetError, DegenerateChannelError, FloatingPointError,
+                     BudgetError, DegenerateChannelError, RangeError, FloatingPointError,
                      np.linalg.LinAlgError)
 
 
@@ -81,22 +83,34 @@ def _csv(header, rows):
 
 
 def _json_text(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _load_channel_arg(text):
+def _reject_constant(token):
+    raise ValidationError(f"non-finite JSON number {token}")
+
+
+def _load_json_arg(text):
+    """A JSON object given inline or as a file path; NaN and Infinity are rejected."""
     text = text.strip()
     if text.startswith("{"):
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
+
+
+def _finite(name, value):
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"grid must be lo:hi:count, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi = _finite("grid lo", float(parts[0])), _finite("grid hi", float(parts[1]))
+    n = int(parts[2])
     if n < 1 or hi < lo:
         raise ValidationError(f"bad grid argument {text!r}")
     return lo, hi, n
@@ -362,9 +376,12 @@ def _build_parser():
 def _config_from_args(args):
     cfg = RunConfig(command=args.command, output=args.output)
     if hasattr(args, "channel"):
-        cfg.channel = _load_channel_arg(args.channel)
+        cfg.channel = _load_json_arg(args.channel)
     if getattr(args, "acov", None) is not None:
-        cfg.acov = json.loads(args.acov) if args.acov.strip().startswith("{") else json.load(open(args.acov))
+        cfg.acov = _load_json_arg(args.acov)
+    for flag in ("P", "r"):
+        if getattr(args, flag, None) is not None:
+            _finite(f"--{flag}", getattr(args, flag))
     for name, attr in [("P", "P"), ("n_r", "nr"), ("M", "M"), ("degree", "degree"),
                        ("grid", "grid"), ("mode", "mode"), ("points_csv", "points_csv"),
                        ("prior_grid", "prior_grid"), ("overflow_radius", "r"),

@@ -4,8 +4,8 @@ The exact design pushes a midpoint grid on [0, 1] through the inverse
 prior cdf (a compander), then rescales so the average power budget
 holds.  When the cdf has no closed form, a polynomial density is fitted
 to the prior by Newton descent on the KL divergence with a logarithmic
-barrier enforcing positivity; the polynomial cdf then inverts in closed
-form plus bisection.
+barrier enforcing positivity; the polynomial cdf has a closed form and
+inverts with the same safeguarded Newton solver as the prior cdf.
 """
 
 import math
@@ -15,7 +15,7 @@ import numpy as np
 from scipy import linalg as _la
 
 from .errors import ConvergenceError, DomainError, PositivityError, ValidationError
-from .jeffreys import LN2, prior_cdf_inverse, solve_lambda_star, tilted_prior
+from .jeffreys import LN2, invert_monotone, prior_cdf_inverse, solve_lambda_star, tilted_prior
 
 
 def midpoint_grid(m):
@@ -133,7 +133,7 @@ def poly_cdf(p, theta):
 
 
 def poly_cdf_inverse(p, u):
-    """Invert the polynomial cdf by bisection to |F(theta) - u| < 1e-12."""
+    """Solve F(theta) = u by safeguarded Newton on the closed-form cdf."""
     u = float(u)
     if not 0.0 <= u <= 1.0:
         raise DomainError("poly_cdf_inverse: u must lie in [0, 1]")
@@ -142,17 +142,8 @@ def poly_cdf_inverse(p, u):
         return lo
     if u == 1.0:
         return hi
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = poly_cdf(p, mid)
-        if abs(f - u) < 1e-12 or (hi - lo) <= 4.0 * np.finfo(float).eps * max(1.0, abs(mid)):
-            break
-        if f < u:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    return invert_monotone(lambda t: poly_cdf(p, t), lambda t: float(p.pdf(t)), u, lo, hi,
+                           lo + u * (hi - lo))
 
 
 @dataclass(frozen=True)

@@ -38,5 +38,9 @@ class UnboundedTiltError(FisherCapError, RuntimeError):
     """No finite tilt meets the average-power target (near-deterministic cost)."""
 
 
+class RangeError(FisherCapError, OverflowError):
+    """A result lies outside the floating-point range (e.g. JF at a huge tilt)."""
+
+
 class PositivityError(FisherCapError, ValueError):
     """A density that must be strictly positive vanishes on the grid."""

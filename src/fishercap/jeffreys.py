@@ -1,38 +1,83 @@
-"""Tilted Jeffreys machinery: priors, tilt solving, asymptotic capacity.
+"""Tilted Jeffreys machinery on one tabulated profile per channel.
 
-The central object is the tilted weight 2^(-lambda c(theta)) sqrt(det
-J(theta)) over the parameter space.  Its integral (times 2^(lambda P))
-is the Jeffreys factor JF(lambda); normalized it is the tilted Jeffreys
-prior; the tilt lambda* is the smallest lambda whose prior meets the
-average-power budget, found by bisection because the tilted mean cost
-M(lambda) is strictly decreasing.
+Everything channel-specific sits in the tilted weight
 
-The large-array capacity is then
+    w_lambda(theta) = 2^(-lambda (c(theta) - c_min)) sqrt(det J(theta))
+
+on the 1-D working coordinate: theta for interval spaces, the radius
+for isotropic ball spaces, with the surface measure of the (d-1)-sphere
+folded in (densities are then radial marginals).  c_min is the smallest
+cost on the space, taken at theta_0, the point of the space nearest 0
+(the cost is the squared working coordinate for every channel), so the
+weight never underflows at its peak.
+
+A profile table per channel evaluates c and sqrt(det J) once at each
+15-point Gauss-Legendre node it visits and keeps the values.  For a
+tilt lambda, ``quad`` selects the converged panels afresh from the root
+partition over those cached values, so every result depends only on
+(channel, lambda), never on earlier calls; the panels meet the prior's
+tolerance (abs 1e-14, rel 1e-12).  The root partition is cut at
+theta_0 and graded toward it until the tilt across the innermost panels
+is at most ``_GRADE_BITS`` bits, so the tilted peak is resolved however
+narrow it is.  From node sums alone the table gives:
+
+* log2 JF(lambda) = lambda (P - c_min) + log2 Z, with Z the integral of
+  w_lambda, so JF itself is formed only when it fits a float;
+* the tilted mean cost M(lambda) and its variance, with
+  dM/dlambda = -ln2 Var_lambda(c);
+* the prior cdf, from cumulative panel masses plus the integral of the
+  panel's degree-14 interpolant up to theta;
+* the inverse cdf, from a panel search plus safeguarded Newton inside
+  the panel (``invert_monotone``).
+
+The tilt lambda* is the smallest lambda whose prior meets the power
+budget.  M is strictly decreasing; lambda* is defined as the point a
+bisection on M returns under its stopping rule, and bracketed Newton on
+M(lambda) = P locates the root first, so M is evaluated only at the few
+bisection midpoints near it.  A finite tilt exists iff c_min < P.  The
+large-array capacity is then
 
     C(P) = (d/2) log2(n_r / (2 pi e)) + log2 JF(lambda*),
 
 up to a term that vanishes as the number of antennas n_r grows; that
 vanishing term is not modeled here.
 
-For interval parameter spaces all integrals run over theta directly;
-for isotropic ball spaces they run over the radius with the surface
-measure of the (d-1)-sphere folded in, and densities returned by
-``tilted_prior`` are the radial marginals.
+Tables are built at first use and kept in one LRU cache of at most
+``_TABLE_CACHE_SIZE`` channels, keyed by channel identity.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateChannelError, DomainError, PositivityError, UnboundedTiltError
-from .quad import QuadRule, integrate_interval
+from .errors import (
+    ConvergenceError,
+    DegenerateChannelError,
+    DomainError,
+    PositivityError,
+    RangeError,
+    UnboundedTiltError,
+)
+from .quad import NODES, WEIGHTS, QuadRule, integrate_interval, quad
 from .specfun import log_gamma
 
 LN2 = math.log(2.0)
 
 _PRIOR_RULE = QuadRule(abs_tol=1e-14, rel_tol=1e-12)
-_CDF_TOL = 1e-12
+_TABLE_CACHE_SIZE = 8
+_TABLES = OrderedDict()  # id(channel) -> (channel, _ProfileTable), least recent first
+_GRADE_BITS = 8.0
+_MAX_DOUBLINGS = 200
+
+# Row k, column j: (2k+1)/2 * w_j * P_k(x_j); maps the 15 node values of
+# a panel to the Legendre coefficients of their interpolant (exact, since
+# the rule integrates every product P_k P_l of degree <= 28).
+_TO_LEGENDRE = ((2.0 * np.arange(15) + 1.0) / 2.0)[:, None] * (
+    np.polynomial.legendre.legvander(NODES, 14).T * WEIGHTS)
+_ODD = 2.0 * np.arange(1, 15) + 1.0  # integral of P_k from -1 to s is (P_k+1 - P_k-1)/(2k+1)
 
 
 def _log_sphere_surface(d):
@@ -40,25 +85,171 @@ def _log_sphere_surface(d):
     return math.log(2.0) + 0.5 * d * math.log(math.pi) - log_gamma(0.5 * d)
 
 
-def _profile(channel):
-    """(lo, hi, weight) with weight(theta_array, lam) the unnormalized
-    tilted Jeffreys weight in the 1-D working coordinate."""
-    ps = channel.param_space
-    lo, hi = ps.profile_bounds
-    if ps.shape == "interval":
-        def weight(t, lam):
-            t = np.asarray(t, dtype=float)
-            return np.exp2(-lam * channel.cost(t)) * channel.sqrt_det_fisher(t)
-    elif ps.isotropic:
-        surf = math.exp(_log_sphere_surface(ps.dim))
-        expo = ps.dim - 1
+def _legendre(s):
+    """P_0 .. P_15 at the local coordinate s in [-1, 1]."""
+    p = [1.0, s]
+    for k in range(1, 15):
+        p.append(((2 * k + 1) * s * p[k] - k * p[k - 1]) / (k + 1))
+    return np.array(p)
 
-        def weight(t, lam):
-            t = np.asarray(t, dtype=float)
-            return surf * np.exp2(-lam * channel.cost(t)) * channel.sqrt_det_fisher(t) * t ** expo
-    else:
-        raise DomainError("jeffreys: multi-dimensional non-isotropic spaces are unsupported")
-    return lo, hi, weight
+
+def invert_monotone(F, dF, target, lo, hi, x):
+    """x in [lo, hi] with F(x) = target, for F nondecreasing with derivative dF.
+
+    Newton steps from the start x; a step that leaves the bracket kept
+    around the root is replaced by bisection.  Stops when a step no
+    longer moves x.
+    """
+    for _ in range(200):
+        g = F(x) - target
+        if g == 0.0:
+            return x
+        if g < 0.0:
+            lo = x
+        else:
+            hi = x
+        d = dF(x)
+        nxt = x - g / d if d > 0.0 else math.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= 2.0 * np.finfo(float).eps * max(1.0, abs(x)):
+            return nxt
+        x = nxt
+    return x
+
+
+class _ProfileTable:
+    """Cached node values of cost and sqrt(det J) for one channel."""
+
+    def __init__(self, channel):
+        ps = channel.param_space
+        self.lo, self.hi = ps.profile_bounds
+        if ps.shape == "interval":
+            self._surface, self._radial = 1.0, 0
+        elif ps.isotropic:
+            self._surface, self._radial = math.exp(_log_sphere_surface(ps.dim)), ps.dim - 1
+        else:
+            raise DomainError("jeffreys: multi-dimensional non-isotropic spaces are unsupported")
+        self.channel = channel
+        self.theta0 = min(max(0.0, self.lo), self.hi)
+        self.c_min = float(channel.cost(self.theta0))
+        self._nodes = {}  # node array bytes -> (cost - c_min, sqrt det J with sphere factor)
+
+    def _root_det(self, t):
+        root_det = self._surface * np.asarray(self.channel.sqrt_det_fisher(t), dtype=float)
+        return root_det * t ** self._radial
+
+    def weight(self, t, lam):
+        """The tilted weight at arbitrary points (evaluated, not cached)."""
+        t = np.asarray(t, dtype=float)
+        return np.exp2(-lam * (self.channel.cost(t) - self.c_min)) * self._root_det(t)
+
+    def _values(self, x):
+        key = x.tobytes()
+        v = self._nodes.get(key)
+        if v is None:
+            dc = np.asarray(self.channel.cost(x), dtype=float) - self.c_min
+            v = self._nodes[key] = (dc, self._root_det(x))
+        return v
+
+    def _breakpoints(self, lam):
+        """theta_0, and cuts graded toward it until the innermost tilt is small."""
+        cuts = [self.theta0]
+        if lam > 0.0:
+            for end in (self.lo, self.hi):
+                h = end - self.theta0
+                while h != 0.0 and lam * (float(self.channel.cost(self.theta0 + h))
+                                          - self.c_min) > _GRADE_BITS:
+                    h *= 0.5
+                    cuts.append(self.theta0 + h)
+        return cuts
+
+    def tilt(self, lam):
+        """Converged panels of the weight at tilt lam, selected from the root."""
+
+        def f(x):
+            dc, root_det = self._values(x)
+            return np.exp2(-lam * dc) * root_det
+
+        leaves = quad(f, self.lo, self.hi, _PRIOR_RULE, self._breakpoints(lam))
+        return _Tilt(self, lam, leaves)
+
+
+class _Tilt:
+    """The tilted weight at one lambda: node sums and the panel cdf."""
+
+    def __init__(self, table, lam, leaves):
+        self.table = table
+        self.lam = lam
+        self.leaves = leaves
+        self.z = leaves.value
+        if not (np.isfinite(self.z) and self.z > 0):
+            raise DegenerateChannelError(
+                f"jeffreys: normalization is {self.z!r} at lambda={lam!r}; "
+                f"Fisher information vanishes on {table.channel.kind!r}"
+            )
+        dc = np.stack([table._values(x)[0] for x in leaves.x])
+        mass = leaves.half[:, None] * WEIGHTS * leaves.values  # per node
+        mean_dc = float((mass * dc).sum()) / self.z
+        self.m = table.c_min + mean_dc
+        self.var = float((mass * (dc - mean_dc) ** 2).sum()) / self.z
+
+    def log2_jf(self, P):
+        return self.lam * (P - self.table.c_min) + math.log2(self.z)
+
+    def jf(self, P):
+        log2_jf = self.log2_jf(P)
+        jf = 2.0 ** log2_jf if log2_jf < 1024.0 else math.inf
+        if not 0.0 < jf < math.inf:
+            raise RangeError(
+                f"jeffreys_factor: JF = 2^{log2_jf:.6g} at lambda={self.lam!r}, P={P!r} "
+                "lies outside the float range"
+            )
+        return jf
+
+    @cached_property
+    def _cdf_table(self):
+        # cumulative panel masses and per-panel Legendre coefficients
+        cum = np.concatenate(([0.0], np.cumsum(self.leaves.sums)))
+        return cum, self.leaves.values @ _TO_LEGENDRE.T
+
+    def _panel_mass(self, i, s):
+        """Mass of panel i left of local coordinate s, and its derivative in s."""
+        _, coef = self._cdf_table
+        p = _legendre(s)
+        q = np.concatenate(([s + 1.0], (p[2:] - p[:-2]) / _ODD))
+        half = self.leaves.half[i]
+        return half * float(coef[i] @ q), half * float(coef[i] @ p[:15])
+
+    def cdf(self, t):
+        cum, _ = self._cdf_table
+        a, b = self.leaves.a, self.leaves.b
+        i = min(int(np.searchsorted(b, t)), b.size - 1)
+        s = min(max((2.0 * t - a[i] - b[i]) / (b[i] - a[i]), -1.0), 1.0)
+        return (cum[i] + self._panel_mass(i, s)[0]) / cum[-1]
+
+    def inverse(self, u):
+        cum, _ = self._cdf_table
+        target = u * cum[-1]
+        i = min(int(np.searchsorted(cum[1:], target)), cum.size - 2)
+        need = min(max(target - cum[i], 0.0), cum[i + 1] - cum[i])
+        s0 = -1.0 + 2.0 * need / (cum[i + 1] - cum[i])
+        s = invert_monotone(lambda s: self._panel_mass(i, s)[0],
+                            lambda s: self._panel_mass(i, s)[1], need, -1.0, 1.0, s0)
+        a, b = self.leaves.a[i], self.leaves.b[i]
+        return min(max(0.5 * (a + b) + 0.5 * (b - a) * s, a), b)
+
+
+def _table(channel):
+    """The channel's profile table from the LRU cache, built at first use."""
+    key = id(channel)  # the cache holds the channel, so its id stays unique
+    entry = _TABLES.get(key)
+    if entry is None:
+        entry = _TABLES[key] = (channel, _ProfileTable(channel))
+        while len(_TABLES) > _TABLE_CACHE_SIZE:
+            _TABLES.popitem(last=False)
+    _TABLES.move_to_end(key)
+    return entry[1]
 
 
 def _check_lambda(lam):
@@ -68,12 +259,20 @@ def _check_lambda(lam):
     return lam
 
 
+def _check_power(P, what):
+    P = float(P)
+    if not np.isfinite(P):
+        raise DomainError(f"{what}: P must be finite")
+    return P
+
+
 def jeffreys_factor(channel, lam, P=0.0):
-    """JF(lambda) = integral over Theta of 2^(-lambda (c - P)) sqrt(det J)."""
+    """JF(lambda) = integral over Theta of 2^(-lambda (c - P)) sqrt(det J).
+
+    Raises RangeError when JF over- or underflows a float.
+    """
     lam = _check_lambda(lam)
-    lo, hi, weight = _profile(channel)
-    z, _ = integrate_interval(lambda t: weight(t, lam), lo, hi)
-    return 2.0 ** (lam * float(P)) * z
+    return _table(channel).tilt(lam).jf(_check_power(P, "jeffreys_factor"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,41 +282,33 @@ class TiltedPrior:
     channel: object
     lam: float
     P: float
-    Z: float            # normalization: integral of the unnormalized weight
+    Z: float            # normalization: integral of 2^(-lam (c - c_min)) sqrt det J
     density: callable   # vectorized; radial marginal for ball spaces
     lo: float
     hi: float
+    panels: object      # the tabulated tilt the cdf and its inverse read from
 
 
 def tilted_prior(channel, lam, P=0.0):
     """Construct the tilted Jeffreys prior (the tilt does not depend on P)."""
     lam = _check_lambda(lam)
-    lo, hi, weight = _profile(channel)
-    z, _ = integrate_interval(lambda t: weight(t, lam), lo, hi, _PRIOR_RULE)
-    if not (np.isfinite(z) and z > 0):
-        raise DegenerateChannelError(
-            f"tilted_prior: normalization is {z!r}; Fisher information vanishes on {channel.kind!r}"
-        )
+    table = _table(channel)
+    tilt = table.tilt(lam)
     return TiltedPrior(
         channel=channel,
         lam=lam,
         P=float(P),
-        Z=z,
-        density=lambda t, _w=weight, _z=z, _l=lam: _w(t, _l) / _z,
-        lo=lo,
-        hi=hi,
+        Z=tilt.z,
+        density=lambda t, _w=table.weight, _z=tilt.z, _l=lam: _w(t, _l) / _z,
+        lo=table.lo,
+        hi=table.hi,
+        panels=tilt,
     )
 
 
 def average_cost(channel, lam):
-    """Tilted mean cost M(lambda), the ratio of the two tilted integrals."""
-    lam = _check_lambda(lam)
-    lo, hi, weight = _profile(channel)
-    z, _ = integrate_interval(lambda t: weight(t, lam), lo, hi)
-    if not (np.isfinite(z) and z > 0):
-        raise DegenerateChannelError(f"average_cost: degenerate weight on {channel.kind!r}")
-    num, _ = integrate_interval(lambda t: channel.cost(t) * weight(t, lam), lo, hi)
-    return num / z
+    """Tilted mean cost M(lambda), from the node sums of the tabulated weight."""
+    return _table(channel).tilt(_check_lambda(lam)).m
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,73 +321,110 @@ class JeffreysSolution:
     jf: float
     m_at_star: float
     capacity_fn: callable
+    log2_jf: float
 
 
-def _capacity_closure(d, jf):
-    log_jf = math.log2(jf)
-
+def _capacity_closure(d, log2_jf):
     def capacity(n_r):
         if n_r < 1:
             raise DomainError("capacity_fn: n_r must be >= 1")
-        return 0.5 * d * math.log2(n_r / (2.0 * math.pi * math.e)) + log_jf
+        return 0.5 * d * math.log2(n_r / (2.0 * math.pi * math.e)) + log2_jf
 
     return capacity
+
+
+def _solution(channel, P, tilt):
+    log2_jf = tilt.log2_jf(P)
+    return JeffreysSolution(channel, P, tilt.lam, tilt.jf(P), tilt.m,
+                            _capacity_closure(channel.param_space.dim, log2_jf), log2_jf)
+
+
+def _newton_root(table, P, lo, hi):
+    """The root of M(lambda) = P in (lo, hi.lam], to rounding.
+
+    Newton with dM/dlambda = -ln2 Var_lambda(c), bisecting whenever a
+    step leaves the bracket kept around the root.
+    """
+    cur = hi
+    for _ in range(100):
+        lam = cur.lam + (cur.m - P) / (LN2 * cur.var) if cur.var > 0.0 else math.nan
+        if not lo < lam <= hi.lam:
+            lam = 0.5 * (lo + hi.lam)
+        if abs(lam - cur.lam) <= 4.0 * np.finfo(float).eps * cur.lam:
+            break
+        cur = table.tilt(lam)
+        if cur.m > P:
+            lo = lam
+        else:
+            hi = cur
+    return cur
 
 
 def solve_lambda_star(channel, P, m_tol_rel=1e-10, bracket_tol=1e-12):
     """Smallest tilt whose prior satisfies the average-power budget.
 
-    Returns lambda* = 0 when the untilted mean cost already meets P;
-    otherwise bisects on the strictly decreasing M(lambda), stopping
-    when the bracket width falls below ``bracket_tol * max(1, lambda)``
-    or |M - P| < ``m_tol_rel * P``.
+    Returns lambda* = 0 when the untilted mean cost already meets P.
+    Otherwise lambda* is the point that bisection on the strictly
+    decreasing M(lambda) over [0, lambda_hi] returns, with lambda_hi the
+    first of 1/P, 2/P, 4/P, ... where M <= P: its first midpoint with
+    |M - P| < ``m_tol_rel * P``, or the bracket's upper end once the
+    bracket is narrower than ``bracket_tol * max(1, lambda)``.  Bracketed
+    Newton (``_newton_root``) locates the root first, so every midpoint
+    more than a few tolerance widths from it is decided without
+    evaluating M.  Raises UnboundedTiltError iff the smallest cost on the
+    space is >= P.
     """
-    P = float(P)
+    P = _check_power(P, "solve_lambda_star")
     if not P > 0:
         raise DomainError("solve_lambda_star: P must be positive")
-    m0 = average_cost(channel, 0.0)
-    d = channel.param_space.dim
+    table = _table(channel)
+    t0 = table.tilt(0.0)
     # ties at M(0) = P resolve to lambda* = 0; the slack absorbs quadrature
     # roundoff, far below the 1e-6 scale at which activity is ever probed
-    if m0 <= P + 1e-12 * max(1.0, P):
-        jf = jeffreys_factor(channel, 0.0, P)
-        return JeffreysSolution(channel, P, 0.0, jf, m0, _capacity_closure(d, jf))
-
-    def _unbounded():
-        return UnboundedTiltError(
-            "solve_lambda_star: no finite tilt reaches the power target "
-            f"(min cost appears to exceed P={P}); channel {channel.kind!r}"
+    if t0.m <= P + 1e-12 * max(1.0, P):
+        return _solution(channel, P, t0)
+    if table.c_min >= P:
+        raise UnboundedTiltError(
+            "solve_lambda_star: no finite tilt reaches the power target: the smallest "
+            f"cost {table.c_min!r} (at theta={table.theta0!r}) is >= P={P!r}; "
+            f"channel {channel.kind!r}"
         )
 
-    lam_hi = 1.0 / P
-    doublings = 0
-    while True:
-        try:
-            m_hi = average_cost(channel, lam_hi)
-        except DegenerateChannelError:
-            # tilted weight underflowed: cost is bounded away from P
-            raise _unbounded() from None
-        if m_hi <= P:
+    below = 0.0
+    top = table.tilt(1.0 / P)
+    for _ in range(_MAX_DOUBLINGS):
+        if top.m <= P:
             break
-        doublings += 1
-        if doublings > 60:
-            raise _unbounded()
-        lam_hi *= 2.0
+        below = top.lam
+        top = table.tilt(2.0 * top.lam)
+    else:
+        raise ConvergenceError(
+            f"solve_lambda_star: M(lambda) still above P={P!r} at lambda={top.lam!r}; "
+            f"channel {channel.kind!r}"
+        )
 
-    lam_lo = 0.0
-    lam, m = lam_hi, m_hi
-    while lam_hi - lam_lo > bracket_tol * max(1.0, lam_hi):
-        mid = 0.5 * (lam_lo + lam_hi)
-        m_mid = average_cost(channel, mid)
-        if abs(m_mid - P) < m_tol_rel * P:
-            lam, m = mid, m_mid
-            break
-        if m_mid > P:
-            lam_lo = mid
+    if not top.var > 0.0:
+        raise RangeError(
+            f"solve_lambda_star: the tilted cost variance underflows at lambda={top.lam!r}; "
+            f"P={P!r} is below what double precision resolves on channel {channel.kind!r}"
+        )
+    root = _newton_root(table, P, below, top)
+    near = 4.0 * m_tol_rel * P / (LN2 * root.var)
+    lo, hi, at_hi = 0.0, top.lam, top
+    while hi - lo > bracket_tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if abs(mid - root.lam) > near:
+            above, cur = mid < root.lam, None
         else:
-            lam_hi, lam, m = mid, mid, m_mid
-    jf = jeffreys_factor(channel, lam, P)
-    return JeffreysSolution(channel, P, lam, jf, m, _capacity_closure(d, jf))
+            cur = table.tilt(mid)
+            if abs(cur.m - P) < m_tol_rel * P:
+                return _solution(channel, P, cur)
+            above = cur.m > P
+        if above:
+            lo = mid
+        else:
+            hi, at_hi = mid, cur
+    return _solution(channel, P, at_hi if at_hi is not None else table.tilt(hi))
 
 
 def asymptotic_capacity(channel, P, n_r):
@@ -242,12 +470,11 @@ def prior_cdf(prior, theta):
     t = min(max(t, prior.lo), prior.hi)
     if t == prior.lo:
         return 0.0
-    value, _ = integrate_interval(prior.density, prior.lo, t, _PRIOR_RULE)
-    return min(max(value, 0.0), 1.0)
+    return min(max(prior.panels.cdf(t), 0.0), 1.0)
 
 
 def prior_cdf_inverse(prior, u):
-    """Solve F(theta) = u by bisection to |F - u| < 1e-12."""
+    """Solve F(theta) = u: panel search, then safeguarded Newton in the panel."""
     u = float(u)
     if not 0.0 <= u <= 1.0:
         raise DomainError("prior_cdf_inverse: u must lie in [0, 1]")
@@ -255,15 +482,4 @@ def prior_cdf_inverse(prior, u):
         return prior.lo
     if u == 1.0:
         return prior.hi
-    lo, hi = prior.lo, prior.hi
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = prior_cdf(prior, mid)
-        if abs(f - u) < _CDF_TOL or (hi - lo) <= 4.0 * np.finfo(float).eps * max(1.0, abs(mid)):
-            break
-        if f < u:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    return prior.panels.inverse(u)

@@ -1,13 +1,21 @@
 """One-dimensional adaptive quadrature.
 
-Globally adaptive composite Gauss-Legendre with 15-point panels: the
-segment with the largest local error estimate is bisected until the
-summed estimate meets ``max(abs_tol, rel_tol * |value|)``.  Panel nodes
-never touch segment endpoints, so integrable endpoint singularities
-such as 1/sqrt(theta) are handled by refinement alone.
+Globally adaptive composite Gauss-Legendre with 15-point panels.  ``quad``
+starts from the segments between the given breakpoints; a segment's
+error estimate is the difference between one panel over it and two
+panels over its halves, and the segment with the largest estimate is
+bisected until the summed estimate meets ``max(abs_tol, rel_tol *
+|value|)``.  It returns the converged leaves (the half panels) with their
+nodes and integrand values, so callers can build on them;
+``integrate_interval`` is their sum.  Panel nodes never touch segment
+endpoints, so integrable endpoint singularities such as 1/sqrt(theta)
+are handled by refinement alone.
 
-Integrands must be vectorized: they receive an ndarray of nodes and
-return an ndarray of values, and must be side-effect free.
+Integrands must be vectorized and side-effect free: they receive an
+ndarray of n nodes and return either n values or a (k, n) array of k
+integrands sharing one partition.  A (k, n) integrand adapts on its
+worst row, measured against each row's own tolerance, and every row
+meets the tolerance.
 """
 
 import heapq
@@ -17,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, ToleranceError
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
+NODES, WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 @dataclass(frozen=True)
@@ -39,27 +47,110 @@ class QuadRule:
 DEFAULT_RULE = QuadRule()
 
 
+@dataclass(frozen=True, eq=False)
+class Leaves:
+    """Converged panels of one ``quad`` call, sorted left to right.
+
+    ``a``, ``b`` and ``half`` have shape (m,); ``x`` holds the nodes,
+    shape (m, 15); ``values`` the integrand there, shape (m, 15) or
+    (m, k, 15); ``sums`` the panel integrals, shape (m,) or (m, k).
+    ``err`` is the summed error estimate.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    x: np.ndarray
+    values: np.ndarray
+    sums: np.ndarray
+    err: object
+
+    @property
+    def half(self):
+        return 0.5 * (self.b - self.a)
+
+    @property
+    def value(self):
+        total = self.sums.sum(axis=0)
+        return float(total) if total.ndim == 0 else total
+
+
 def _panel(f, a, b):
     half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _NODES
+    x = 0.5 * (a + b) + half * NODES
     y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        raise DomainError("quad: integrand must map an (n,) array to an (n,) array")
+    if y.shape[-1:] != x.shape or y.ndim > 2:
+        raise DomainError("quad: integrand must map an (n,) array to an (n,) or (k, n) array")
     if not np.all(np.isfinite(y)):
         raise DomainError(f"quad: integrand non-finite inside [{a!r}, {b!r}]")
-    return half * float(_WEIGHTS @ y)
+    return x, y, half * (y @ WEIGHTS)
 
 
-def _segment(f, a, b, coarse):
-    m = 0.5 * (a + b)
-    left = _panel(f, a, m)
-    right = _panel(f, m, b)
-    fine = left + right
-    return (-abs(coarse - fine), a, b, m, left, right, fine)
+def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
+    """Adaptive Gauss-Legendre over [a, b] (a < b); returns the converged ``Leaves``.
+
+    The initial segments run between the breakpoints that fall inside
+    (a, b).  Raises ToleranceError (carrying the best estimate) if the
+    tolerance is not met within ``rule.max_subdivisions`` bisections.
+    """
+    a = float(a)
+    b = float(b)
+    if not (np.isfinite(a) and np.isfinite(b)) or not a < b:
+        raise DomainError(f"quad: bad interval [{a}, {b}]")
+    edges = sorted({a, b, *(float(t) for t in breakpoints if a < t < b)})
+
+    def tol(value):
+        return np.maximum(rule.abs_tol, rule.rel_tol * np.abs(value))
+
+    def segment(lo, hi, coarse):
+        mid = 0.5 * (lo + hi)
+        left = _panel(f, lo, mid)
+        right = _panel(f, mid, hi)
+        fine = left[2] + right[2]
+        return [0.0, lo, hi, mid, left, right, fine, np.abs(coarse - fine)]
+
+    def push(seg, value):
+        # worst row first, each in units of its own tolerance
+        seg[0] = -float(np.max(seg[7] / tol(value)))
+        heapq.heappush(heap, seg)
+
+    roots = [segment(lo, hi, _panel(f, lo, hi)[2]) for lo, hi in zip(edges, edges[1:])]
+    value = sum(s[6] for s in roots)
+    err = sum(s[7] for s in roots)
+    heap = []
+    for s in roots:
+        push(s, value)
+    nsub = len(roots)
+    while np.any(err > tol(value)):
+        if nsub >= rule.max_subdivisions:
+            raise ToleranceError(
+                f"quad: tolerance not met after {nsub} subdivisions "
+                f"(err_est={np.max(err):.3e})",
+                best=value,
+                err_est=err,
+            )
+        _, lo, hi, mid, left, right, fine, seg_err = heapq.heappop(heap)
+        s1 = segment(lo, mid, left[2])
+        s2 = segment(mid, hi, right[2])
+        value = value + (s1[6] + s2[6]) - fine
+        err = err + (s1[7] + s2[7]) - seg_err
+        push(s1, value)
+        push(s2, value)
+        nsub += 1
+
+    panels = sorted([(s[1], s[3], s[4]) for s in heap] + [(s[3], s[2], s[5]) for s in heap],
+                    key=lambda p: p[0])
+    return Leaves(
+        a=np.array([p[0] for p in panels]),
+        b=np.array([p[1] for p in panels]),
+        x=np.stack([p[2][0] for p in panels]),
+        values=np.stack([p[2][1] for p in panels]),
+        sums=np.stack([p[2][2] for p in panels]),
+        err=sum(s[7] for s in heap),
+    )
 
 
 def integrate_interval(f, a, b, rule=DEFAULT_RULE):
-    """Integrate f over [a, b]; returns ``(value, err_est)``.
+    """Integrate f over [a, b]; returns ``(value, err_est)``, the sums over ``quad``'s leaves.
 
     Raises ToleranceError (carrying the best estimate) if the tolerance
     is not met within ``rule.max_subdivisions`` bisections.
@@ -70,29 +161,8 @@ def integrate_interval(f, a, b, rule=DEFAULT_RULE):
         raise DomainError(f"integrate_interval: bad interval [{a}, {b}]")
     if a == b:
         return 0.0, 0.0
-
-    seg = _segment(f, a, b, _panel(f, a, b))
-    heap = [seg]
-    value = seg[6]
-    err = -seg[0]
-    nsub = 1
-    while err > max(rule.abs_tol, rule.rel_tol * abs(value)):
-        if nsub >= rule.max_subdivisions:
-            raise ToleranceError(
-                f"quad.integrate_interval: tolerance not met after {nsub} "
-                f"subdivisions (err_est={err:.3e})",
-                best=value,
-                err_est=err,
-            )
-        neg, aa, bb, m, left, right, fine = heapq.heappop(heap)
-        s1 = _segment(f, aa, m, left)
-        s2 = _segment(f, m, bb, right)
-        heapq.heappush(heap, s1)
-        heapq.heappush(heap, s2)
-        value += (s1[6] + s2[6]) - fine
-        err += (-s1[0]) + (-s2[0]) - (-neg)
-        nsub += 1
-    return value, err
+    leaves = quad(f, a, b, rule)
+    return leaves.value, leaves.err
 
 
 def integrate_semiinf(f, a, rule=DEFAULT_RULE):

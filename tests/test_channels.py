@@ -383,3 +383,14 @@ def test_energy_detection_logdensity_normalized():
         return np.exp(logp) * dlog
     mean_score, _ = integrate_semiinf(weighted_score, 0.0)
     assert abs(mean_score) < 1e-9
+
+
+def test_energy_detection_batch_matches_pointwise():
+    theta = np.array([0.0, 1e-3, 0.4, 1.0, 2.5, 4.0])
+    batch = ch.fisher_energy_detection(theta)
+    single = np.array([ch.fisher_energy_detection(t) for t in theta])
+    # each row meets the rule's tolerance (abs 1e-13, rel 1e-11) on its own
+    np.testing.assert_allclose(batch, single, rtol=2e-11, atol=2e-13)
+    assert batch[0] == 0.0
+    channel = ch.energy_detection_channel(4.0)
+    np.testing.assert_array_equal(channel.fisher(theta), batch)

@@ -170,3 +170,69 @@ def test_mi_requires_exactly_one_source(onebit_json, capsys):
                  "--prior-grid", "9"]) == 1  # missing --P
     err = capsys.readouterr().err
     assert "invalid input" in err
+
+
+def test_jf_overflow_exits_numerical_failure_naming_lambda(capsys):
+    # JF = 2^(lambda P) times the weight integral leaves the float range
+    # at lambda = 5e5; the command must fail cleanly, not with a traceback.
+    rc = main(["jf", "--channel", '{"kind": "awgn", "A": 1.0}', "--P", "0.111",
+               "--lambda-grid", "0:1e6:3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "numerical failure" in captured.err and "lambda=500000.0" in captured.err
+
+
+def test_jf_large_tilt_without_overflow(capsys):
+    rc = main(["jf", "--channel", '{"kind": "awgn", "A": 1.0}', "--P", "0",
+               "--lambda-grid", "0:1e6:3"])
+    assert rc == 0
+    rows = [[float(v) for v in line.split(",")]
+            for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    for lam, jf, m in rows[1:]:
+        # narrow Gaussian peak: JF -> sqrt(pi / (lam ln2)), M -> 1 / (2 lam ln2)
+        assert jf == pytest.approx(math.sqrt(math.pi / (lam * math.log(2.0))), rel=1e-10)
+        assert m == pytest.approx(1.0 / (2.0 * lam * math.log(2.0)), rel=1e-10)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_float_arguments_rejected(onebit_json, capsys, value):
+    rc = main(["capacity", "--channel", onebit_json, f"--P={value}", "--nr", "10"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "invalid input" in captured.err
+    assert main(["jf", "--channel", onebit_json, "--P", "0.5",
+                 "--lambda-grid", f"0:{value}:3"]) == 1
+    assert main(["capacity", "--channel", '{"kind": "awgn", "A": Infinity}',
+                 "--P", "0.5", "--nr", "10"]) == 1
+
+
+def test_json_output_is_strict(onebit_json, capsys):
+    assert main(["capacity", "--channel", onebit_json, "--P", "0.444", "--nr", "10"]) == 0
+    out = capsys.readouterr().out
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    assert json.loads(out, parse_constant=reject)["P"] == 0.444
+
+
+def test_acov_file_is_closed(tmp_path, monkeypatch):
+    import builtins
+
+    path = tmp_path / "acov.json"
+    path.write_text(json.dumps({"kind": "ar1", "rho": 0.5}))
+    opened = []
+    real_open = builtins.open
+
+    def tracking_open(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", tracking_open)
+    assert main(["fisher-rate", "--acov", str(path), "--n-list", "8,16",
+                 "--output", str(tmp_path / "rate.csv")]) == 0
+    monkeypatch.undo()
+    assert opened and all(fh.closed for fh in opened)

@@ -10,6 +10,7 @@ from fishercap.errors import (
     DegenerateChannelError,
     DomainError,
     PositivityError,
+    RangeError,
     UnboundedTiltError,
 )
 
@@ -240,6 +241,49 @@ def test_unbounded_tilt_error():
     channel = _constant_cost_channel(5.0)  # cost >= 5 everywhere
     with pytest.raises(UnboundedTiltError):
         fc.solve_lambda_star(channel, 1.0)
+
+
+def test_finite_tilt_iff_smallest_cost_below_power():
+    # min cost 0.99 < P = 1: a finite (large) tilt exists, however narrow the peak
+    s = fc.solve_lambda_star(_constant_cost_channel(0.99), 1.0)
+    assert s.lambda_star > 0 and abs(s.m_at_star - 1.0) < 1e-10
+    # M(lambda) -> min cost + 1/(2 lambda ln2) once the peak is narrow
+    assert s.lambda_star == pytest.approx(1.0 / (2.0 * 0.01 * math.log(2.0)), rel=1e-6)
+    with pytest.raises(UnboundedTiltError):
+        fc.solve_lambda_star(_constant_cost_channel(1.0), 1.0)
+
+
+def test_wide_peak_awgn_matches_gaussian_limit():
+    # A = 1e4 puts the tilted peak (width ~1) in a tiny corner of [-A, A]
+    s = fc.solve_lambda_star(fc.awgn_channel(1e4), 1.0)
+    assert s.lambda_star == pytest.approx(1.0 / (2.0 * math.log(2.0)), rel=1e-9)
+    assert s.jf == pytest.approx(math.sqrt(2.0 * math.pi * math.e), rel=1e-9)
+    assert abs(s.m_at_star - 1.0) < 1e-10
+
+
+def test_wider_peak_awgn_has_a_finite_tilt():
+    s = fc.solve_lambda_star(fc.awgn_channel(1e5), 1.0)
+    assert s.lambda_star == pytest.approx(1.0 / (2.0 * math.log(2.0)), rel=1e-9)
+
+
+def test_tiny_power_budget_gaussian_limit(awgn_unit):
+    # the tilted peak has width ~1e-30 on [-1, 1]; the graded root resolves it
+    P = 1e-60
+    s = fc.solve_lambda_star(awgn_unit, P)
+    assert s.lambda_star == pytest.approx(1.0 / (2.0 * P * math.log(2.0)), rel=1e-9)
+    assert s.jf == pytest.approx(math.sqrt(2.0 * math.pi * math.e * P), rel=1e-9)
+    # below what double precision resolves, the solve fails loudly
+    with pytest.raises(RangeError, match="underflows"):
+        fc.solve_lambda_star(awgn_unit, 1e-200)
+
+
+def test_jf_out_of_float_range(awgn_unit):
+    with pytest.raises(RangeError, match="lambda=5000.0"):
+        fc.jeffreys_factor(awgn_unit, 5000.0, 1.0)
+    # the capacity uses log2 JF, which stays finite when JF would not
+    s = fc.solve_lambda_star(awgn_unit, 1.0 / 9.0)
+    assert s.capacity_fn(100) == pytest.approx(
+        0.5 * math.log2(100 / (2.0 * math.pi * math.e)) + s.log2_jf, rel=1e-15)
 
 
 def test_degenerate_channel_error():

@@ -5,7 +5,7 @@ import pytest
 
 from fishercap import specfun
 from fishercap.errors import DomainError, ToleranceError
-from fishercap.quad import QuadRule, integrate_interval, integrate_semiinf
+from fishercap.quad import QuadRule, integrate_interval, integrate_semiinf, quad
 
 
 def test_constant_integrand():
@@ -101,3 +101,31 @@ def test_rule_validation():
         QuadRule(kind="monte-carlo")
     with pytest.raises(DomainError):
         QuadRule(max_subdivisions=0)
+
+
+def test_quad_leaves_sum_to_integrate_interval():
+    def f(x):
+        return np.exp(-x) * np.cos(4.0 * x)
+
+    leaves = quad(f, -1.0, 2.5, QuadRule(), breakpoints=(0.3, 7.0))
+    assert np.all(leaves.a[1:] == leaves.b[:-1])
+    assert leaves.a[0] == -1.0 and leaves.b[-1] == 2.5 and 0.3 in leaves.a
+    assert np.array_equal(leaves.values, f(leaves.x))
+    value, _ = integrate_interval(f, -1.0, 2.5)
+    assert leaves.value == pytest.approx(value, abs=2e-12)
+
+
+def test_quad_vector_integrand_meets_every_row_tolerance():
+    # rows of very different size and smoothness share one partition
+    scales = np.array([1e-6, 1.0, 40.0])[:, None]
+
+    def f(x):
+        return np.exp(-scales * x * x)
+
+    rule = QuadRule(abs_tol=1e-14, rel_tol=1e-12)
+    values, err = integrate_interval(f, -1.0, 1.0, rule)
+    want = np.array([integrate_interval(lambda x, s=s: np.exp(-s * x * x), -1.0, 1.0, rule)[0]
+                     for s in scales[:, 0]])
+    assert values.shape == (3,) and err.shape == (3,)
+    assert np.all(err <= np.maximum(1e-14, 1e-12 * np.abs(values)))
+    np.testing.assert_allclose(values, want, rtol=1e-12)
