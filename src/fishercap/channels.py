@@ -658,6 +658,31 @@ def dithered_onebit_channel(peak, dither):
 # JSON ingestion
 # ---------------------------------------------------------------------------
 
+def _dithered_from_json(record):
+    pts = record["points"]
+    if "weights" in record:
+        return dithered_onebit_channel(record["A"], DitherSet(tuple(pts), tuple(record["weights"])))
+    return dithered_onebit_channel(record["A"], DitherSet.uniform(pts))
+
+
+# kind -> builder of a ChannelSpec from its JSON record.  The builders look
+# the constructors up when called, so a constructor rebound on this module
+# is the one used.  ``noniid`` adds "correlated_awgn" on import: it imports
+# this module, so this module cannot import it back.
+CHANNEL_BUILDERS = {
+    "awgn": lambda r: awgn_channel(r["A"]),
+    "clipped_awgn": lambda r: clipped_awgn_channel(r["A"], r["B"]),
+    "truncated_awgn": lambda r: truncated_awgn_channel(r["A"], r["B"]),
+    "quantized_awgn": lambda r: quantized_awgn_channel(r["A"], r["thresholds"]),
+    "energy_detection": lambda r: energy_detection_channel(r["A"]),
+    "mimo_imperfect_csi": lambda r: mimo_imperfect_csi_channel(r["A"], r["nt"], r["sigma2"]),
+    "noncoherent": lambda r: noncoherent_channel(r["A"], r["sigma2"]),
+    "poisson": lambda r: poisson_channel(r["A"], (r["h"]["values"], r["h"]["probs"]),
+                                         (r["mu"]["values"], r["mu"]["probs"])),
+    "dithered_onebit": _dithered_from_json,
+}
+
+
 def channel_from_json(record):
     """Build a ChannelSpec from a JSON record (dict or JSON string).
 
@@ -672,6 +697,7 @@ def channel_from_json(record):
     * ``noncoherent``: A, sigma2
     * ``poisson``: A, h {values, probs}, mu {values, probs}
     * ``dithered_onebit``: A, points [, weights]
+    * ``correlated_awgn``: A, acov (an ``autocovariance_from_json`` record)
     """
     if isinstance(record, (str, bytes)):
         try:
@@ -681,33 +707,13 @@ def channel_from_json(record):
     if not isinstance(record, dict):
         raise ValidationError("channel_from_json: expected a JSON object")
     kind = record.get("kind")
+    build = CHANNEL_BUILDERS.get(kind)
+    if build is None:
+        raise ValidationError(f"channel_from_json: unknown channel kind {kind!r}")
     try:
-        if kind == "awgn":
-            return awgn_channel(record["A"])
-        if kind == "clipped_awgn":
-            return clipped_awgn_channel(record["A"], record["B"])
-        if kind == "truncated_awgn":
-            return truncated_awgn_channel(record["A"], record["B"])
-        if kind == "quantized_awgn":
-            return quantized_awgn_channel(record["A"], record["thresholds"])
-        if kind == "energy_detection":
-            return energy_detection_channel(record["A"])
-        if kind == "mimo_imperfect_csi":
-            return mimo_imperfect_csi_channel(record["A"], record["nt"], record["sigma2"])
-        if kind == "noncoherent":
-            return noncoherent_channel(record["A"], record["sigma2"])
-        if kind == "poisson":
-            h = (record["h"]["values"], record["h"]["probs"])
-            mu = (record["mu"]["values"], record["mu"]["probs"])
-            return poisson_channel(record["A"], h, mu)
-        if kind == "dithered_onebit":
-            pts = record["points"]
-            if "weights" in record:
-                return dithered_onebit_channel(record["A"], DitherSet(tuple(pts), tuple(record["weights"])))
-            return dithered_onebit_channel(record["A"], DitherSet.uniform(pts))
+        return build(record)
     except KeyError as e:
         raise ValidationError(f"channel_from_json: kind {kind!r} is missing field {e}") from e
-    raise ValidationError(f"channel_from_json: unknown channel kind {kind!r}")
 
 
 def channel_from_file(path):

@@ -16,6 +16,7 @@ from scipy import linalg as _la
 
 from .errors import ConvergenceError, DomainError, PositivityError, ValidationError
 from .jeffreys import LN2, invert_monotone, prior_cdf_inverse, solve_lambda_star, tilted_prior
+from .mutual_info import DiscreteInput
 
 
 def midpoint_grid(m):
@@ -26,23 +27,11 @@ def midpoint_grid(m):
 
 
 @dataclass(frozen=True, eq=False)
-class Constellation:
-    """Finite input set; points has shape (M,) or (M, d)."""
+class Constellation(DiscreteInput):
+    """A designed input set: points (M,) or (M, d) and probs, with its average and peak power."""
 
-    points: np.ndarray
-    probs: np.ndarray
     avg_power: float
     peak_power: float
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        pr = np.asarray(self.probs, dtype=float)
-        if pts.shape[0] != pr.shape[0] or pts.shape[0] == 0:
-            raise ValidationError("Constellation: points and probs must align")
-        if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-12:
-            raise ValidationError("Constellation: probs must be a probability vector")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "probs", pr)
 
 
 def _power_per_point(points):

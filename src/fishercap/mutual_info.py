@@ -1,11 +1,30 @@
 """Exact mutual information across n_r i.i.d. antennas via the type statistic.
 
-For a finite output alphabet of size L, the per-bin count vector (the
-type) is a sufficient statistic of the n_r-antenna output and follows a
-multinomial law, so I(X; Y^{n_r}) = I(X; T) can be computed exactly by
-enumerating all compositions of n_r into L parts.  Log-pmfs routinely
-reach -1e4, so every mixture is accumulated in log space with a max
-shift.
+For a finite output alphabet of size L, the per-bin count vector t (the
+type) is a sufficient statistic of the n_r-antenna output, so
+I(X; Y^{n_r}) = I(X; T), a finite sum over the C(n_r + L - 1, L - 1)
+compositions of n_r into L parts.  With S_i(t) = sum_l t_l log p(l | x_i),
+
+    log p(t | x_i) = log multinomial(t) + S_i(t),
+
+and one kernel, ``_type_blocks``, streams (log multinomial, S) over
+blocks of compositions that numpy builds.  Both consumers start there:
+
+* ``mi_from_pmf_matrix`` sums w_i p(t|i) [log p(t|i) - log p(t)] block
+  by block.  The log-multinomial cancels inside the bracket, so it only
+  weights the sum, and one exp pass per block, shifted by the largest
+  log(w_i p(t|i)) of each type, gives both the mixture and the weights.
+  Log-pmfs routinely reach -1e4, hence the shift.  The form
+  H(T) - H(T|X) would lose about four digits to cancellation.
+* ``blahut_arimoto`` keeps one (M x types) matrix E = exp(S - rm), with
+  rm the largest S of each type, the type weights
+  g = exp(log multinomial + rm) and the constant C = (E o S) g.  Each
+  iteration is then two matrix-vector products: the mixture
+  log p_r(t) = log multinomial + rm + log(r^T E), and the divergences
+  D(p(.|x_i) || p_r) = C - E (g o (rm + log(r^T E))).
+
+Zero-probability bins enter the log-pmf as ``_LOG_ZERO``, and zero
+weights likewise, so their exp() is exactly 0.
 """
 
 import math
@@ -20,6 +39,7 @@ from .specfun import SQRT_2PI
 
 EVAL_BUDGET_DEFAULT = 10 ** 8
 _LOG_ZERO = -1e6  # stand-in for log 0; k * _LOG_ZERO stays finite, exp() is exactly 0
+_BLOCK_TYPES = 1 << 12  # types per streamed block (M x 4096 doubles stay cache-sized)
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,12 +50,13 @@ class DiscreteInput:
     probs: np.ndarray
 
     def __post_init__(self):
+        name = type(self).__name__
         pts = np.asarray(self.points, dtype=float)
         pr = np.asarray(self.probs, dtype=float)
         if pts.shape[0] != pr.shape[0] or pts.shape[0] == 0:
-            raise ValidationError("DiscreteInput: points and probs must align")
+            raise ValidationError(f"{name}: points and probs must align")
         if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-12:
-            raise ValidationError("DiscreteInput: probs must be a probability vector")
+            raise ValidationError(f"{name}: probs must be a probability vector")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", pr)
 
@@ -61,34 +82,64 @@ class TypeIndex:
         return c / c.sum()
 
 
-def _composition_chunks(n, parts, chunk=1 << 14):
-    """Yield all compositions of n into `parts` parts, colex order, in blocks."""
-    k = np.zeros(parts, dtype=np.int64)
-    k[0] = n
-    buf = np.empty((chunk, parts), dtype=np.int64)
-    fill = 0
-    while True:
-        buf[fill] = k
-        fill += 1
-        if fill == chunk:
-            yield buf[:fill].copy()
-            fill = 0
-        # advance to the next composition (colex): move mass out of k[0]
-        if k[0] > 0:
-            k[0] -= 1
-            k[1] += 1
-            continue
-        j = 1
-        while j < parts and k[j] == 0:
-            j += 1
-        if j >= parts - 1:
-            break
-        t = k[j]
-        k[j] = 0
-        k[j + 1] += 1
-        k[0] = t - 1
-    if fill:
-        yield buf[:fill].copy()
+def _add_part(v, v_sum, starts, r0, r1):
+    """Columns r0:r1 of the graded extension of v by one part, and their sums.
+
+    The columns of v are the j-part vectors with sum <= n by increasing
+    sum (sums in v_sum), so those with sum <= s are its first C(s + j, j)
+    columns.  The extension lists the (j+1)-part vectors with sum <= n
+    the same way: for each total s in turn, that prefix of v with the
+    part that tops each column up to s.  ``starts[s] = C(s + j, j + 1)``
+    is where total s begins.
+    """
+    r = np.arange(r0, r1)
+    s = np.searchsorted(starts, r, side="right") - 1
+    i = r - starts[s]
+    return np.vstack([v[:, i], s - v_sum[i]]), s
+
+
+def _starts(j, n):
+    return np.array([math.comb(s + j, j + 1) for s in range(n + 2)], dtype=np.int64)
+
+
+def _composition_chunks(n, parts, chunk=_BLOCK_TYPES):
+    """Every composition of n into `parts` parts exactly once, one per column.
+
+    Blocks have shape (parts, <= chunk).  A composition is (n - s, tail),
+    with tail one of the (parts - 1)-part vectors of sum s <= n.  Those
+    are built one part at a time by ``_add_part``: the vectors of the
+    first parts - 2 parts whole (C(n + parts - 2, parts - 2) of them, a
+    share (parts - 1)/(n + parts - 1) of the total), the last extension
+    block by block.
+    """
+    if parts == 1:
+        yield np.full((1, 1), n, dtype=np.int64)
+        return
+    v, v_sum = np.zeros((0, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for j in range(parts - 2):
+        v, v_sum = _add_part(v, v_sum, _starts(j, n), 0, math.comb(n + j + 1, j + 1))
+    starts = _starts(parts - 2, n)
+    total = math.comb(n + parts - 1, parts - 1)
+    for r0 in range(0, total, chunk):
+        tail, s = _add_part(v, v_sum, starts, r0, min(r0 + chunk, total))
+        yield np.vstack([n - s, tail])
+
+
+def _type_blocks(logp, n_r):
+    """Per block of types: (log multinomial coefficient, S = logp @ counts).
+
+    S has one row per input and one column per type; in that layout the
+    reductions over inputs run along contiguous rows.
+    """
+    lg = gammaln(np.arange(n_r + 1) + 1.0)
+    for counts in _composition_chunks(n_r, logp.shape[1]):
+        yield lg[n_r] - lg[counts].sum(axis=0), logp @ counts
+
+
+def _column_exp(x):
+    """Column maxima m and E = exp(x - m): log sum_i exp(x_it) = m_t + log sum_i E_it."""
+    m = x.max(axis=0)
+    return m, np.exp(x - m)
 
 
 def _log_pmf_matrix(pmf):
@@ -115,8 +166,8 @@ def _check_budget(n_r, parts, num_inputs, budget):
 def mi_from_pmf_matrix(pmf, weights, n_r, budget=EVAL_BUDGET_DEFAULT):
     """I(X; T) in bits for the per-antenna pmf matrix p(l | x_i).
 
-    Enumerates the multinomial types of n_r draws in colexicographic
-    order, streamed in blocks; exact up to floating point.
+    Sums over every multinomial type of n_r draws, streamed in blocks
+    with flat memory; exact up to floating point.
     """
     pmf = np.asarray(pmf, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -133,14 +184,12 @@ def mi_from_pmf_matrix(pmf, weights, n_r, budget=EVAL_BUDGET_DEFAULT):
     logp = _log_pmf_matrix(pmf)
     logw = np.where(w > 0.0, np.log(np.clip(w, 1e-300, None)), _LOG_ZERO)
 
-    lg_n = gammaln(n_r + 1.0)
     nats = 0.0
-    for block in _composition_chunks(n_r, parts):
-        log_multi = lg_n - gammaln(block + 1.0).sum(axis=1)
-        ll = log_multi[:, None] + block @ logp.T  # (m, num_inputs)
-        log_mix = logsumexp(ll + logw[None, :], axis=1)
-        p_cond = np.exp(ll)
-        nats += float((w[None, :] * p_cond * (ll - log_mix[:, None])).sum())
+    for log_multi, ll in _type_blocks(logp, n_r):
+        # a = max_i log(w_i p(t|i)) - log multinomial, so w_i p(t|i) = exp(log multinomial + a) E_it
+        a, e = _column_exp(ll + logw[:, None])
+        bracket = ll - (a + np.log(e.sum(axis=0)))  # log p(t|i) - log p(t)
+        nats += float((e * bracket).sum(axis=0) @ np.exp(log_multi + a))
     return max(nats, 0.0) / math.log(2.0)
 
 
@@ -196,24 +245,29 @@ def blahut_arimoto(channel, points, n_r, tol=1e-9, max_iter=10 ** 4,
     _check_budget(n_r, parts, pts.size, budget)
     logp = _log_pmf_matrix(pmf)
 
-    # materialize the type log-likelihoods: rows index types, columns inputs
-    lg_n = gammaln(n_r + 1.0)
-    blocks = []
-    for block in _composition_chunks(n_r, parts):
-        log_multi = lg_n - gammaln(block + 1.0).sum(axis=1)
-        blocks.append(log_multi[:, None] + block @ logp.T)
-    log_lik = np.concatenate(blocks, axis=0)
-    lik = np.exp(log_lik)
-
+    # One (M x types) matrix E = exp(S - rm) holds all the likelihoods:
+    # p(t|i) = g_t E_it with g = exp(log multinomial + rm).
     m = pts.size
+    e = np.empty((m, math.comb(n_r + parts - 1, parts - 1)))
+    rm = np.empty(e.shape[1])
+    g = np.empty(e.shape[1])
+    c = np.zeros(m)  # C_i = sum_t p(t|i) S_it
+    col = 0
+    for log_multi, ll in _type_blocks(logp, n_r):
+        cols = slice(col, col + ll.shape[1])
+        rm[cols], e[:, cols] = _column_exp(ll)
+        g[cols] = np.exp(log_multi + rm[cols])
+        c += (e[:, cols] * ll) @ g[cols]
+        col = cols.stop
+
     log_r = np.full(m, -math.log(m))
     gaps = []
     nats_tol = tol * math.log(2.0)
     c_low = 0.0
     for _ in range(int(max_iter)):
-        log_mix = logsumexp(log_lik + log_r[None, :], axis=1)
-        d_x = np.where(lik > 0.0, lik * (log_lik - log_mix[:, None]), 0.0).sum(axis=0)
         r = np.exp(log_r)
+        log_mix = rm + np.log(r @ e)  # log p_r(t) - log multinomial
+        d_x = c - e @ (g * log_mix)  # D(p(.|x_i) || p_r) in nats
         c_low = float(r @ d_x)
         c_up = float(d_x.max())
         gaps.append((c_up - c_low) / math.log(2.0))

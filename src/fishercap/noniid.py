@@ -9,12 +9,12 @@ theta, the tilted prior is untouched by the correlation; only the
 capacity offset moves.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as _la
 
-from .channels import ChannelSpec, ParameterSpace
+from .channels import CHANNEL_BUILDERS, ChannelSpec, ParameterSpace
 from .errors import DomainError, ValidationError
 
 
@@ -52,18 +52,36 @@ def ar1_autocovariance(rho, variance=1.0):
 
 
 def fisher_rate_finite(acov, n):
-    """(1/n) 1^T Sigma_n^{-1} 1 via a symmetric positive-definite solve."""
+    """(1/n) 1^T Sigma_n^{-1} 1 by the Levinson-Durbin recursion, in O(n^2) with no n x n matrix.
+
+    The order-k prediction-error filter a_k = (1, -phi_k1, ..., -phi_kk) of
+    the noise, with error variance e_k, factors the inverse as
+    Sigma_n^{-1} = sum_{k<n} a_k a_k^T / e_k (each a_k padded to length n),
+    so 1^T Sigma_n^{-1} 1 = sum_k (1^T a_k)^2 / e_k.  The recursion gives
+    1^T a_k = prod_{m<=k} (1 - kappa_m) and e_k = e_{k-1} (1 - kappa_k^2)
+    from the reflection coefficients kappa_k; Sigma_n is positive definite
+    iff every e_k > 0.
+    """
     n = int(n)
     if n < 1:
         raise DomainError("fisher_rate_finite: n must be >= 1")
-    col = np.array([acov.gamma(k) for k in range(n)], dtype=float)
-    sigma = _la.toeplitz(col)
-    try:
-        cf = _la.cho_factor(sigma, overwrite_a=True, check_finite=False)
-    except _la.LinAlgError as e:
-        raise DomainError(f"fisher_rate_finite: Toeplitz matrix not PD at n={n}") from e
-    x = _la.cho_solve(cf, np.ones(n), check_finite=False)
-    return float(x.sum()) / n
+    gamma = np.array([acov.gamma(k) for k in range(n)], dtype=float)
+    phi = np.zeros(n)  # phi[:k] = phi_k1..phi_kk
+    err = gamma[0]
+    ones_a = 1.0  # 1^T a_k
+    terms = np.empty(n)  # (1^T a_k)^2 / e_k
+    terms[0] = 1.0 / err
+    for k in range(1, n):
+        prev = phi[:k - 1]
+        kappa = (gamma[k] - prev @ gamma[k - 1:0:-1]) / err
+        phi[:k - 1] = prev - kappa * prev[::-1]
+        phi[k - 1] = kappa
+        err *= (1.0 - kappa) * (1.0 + kappa)
+        if not err > 0.0:
+            raise DomainError(f"fisher_rate_finite: Toeplitz matrix not PD at n={n}")
+        ones_a *= 1.0 - kappa
+        terms[k] = ones_a * ones_a / err
+    return math.fsum(terms) / n
 
 
 def fisher_rate_limit(acov, max_terms=10 ** 6):
@@ -133,3 +151,7 @@ def autocovariance_from_json(record):
     if kind == "ar1":
         return ar1_autocovariance(record["rho"], record.get("variance", 1.0))
     raise ValidationError(f"autocovariance_from_json: unknown kind {kind!r}")
+
+
+CHANNEL_BUILDERS["correlated_awgn"] = lambda r: correlated_awgn_channel(
+    r["A"], autocovariance_from_json(r["acov"]))

@@ -25,6 +25,16 @@ def awgn_fit(awgn):
     return s, poly, info
 
 
+def test_constellation_is_a_discrete_input():
+    c = fc.Constellation(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0, 1.0)
+    assert isinstance(c, fc.DiscreteInput)
+    assert (c.avg_power, c.peak_power) == (1.0, 1.0)
+    with pytest.raises(ValidationError, match="^Constellation: probs"):
+        fc.Constellation(np.array([-1.0, 1.0]), np.array([0.7, 0.7]), 1.0, 1.0)
+    with pytest.raises(ValidationError, match="^DiscreteInput: points and probs"):
+        fc.DiscreteInput(np.array([0.0, 1.0]), np.array([1.0]))
+
+
 # --- exact Jeffreys constellation -------------------------------------------
 
 def test_uniform_prior_two_points(awgn):

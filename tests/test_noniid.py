@@ -54,6 +54,26 @@ def test_constant_autocovariance_not_pd():
         fc.fisher_rate_finite(acov, 16)
 
 
+def test_indefinite_autocovariance_not_pd():
+    # [[1, .9, .2], [.9, 1, .9], [.2, .9, 1]] has a negative eigenvalue; a bare
+    # Toeplitz solve would still return a vector here
+    gamma = [1.0, 0.9, 0.2]
+    acov = fc.Autocovariance(gamma=lambda k: gamma[k])
+    assert fc.fisher_rate_finite(acov, 2) == pytest.approx(1.0 / 1.9, rel=1e-14)
+    with pytest.raises(DomainError, match="not PD at n=3"):
+        fc.fisher_rate_finite(acov, 3)
+
+
+@pytest.mark.parametrize("rho", [-0.6, 0.3, 0.5, 0.9])
+def test_ar1_finite_rate_closed_form(rho):
+    # Sigma_n^{-1} of an AR(1) is tridiagonal: row sums (1 - rho) at the two
+    # ends and (1 - rho)^2 inside, all over 1 - rho^2
+    for n in [2, 7, 4096]:
+        want = (2 * (1 - rho) + (n - 2) * (1 - rho) ** 2) / (1 - rho * rho) / n
+        got = fc.fisher_rate_finite(fc.ar1_autocovariance(rho), n)
+        assert got == pytest.approx(want, rel=1e-14)
+
+
 def test_tilted_prior_invariant_to_correlation():
     # constant Fisher rate cancels in the prior, whatever the correlation
     white = fc.correlated_awgn_channel(1.0, fc.white_noise_autocovariance())
@@ -68,6 +88,18 @@ def test_tilted_prior_invariant_to_correlation():
     assert np.max(np.abs(pw.density(grid) - pc.density(grid))) < 1e-12
     # the capacity offset, by contrast, does move with the correlation
     assert sw.jf != pytest.approx(sc.jf, rel=1e-3)
+
+
+def test_correlated_channel_from_json():
+    channel = fc.channel_from_json(
+        {"kind": "correlated_awgn", "A": 2.0, "acov": {"kind": "ar1", "rho": 0.5}})
+    assert channel.kind == "correlated_awgn" and channel.param_space.profile_bounds == (-2.0, 2.0)
+    limit = fc.fisher_rate_limit(fc.ar1_autocovariance(0.5))
+    theta = np.linspace(-2.0, 2.0, 5)
+    np.testing.assert_allclose(channel.fisher(theta), limit, rtol=1e-15)
+    assert channel.fisher(0.3) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    with pytest.raises(ValidationError, match="acov"):
+        fc.channel_from_json({"kind": "correlated_awgn", "A": 2.0})
 
 
 def test_autocovariance_json():

@@ -1,10 +1,16 @@
-"""Pinned design values for every channel kind of the benchmark's design zoo.
+"""Pinned values recorded from earlier implementations of the same quantities.
 
 ``data/pinned_design_zoo.json`` holds lambda*, JF and the inverse-cdf
-constellation points (M = 16; M = 4 for energy detection) computed by
-the per-call adaptive integration that preceded the tabulated profile.
-The table must reproduce them: lambda* and the points to 1e-8
-relative, JF to 1e-10.
+constellation points (M = 16; M = 4 for energy detection) of the
+benchmark's design zoo, computed by the per-call adaptive integration
+that preceded the tabulated profile.  The table must reproduce them:
+lambda* and the points to 1e-8 relative, JF to 1e-10.
+
+``data/pinned_types.json`` holds the exact MI (uniform weights) and the
+Blahut-Arimoto bits and weights of the benchmark's seed-0 ``types``
+requests, computed by the per-composition enumeration that preceded the
+vectorized type kernel.  MI must match to 1e-12 relative, BA bits to
+1e-12 and BA weights to 1e-11 absolute.
 """
 
 import json
@@ -18,6 +24,9 @@ import fishercap as fc
 with open(os.path.join(os.path.dirname(__file__), "data", "pinned_design_zoo.json"),
           encoding="utf-8") as _fh:
     PINNED = json.load(_fh)
+with open(os.path.join(os.path.dirname(__file__), "data", "pinned_types.json"),
+          encoding="utf-8") as _fh:
+    PINNED_TYPES = json.load(_fh)
 
 
 @pytest.mark.parametrize("case", PINNED, ids=[c["label"] for c in PINNED])
@@ -28,3 +37,17 @@ def test_pinned_design_values(case):
     assert s.jf == pytest.approx(case["jf"], rel=1e-10)
     c = fc.jeffreys_constellation(channel, case["P"], case["M"])
     np.testing.assert_allclose(c.points, case["points"], rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("case", PINNED_TYPES, ids=[c["label"] for c in PINNED_TYPES])
+def test_pinned_type_values(case):
+    channel = fc.channel_from_json(case["channel"])
+    points = np.asarray(case["points"])
+    if "mi_bits" in case:
+        uniform = fc.DiscreteInput(points, np.full(points.size, 1.0 / points.size))
+        mi = fc.mi_finite_output(channel, uniform, case["n_r"])
+        assert mi == pytest.approx(case["mi_bits"], rel=1e-12, abs=0.0)
+    else:
+        dist, bits = fc.blahut_arimoto(channel, points, case["n_r"])
+        assert bits == pytest.approx(case["ba_bits"], rel=0.0, abs=1e-12)
+        np.testing.assert_allclose(dist.probs, case["ba_weights"], rtol=0.0, atol=1e-11)

@@ -1,20 +1,35 @@
-"""Property tests over the channel zoo: invariants of the tilted profile.
+"""Property tests: invariants of the tilted profile and of the type engine.
+
+Over the channel zoo:
 
 * M(lambda) is strictly decreasing;
 * log2 JF(lambda) is convex (it is a log-partition function);
 * the inverse cdf undoes the cdf;
 * the prior density integrates to one;
 * a result depends only on (channel, lambda): JF at one tilt is
-  bit-identical whether or not other tilts were evaluated first.
+  bit-identical whether or not other tilts were evaluated first;
+* a binned receiver never has more Fisher information than the full
+  output: J_L(theta) <= J(theta).
+
+Over random small pmf matrices, weights and antenna counts:
+
+* the composition generator lists every type of n_r draws exactly once;
+* 0 <= MI <= log2 M, and MI does not decrease with n_r;
+* MI is invariant under relabelling the outputs, and under permuting
+  the inputs together with their weights;
+* Blahut-Arimoto's bits are at least the MI of any fixed weights, and
+  equal the MI of the weights it returns.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fishercap as fc
+from fishercap import mutual_info
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -112,3 +127,78 @@ def test_jf_independent_of_call_history(kind, data, others, bits):
         fc.jeffreys_factor(used, b / span)
     lam = bits / span
     assert fc.jeffreys_factor(used, lam) == fc.jeffreys_factor(fresh, lam)
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["awgn", "truncated_awgn"]), A=peak, B=st.floats(1.0, 3.0),
+       r=st.floats(0.5, 8.0), L=st.integers(1, 64), frac=st.floats(0.0, 1.0))
+def test_binned_fisher_below_full(kind, A, B, r, L, frac):
+    channel = fc.channel_from_json({"kind": kind, "A": A, "B": B})
+    theta = -A + 2.0 * A * frac
+    j_full = float(channel.fisher(theta))
+    j_bin = fc.quantized_fisher(channel, fc.build_quantizer(r, L), theta)
+    assert 0.0 <= j_bin <= j_full * (1.0 + 1e-12)
+
+
+# --- the type engine ---------------------------------------------------------
+
+def _prob_vector(size):
+    return st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size).filter(
+        lambda v: sum(v) > 0.1).map(lambda v: np.asarray(v) / sum(v))
+
+
+@st.composite
+def pmf_and_weights(draw):
+    """(pmf, weights): exact zeros are common, so the _LOG_ZERO paths run."""
+    m = draw(st.integers(1, 4))
+    bins = draw(st.integers(2, 4))
+    pmf = np.array([draw(_prob_vector(bins)) for _ in range(m)])
+    return pmf, draw(_prob_vector(m))
+
+
+@SETTINGS
+@given(n=st.integers(0, 25), parts=st.integers(1, 5), chunk=st.integers(1, 60))
+def test_compositions_listed_once(n, parts, chunk):
+    blocks = list(mutual_info._composition_chunks(n, parts, chunk))
+    assert all(b.shape[0] == parts and 0 < b.shape[1] <= chunk for b in blocks)
+    types = np.concatenate(blocks, axis=1)
+    assert types.shape[1] == math.comb(n + parts - 1, parts - 1)
+    assert np.all(types >= 0) and np.all(types.sum(axis=0) == n)
+    assert np.unique(types, axis=1).shape[1] == types.shape[1]
+
+
+@SETTINGS
+@given(case=pmf_and_weights(), n_r=st.integers(1, 12))
+def test_mi_bounded_and_nondecreasing(case, n_r):
+    pmf, w = case
+    mi = fc.mi_from_pmf_matrix(pmf, w, n_r)
+    assert 0.0 <= mi <= math.log2(pmf.shape[0]) + 1e-12
+    assert fc.mi_from_pmf_matrix(pmf, w, n_r + 1) >= mi - 1e-12
+
+
+@SETTINGS
+@given(data=st.data(), case=pmf_and_weights(), n_r=st.integers(1, 10))
+def test_mi_invariant_under_relabelling(data, case, n_r):
+    pmf, w = case
+    mi = fc.mi_from_pmf_matrix(pmf, w, n_r)
+    outputs = data.draw(st.permutations(range(pmf.shape[1])))
+    inputs = data.draw(st.permutations(range(pmf.shape[0])))
+    assert fc.mi_from_pmf_matrix(pmf[:, outputs], w, n_r) == pytest.approx(mi, rel=1e-12, abs=1e-14)
+    assert fc.mi_from_pmf_matrix(pmf[inputs], w[inputs], n_r) == pytest.approx(
+        mi, rel=1e-12, abs=1e-14)
+
+
+@SETTINGS
+@given(A=peak, thresholds=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3),
+       m=st.integers(1, 5), n_r=st.integers(1, 10), data=st.data())
+def test_ba_dominates_fixed_weights(A, thresholds, m, n_r, data):
+    channel = fc.quantized_awgn_channel(A, sorted(set(thresholds)))
+    # evenly spaced: BA converges slowly when two points nearly coincide
+    points = np.linspace(-A, A, m)
+    pmf = channel.output_pmf(points)
+    dist, bits = fc.blahut_arimoto(channel, points, n_r)
+    # the returned bits are the exact MI of the returned weights ...
+    assert bits == pytest.approx(fc.mi_from_pmf_matrix(pmf, dist.probs, n_r), rel=1e-11, abs=1e-13)
+    # ... and, to within the stopping gap, the capacity over these points
+    fixed = data.draw(_prob_vector(m))
+    assert bits >= fc.mi_from_pmf_matrix(pmf, fixed, n_r) - 1e-9
