@@ -107,7 +107,6 @@ from .receiver_quant import (
     type_from_samples,
 )
 from .specfun import (
-    AccuracySpec,
     bessel_i01_scaled,
     exp_integral_e1,
     gauss_hazard,

@@ -10,8 +10,12 @@ power constraint reads E[c(theta)] <= P.
 A ``ChannelSpec`` bundles the callables the rest of the library needs:
 
 * ``cost``, ``sqrt_det_fisher`` act on the 1-D working coordinate
-  (theta for interval spaces, the radius r for isotropic ball spaces)
-  and are vectorized.
+  (theta for interval spaces, the radius r for ball spaces) and are
+  vectorized.  ``cost`` defaults to the squared coordinate and, on
+  interval spaces, ``sqrt_det_fisher`` to ``sqrt(fisher)``; every
+  channel here keeps the default cost, and only the noncoherent
+  (closed form) and the fading (ball space) channels pass their own
+  ``sqrt_det_fisher``.
 * ``fisher`` is vectorized theta -> J(theta) for d = 1 and maps a full
   d-vector to the d x d matrix otherwise.
 * finite-output channels expose ``output_pmf``; scalar continuous
@@ -38,14 +42,18 @@ from scipy import special as _sp
 
 @dataclass(frozen=True)
 class ParameterSpace:
-    """Where theta lives: an interval [lo, hi] or a radius-A ball in R^d."""
+    """Where theta lives: an interval [lo, hi] or a radius-A ball in R^d.
+
+    Ball spaces are isotropic: the cost and sqrt(det J) of a channel on a
+    ball depend on the radius only, and the library works on that radial
+    profile.
+    """
 
     dim: int
     shape: str  # "interval" | "ball"
     lo: float = 0.0
     hi: float = 0.0
     radius: float = 0.0
-    isotropic: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -53,8 +61,6 @@ class ParameterSpace:
         if self.shape == "interval":
             if self.dim != 1 or not self.lo < self.hi:
                 raise ValidationError("interval space needs dim=1 and lo < hi")
-            if self.isotropic:
-                raise ValidationError("isotropic only allowed for ball spaces")
         elif self.shape == "ball":
             if not self.radius > 0:
                 raise ValidationError("ball space needs radius > 0")
@@ -66,8 +72,8 @@ class ParameterSpace:
         return cls(dim=1, shape="interval", lo=float(lo), hi=float(hi))
 
     @classmethod
-    def ball(cls, dim, radius, isotropic=True):
-        return cls(dim=dim, shape="ball", radius=float(radius), isotropic=isotropic)
+    def ball(cls, dim, radius):
+        return cls(dim=dim, shape="ball", radius=float(radius))
 
     @property
     def profile_bounds(self):
@@ -106,19 +112,32 @@ class DitherSet:
         return np.asarray(self.points), np.asarray(self.weights)
 
 
+def _squared(t):
+    return np.square(np.asarray(t, dtype=float))
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:
+    """The callables and JSON params of one channel; defaults as in the module docstring."""
+
     kind: str
     param_space: ParameterSpace
-    cost: Callable
     fisher: Callable
-    sqrt_det_fisher: Callable
     output_kind: str  # "finite" | "continuous-scalar" | "pair-with-state"
+    cost: Callable = _squared
+    sqrt_det_fisher: Callable | None = None
     alphabet_size: int | None = None
     output_pmf: Callable | None = None
     output_logdensity_dtheta: Callable | None = None
     interval_mass_dtheta: Callable | None = None
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.sqrt_det_fisher is None:
+            if self.param_space.shape != "interval":
+                raise ValidationError(f"ChannelSpec {self.kind!r}: a ball space needs sqrt_det_fisher")
+            fisher = self.fisher
+            object.__setattr__(self, "sqrt_det_fisher", lambda t: np.sqrt(fisher(t)))
 
 
 def _check_profile(theta, lo, hi, what):
@@ -205,7 +224,7 @@ def fisher_quantized_awgn(theta, thresholds, peak=None):
     return float(j) if np.ndim(theta) == 0 else j
 
 
-_ENERGY_RULE = QuadRule(kind="transformed-semi-infinite", abs_tol=1e-13, rel_tol=1e-11)
+_ENERGY_RULE = QuadRule(abs_tol=1e-13, rel_tol=1e-11)
 
 
 def _energy_density(y, theta):
@@ -222,17 +241,15 @@ def _energy_score(y, theta):
     return -2.0 * theta + np.sqrt(2.0 * y) * ratio
 
 
-def fisher_energy_detection(theta, rule=None, peak=None):
+def fisher_energy_detection(theta, peak=None):
     """Fisher information of the magnitude-only complex Gaussian channel.
 
     Given theta = |x|, the statistic 2|y|^2 is noncentral chi-square with
     2 degrees of freedom; J(theta) is the second moment of the score
     -2 theta + sqrt(2 y~) I1/I0(theta sqrt(2 y~)), computed with scaled
     Bessels and one semi-infinite quadrature over the whole batch of
-    theta values, each meeting the rule's tolerance.
+    theta values, each to abs 1e-13 or rel 1e-11.
     """
-    if rule is None:
-        rule = _ENERGY_RULE
     hi = peak if peak is not None else np.inf
     th = _check_profile(theta, 0.0, hi, "fisher_energy_detection")
     flat = np.ravel(th)
@@ -245,7 +262,7 @@ def fisher_energy_detection(theta, rule=None, peak=None):
             sc = _energy_score(y, t)
             return sc * sc * _energy_density(y, t)
 
-        out[live], _ = integrate_semiinf(integrand, 0.0, rule)
+        out[live], _ = integrate_semiinf(integrand, 0.0, _ENERGY_RULE)
     return float(out[0]) if np.ndim(theta) == 0 else out.reshape(th.shape)
 
 
@@ -374,27 +391,27 @@ def _awgn_interval_mass(lo_edge, hi_edge, theta):
     return gauss_mass(lo, hi), _phi_raw(lo) - _phi_raw(hi)
 
 
+def _interval_channel(kind, A, lo, fisher, params, **outputs):
+    """The spec on [lo, A] whose params are kind, A and ``params``; default cost and sqrt(J)."""
+    return ChannelSpec(kind=kind, param_space=ParameterSpace.interval(lo, A), fisher=fisher,
+                       params={"kind": kind, "A": A, **params}, **outputs)
+
+
 def awgn_channel(peak):
     """Real AWGN with unit noise variance, input on [-A, A]."""
     A = float(peak)
     if not A > 0:
         raise ValidationError("awgn_channel: peak must be positive")
-    ps = ParameterSpace.interval(-A, A)
 
     def logdensity_dtheta(y, theta):
         r = np.asarray(y, dtype=float) - theta
         return -0.5 * np.log(2.0 * np.pi) - 0.5 * r * r, r
 
-    return ChannelSpec(
-        kind="awgn",
-        param_space=ps,
-        cost=lambda t: np.square(np.asarray(t, dtype=float)),
-        fisher=lambda t: fisher_awgn(t, A),
-        sqrt_det_fisher=lambda t: fisher_awgn(t, A),
+    return _interval_channel(
+        "awgn", A, -A, lambda t: fisher_awgn(t, A), {},
         output_kind="continuous-scalar",
         output_logdensity_dtheta=logdensity_dtheta,
         interval_mass_dtheta=_awgn_interval_mass,
-        params={"kind": "awgn", "A": A},
     )
 
 
@@ -403,7 +420,6 @@ def clipped_awgn_channel(peak, clip):
     A, B = float(peak), float(clip)
     if not (A > 0 and B > 0):
         raise ValidationError("clipped_awgn_channel: peak and clip must be positive")
-    ps = ParameterSpace.interval(-A, A)
 
     def logdensity_dtheta(y, theta):
         # Density w.r.t. Lebesgue measure on (-B, B) plus atoms at +-B.
@@ -418,15 +434,10 @@ def clipped_awgn_channel(peak, clip):
         )
         return logp, dlog
 
-    return ChannelSpec(
-        kind="clipped_awgn",
-        param_space=ps,
-        cost=lambda t: np.square(np.asarray(t, dtype=float)),
-        fisher=lambda t: fisher_clipped_awgn(t, B, peak=A),
-        sqrt_det_fisher=lambda t: np.sqrt(fisher_clipped_awgn(t, B, peak=A)),
+    return _interval_channel(
+        "clipped_awgn", A, -A, lambda t: fisher_clipped_awgn(t, B, peak=A), {"B": B},
         output_kind="continuous-scalar",
         output_logdensity_dtheta=logdensity_dtheta,
-        params={"kind": "clipped_awgn", "A": A, "B": B},
     )
 
 
@@ -439,7 +450,6 @@ def truncated_awgn_channel(peak, support_radius):
     A, B = float(peak), float(support_radius)
     if not (A > 0 and B > 0):
         raise ValidationError("truncated_awgn_channel: peak and radius must be positive")
-    ps = ParameterSpace.interval(-A, A)
 
     def _z(theta):
         return gauss_mass(-B - np.asarray(theta, dtype=float), B - np.asarray(theta, dtype=float))
@@ -471,16 +481,11 @@ def truncated_awgn_channel(peak, support_radius):
         dz = _phi_raw(-B - theta) - _phi_raw(B - theta)
         return (-0.5 * np.log(2.0 * np.pi) - 0.5 * r * r - np.log(z), r - dz / z)
 
-    return ChannelSpec(
-        kind="truncated_awgn",
-        param_space=ps,
-        cost=lambda t: np.square(np.asarray(t, dtype=float)),
-        fisher=fisher,
-        sqrt_det_fisher=lambda t: np.sqrt(fisher(t)),
+    return _interval_channel(
+        "truncated_awgn", A, -A, fisher, {"B": B},
         output_kind="continuous-scalar",
         output_logdensity_dtheta=logdensity_dtheta,
         interval_mass_dtheta=interval_mass,
-        params={"kind": "truncated_awgn", "A": A, "B": B},
     )
 
 
@@ -490,36 +495,29 @@ def quantized_awgn_channel(peak, thresholds):
     t = _validate_thresholds(thresholds)
     if not A > 0:
         raise ValidationError("quantized_awgn_channel: peak must be positive")
-    ps = ParameterSpace.interval(-A, A)
-    L = t.size + 1
 
     def pmf(theta):
         th = _check_profile(theta, -A, A, "quantized_awgn.output_pmf")
         p, _ = quantized_pmf_dtheta(th, t)
         return p
 
-    return ChannelSpec(
-        kind="quantized_awgn",
-        param_space=ps,
-        cost=lambda x: np.square(np.asarray(x, dtype=float)),
-        fisher=lambda x: fisher_quantized_awgn(x, t, peak=A),
-        sqrt_det_fisher=lambda x: np.sqrt(fisher_quantized_awgn(x, t, peak=A)),
+    return _interval_channel(
+        "quantized_awgn", A, -A, lambda x: fisher_quantized_awgn(x, t, peak=A),
+        {"thresholds": [float(x) for x in t]},
         output_kind="finite",
-        alphabet_size=L,
+        alphabet_size=t.size + 1,
         output_pmf=pmf,
-        params={"kind": "quantized_awgn", "A": A, "thresholds": [float(x) for x in t]},
     )
 
 
-def energy_detection_channel(peak, rule=None):
+def energy_detection_channel(peak):
     """Complex AWGN observed through the magnitude only; theta = |x| in [0, A]."""
     A = float(peak)
     if not A > 0:
         raise ValidationError("energy_detection_channel: peak must be positive")
-    ps = ParameterSpace.interval(0.0, A)
 
     def fisher(theta):
-        return fisher_energy_detection(theta, rule=rule, peak=A)
+        return fisher_energy_detection(theta, peak=A)
 
     def logdensity_dtheta(y, theta):
         # y here is the scaled energy statistic 2|output|^2
@@ -530,15 +528,10 @@ def energy_detection_channel(peak, rule=None):
             logp = np.log(_energy_density(yy, theta))  # -inf far in the tail
         return logp, _energy_score(yy, theta)
 
-    return ChannelSpec(
-        kind="energy_detection",
-        param_space=ps,
-        cost=lambda t: np.square(np.asarray(t, dtype=float)),
-        fisher=fisher,
-        sqrt_det_fisher=lambda t: np.sqrt(fisher(t)),
+    return _interval_channel(
+        "energy_detection", A, 0.0, fisher, {},
         output_kind="continuous-scalar",
         output_logdensity_dtheta=logdensity_dtheta,
-        params={"kind": "energy_detection", "A": A},
     )
 
 
@@ -554,12 +547,10 @@ def mimo_imperfect_csi_channel(peak, nt, sigma2):
         raise ValidationError("mimo_imperfect_csi_channel: need peak > 0 and nt >= 1")
     if not 0.0 < sigma2 < 1.0:
         raise DomainError("mimo_imperfect_csi_channel: sigma2 must lie in (0, 1)")
-    ps = ParameterSpace.ball(dim=2 * nt, radius=A, isotropic=True)
 
     return ChannelSpec(
         kind="mimo_imperfect_csi",
-        param_space=ps,
-        cost=lambda r: np.square(np.asarray(r, dtype=float)),
+        param_space=ParameterSpace.ball(dim=2 * nt, radius=A),
         fisher=lambda th: mimo_fisher_matrix(th, nt, sigma2),
         sqrt_det_fisher=lambda r: mimo_sqrt_det_fisher(r, nt, sigma2, peak=A),
         output_kind="pair-with-state",
@@ -574,21 +565,17 @@ def noncoherent_channel(peak, sigma2):
         raise ValidationError("noncoherent_channel: peak must be positive")
     if not sigma2 > 0:
         raise DomainError("noncoherent_channel: sigma2 must be positive")
-    ps = ParameterSpace.interval(0.0, A)
 
     def sdf(theta):
         t = _check_profile(theta, 0.0, A, "noncoherent.sqrt_det_fisher")
         out = 2.0 * sigma2 * t / (1.0 + sigma2 * t * t)
         return float(out) if np.ndim(theta) == 0 else out
 
-    return ChannelSpec(
-        kind="noncoherent",
-        param_space=ps,
-        cost=lambda t: np.square(np.asarray(t, dtype=float)),
-        fisher=lambda t: fisher_noncoherent(t, sigma2, peak=A),
+    return _interval_channel(
+        "noncoherent", A, 0.0, lambda t: fisher_noncoherent(t, sigma2, peak=A),
+        {"sigma2": float(sigma2)},
         sqrt_det_fisher=sdf,
         output_kind="continuous-scalar",
-        params={"kind": "noncoherent", "A": A, "sigma2": float(sigma2)},
     )
 
 
@@ -599,23 +586,14 @@ def poisson_channel(peak, h_dist, mu_dist):
         raise ValidationError("poisson_channel: peak must be positive")
     hv, hp = _validate_discrete(h_dist, "poisson_channel h_dist")
     mv, mp = _validate_discrete(mu_dist, "poisson_channel mu_dist")
-    ps = ParameterSpace.interval(0.0, A)
     h = (hv, hp)
     mu = (mv, mp)
 
-    return ChannelSpec(
-        kind="poisson",
-        param_space=ps,
-        cost=lambda t: np.square(np.asarray(t, dtype=float)),
-        fisher=lambda t: fisher_poisson(t, h, mu, peak=A),
-        sqrt_det_fisher=lambda t: np.sqrt(fisher_poisson(t, h, mu, peak=A)),
+    return _interval_channel(
+        "poisson", A, 0.0, lambda t: fisher_poisson(t, h, mu, peak=A),
+        {"h": {"values": hv.tolist(), "probs": hp.tolist()},
+         "mu": {"values": mv.tolist(), "probs": mp.tolist()}},
         output_kind="pair-with-state",
-        params={
-            "kind": "poisson",
-            "A": A,
-            "h": {"values": hv.tolist(), "probs": hp.tolist()},
-            "mu": {"values": mv.tolist(), "probs": mp.tolist()},
-        },
     )
 
 
@@ -631,7 +609,6 @@ def dithered_onebit_channel(peak, dither):
     if not isinstance(dither, DitherSet):
         dither = DitherSet.uniform(dither)
     pts, w = dither.arrays()
-    ps = ParameterSpace.interval(-A, A)
 
     def pmf(theta):
         th = _check_profile(theta, -A, A, "dithered_onebit.output_pmf")
@@ -641,16 +618,12 @@ def dithered_onebit_channel(peak, dither):
         stacked = np.stack([w * q_plus, w * q_minus], axis=-1)
         return stacked.reshape(np.asarray(th).shape + (2 * pts.size,))
 
-    return ChannelSpec(
-        kind="dithered_onebit",
-        param_space=ps,
-        cost=lambda t: np.square(np.asarray(t, dtype=float)),
-        fisher=lambda t: fisher_dithered_1bit(t, dither, peak=A),
-        sqrt_det_fisher=lambda t: np.sqrt(fisher_dithered_1bit(t, dither, peak=A)),
+    return _interval_channel(
+        "dithered_onebit", A, -A, lambda t: fisher_dithered_1bit(t, dither, peak=A),
+        {"points": pts.tolist(), "weights": w.tolist()},
         output_kind="finite",
         alphabet_size=2 * pts.size,
         output_pmf=pmf,
-        params={"kind": "dithered_onebit", "A": A, "points": pts.tolist(), "weights": w.tolist()},
     )
 
 

@@ -18,6 +18,10 @@ from .errors import ConvergenceError, DomainError, PositivityError, ValidationEr
 from .jeffreys import LN2, invert_monotone, prior_cdf_inverse, solve_lambda_star, tilted_prior
 from .mutual_info import DiscreteInput
 
+_GRID_POINTS = 4097  # odd: the fit grid is integrated by composite Simpson
+_GAMMA_0, _GAMMA_MIN = 10.0, 1e-8  # first and last barrier weight
+_NEWTON_TOL = 1e-9  # a Newton stage stops once the gradient norm is below this
+
 
 def midpoint_grid(m):
     """The m midpoints (2i - 1) / (2m), avoiding the cdf endpoints."""
@@ -83,14 +87,13 @@ class PolyDensity:
 
     coeffs: np.ndarray
     support: tuple
-    grid_points: int = 4097
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
         lo, hi = self.support
         if not lo < hi:
             raise ValidationError("PolyDensity: support must satisfy lo < hi")
-        grid = np.linspace(lo, hi, self.grid_points)
+        grid = np.linspace(lo, hi, _GRID_POINTS)
         vals = np.polynomial.polynomial.polyval(grid, c)
         if np.any(vals <= 0):
             raise PositivityError("PolyDensity: not strictly positive on the support grid")
@@ -137,41 +140,33 @@ def poly_cdf_inverse(p, u):
 
 @dataclass(frozen=True)
 class BarrierSchedule:
-    """Decreasing barrier weights with the per-stage Newton stopping rule.
+    """Barrier weights 10, 1, 0.1, ..., 1e-8 and the Newton step budget of each stage.
 
-    The continuation starts barrier-dominated (gamma_0 = 10), so the
-    first stage is an easy solve from the uniform start and every later
-    stage is warm-started; cold starts at small gamma stall against the
-    positivity boundary for strongly peaked targets.
+    The continuation starts barrier-dominated (gamma = 10), so the first
+    stage is an easy solve from the uniform start and every later stage
+    is warm-started; cold starts at small gamma stall against the
+    positivity boundary for strongly peaked targets.  A stage stops once
+    the gradient norm is below 1e-9, and fails after ``max_newton``
+    steps.
     """
 
-    gamma_0: float = 10.0
-    decay: float = 0.1
-    gamma_min: float = 1e-8
-    newton_tol: float = 1e-9
     max_newton: int = 100
 
     def __post_init__(self):
-        if not self.gamma_0 > self.gamma_min > 0:
-            raise ValidationError("BarrierSchedule: need gamma_0 > gamma_min > 0")
-        if not 0.0 < self.decay < 1.0:
-            raise ValidationError("BarrierSchedule: decay must lie in (0, 1)")
-        if not (self.newton_tol > 0 and self.max_newton >= 1):
-            raise ValidationError("BarrierSchedule: need newton_tol > 0 and max_newton >= 1")
+        if not self.max_newton >= 1:
+            raise ValidationError("BarrierSchedule: need max_newton >= 1")
 
     def stages(self):
-        out = [self.gamma_0]
-        g = self.gamma_0
-        while g > self.gamma_min * (1.0 + 1e-9):
-            g = max(g * self.decay, self.gamma_min)
+        out = [_GAMMA_0]
+        g = _GAMMA_0
+        while g > _GAMMA_MIN * (1.0 + 1e-9):
+            g = max(g * 0.1, _GAMMA_MIN)
             out.append(g)
         return out
 
 
 def _simpson_weights(n, lo, hi):
     # n odd node count over [lo, hi]
-    if n % 2 == 0:
-        raise ValidationError("composite Simpson needs an odd node count")
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -198,7 +193,7 @@ class BarrierObjective:
     ``to_poly_density`` maps the solution back to the theta power basis.
     """
 
-    def __init__(self, channel, lam_star, degree, gamma, grid_points=4097):
+    def __init__(self, channel, lam_star, degree, gamma):
         if degree < 0:
             raise DomainError("BarrierObjective: degree must be >= 0")
         if channel.param_space.shape != "interval":
@@ -211,8 +206,8 @@ class BarrierObjective:
         self.degree = degree
         self.gamma = float(gamma)
         self.lam_star = float(lam_star)
-        self.grid = np.linspace(-1.0, 1.0, grid_points)
-        self.weights = _simpson_weights(grid_points, -1.0, 1.0)
+        self.grid = np.linspace(-1.0, 1.0, _GRID_POINTS)
+        self.weights = _simpson_weights(_GRID_POINTS, -1.0, 1.0)
         self.alphas = _moment_integrals(degree, -1.0, 1.0)
 
         theta = self.center + self.scale * self.grid
@@ -239,15 +234,14 @@ class BarrierObjective:
     def density_on_grid(self, xi_free):
         return self.powers @ self.full_coeffs(xi_free)
 
-    def to_poly_density(self, xi_free, grid_points=None):
+    def to_poly_density(self, xi_free):
         """Map tau-basis coefficients to a PolyDensity in theta coordinates."""
         tau_coef = self.full_coeffs(xi_free) / self.scale  # density Jacobian
         p = np.polynomial.Polynomial(tau_coef, domain=[self.lo, self.hi], window=[-1.0, 1.0])
         theta_coef = p.convert(domain=[self.lo, self.hi], window=[self.lo, self.hi]).coef
         if theta_coef.size < self.degree + 1:
             theta_coef = np.pad(theta_coef, (0, self.degree + 1 - theta_coef.size))
-        return PolyDensity(theta_coef, (self.lo, self.hi),
-                           grid_points if grid_points else len(self.grid))
+        return PolyDensity(theta_coef, (self.lo, self.hi))
 
     def value(self, xi_free):
         f = self.density_on_grid(xi_free)
@@ -302,7 +296,7 @@ def _newton_stage(problem, xi, schedule, info):
     while True:
         g = problem.gradient(xi)
         gnorm = float(np.linalg.norm(g))
-        if gnorm < schedule.newton_tol:
+        if gnorm < _NEWTON_TOL:
             return xi, iters, "gradient"
         if iters >= schedule.max_newton:
             raise ConvergenceError(
@@ -347,8 +341,7 @@ def _newton_stage(problem, xi, schedule, info):
         iters += 1
 
 
-def fit_poly_density(channel, lam_star, degree, schedule=None, grid_points=4097,
-                     full_output=False):
+def fit_poly_density(channel, lam_star, degree, schedule=None, full_output=False):
     """Fit a positive polynomial density of the given degree to the tilted prior.
 
     Barrier continuation with a damped Newton solve per stage, starting
@@ -361,13 +354,13 @@ def fit_poly_density(channel, lam_star, degree, schedule=None, grid_points=4097,
     info = PolyFitInfo()
     problem = None
     for gamma in schedule.stages():
-        problem = BarrierObjective(channel, lam_star, degree, gamma, grid_points)
+        problem = BarrierObjective(channel, lam_star, degree, gamma)
         xi, iters, reason = _newton_stage(problem, xi, schedule, info)
         info.gammas.append(gamma)
         info.newton_iterations.append(iters)
         info.stop_reasons.append(reason)
         info.final_gradient_norm = float(np.linalg.norm(problem.gradient(xi)))
-    poly = problem.to_poly_density(xi, grid_points)
+    poly = problem.to_poly_density(xi)
     return (poly, info) if full_output else poly
 
 
@@ -403,7 +396,7 @@ def radial_constellation_isotropic(channel, P, M_r, directions):
     (radius, direction) pairs with uniform probabilities.
     """
     ps = channel.param_space
-    if ps.shape != "ball" or not ps.isotropic:
+    if ps.shape != "ball":
         raise DomainError("radial_constellation_isotropic: channel is not isotropic")
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[0] == 0 or dirs.shape[1] != ps.dim:

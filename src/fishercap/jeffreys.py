@@ -71,6 +71,8 @@ _TABLE_CACHE_SIZE = 8
 _TABLES = OrderedDict()  # id(channel) -> (channel, _ProfileTable), least recent first
 _GRADE_BITS = 8.0
 _MAX_DOUBLINGS = 200
+_M_TOL_REL, _BRACKET_TOL = 1e-10, 1e-12  # the tilt bisection's stopping rule
+_MISMATCH_GRID = 1025  # midpoints on which mismatch_rate checks the prior's positivity
 
 # Row k, column j: (2k+1)/2 * w_j * P_k(x_j); maps the 15 node values of
 # a panel to the Legendre coefficients of their interpolant (exact, since
@@ -126,10 +128,8 @@ class _ProfileTable:
         self.lo, self.hi = ps.profile_bounds
         if ps.shape == "interval":
             self._surface, self._radial = 1.0, 0
-        elif ps.isotropic:
-            self._surface, self._radial = math.exp(_log_sphere_surface(ps.dim)), ps.dim - 1
         else:
-            raise DomainError("jeffreys: multi-dimensional non-isotropic spaces are unsupported")
+            self._surface, self._radial = math.exp(_log_sphere_surface(ps.dim)), ps.dim - 1
         self.channel = channel
         self.theta0 = min(max(0.0, self.lo), self.hi)
         self.c_min = float(channel.cost(self.theta0))
@@ -360,15 +360,15 @@ def _newton_root(table, P, lo, hi):
     return cur
 
 
-def solve_lambda_star(channel, P, m_tol_rel=1e-10, bracket_tol=1e-12):
+def solve_lambda_star(channel, P):
     """Smallest tilt whose prior satisfies the average-power budget.
 
     Returns lambda* = 0 when the untilted mean cost already meets P.
     Otherwise lambda* is the point that bisection on the strictly
     decreasing M(lambda) over [0, lambda_hi] returns, with lambda_hi the
     first of 1/P, 2/P, 4/P, ... where M <= P: its first midpoint with
-    |M - P| < ``m_tol_rel * P``, or the bracket's upper end once the
-    bracket is narrower than ``bracket_tol * max(1, lambda)``.  Bracketed
+    |M - P| < 1e-10 P, or the bracket's upper end once the bracket is
+    narrower than 1e-12 max(1, lambda).  Bracketed
     Newton (``_newton_root``) locates the root first, so every midpoint
     more than a few tolerance widths from it is decided without
     evaluating M.  Raises UnboundedTiltError iff the smallest cost on the
@@ -409,15 +409,15 @@ def solve_lambda_star(channel, P, m_tol_rel=1e-10, bracket_tol=1e-12):
             f"P={P!r} is below what double precision resolves on channel {channel.kind!r}"
         )
     root = _newton_root(table, P, below, top)
-    near = 4.0 * m_tol_rel * P / (LN2 * root.var)
+    near = 4.0 * _M_TOL_REL * P / (LN2 * root.var)
     lo, hi, at_hi = 0.0, top.lam, top
-    while hi - lo > bracket_tol * max(1.0, hi):
+    while hi - lo > _BRACKET_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if abs(mid - root.lam) > near:
             above, cur = mid < root.lam, None
         else:
             cur = table.tilt(mid)
-            if abs(cur.m - P) < m_tol_rel * P:
+            if abs(cur.m - P) < _M_TOL_REL * P:
                 return _solution(channel, P, cur)
             above = cur.m > P
         if above:
@@ -432,7 +432,7 @@ def asymptotic_capacity(channel, P, n_r):
     return solve_lambda_star(channel, P).capacity_fn(n_r)
 
 
-def mismatch_rate(channel, w, P, n_r, grid_size=1025):
+def mismatch_rate(channel, w, P, n_r):
     """Large-array rate achieved by an arbitrary prior w on the profile coordinate.
 
     Evaluates C(P) - D(w || w_tilted) + lambda* E_w[c - P] with the
@@ -443,7 +443,7 @@ def mismatch_rate(channel, w, P, n_r, grid_size=1025):
     solution = solve_lambda_star(channel, P)
     prior = tilted_prior(channel, solution.lambda_star, P)
     lo, hi = prior.lo, prior.hi
-    grid = lo + (hi - lo) * (np.arange(grid_size) + 0.5) / grid_size
+    grid = lo + (hi - lo) * (np.arange(_MISMATCH_GRID) + 0.5) / _MISMATCH_GRID
     w_grid = np.asarray(w(grid), dtype=float)
     if np.any(w_grid <= 0):
         raise PositivityError("mismatch_rate: prior must be strictly positive on the space")

@@ -40,6 +40,8 @@ from .specfun import SQRT_2PI
 EVAL_BUDGET_DEFAULT = 10 ** 8
 _LOG_ZERO = -1e6  # stand-in for log 0; k * _LOG_ZERO stays finite, exp() is exactly 0
 _BLOCK_TYPES = 1 << 12  # types per streamed block (M x 4096 doubles stay cache-sized)
+_BA_MAX_ITER = 10 ** 4
+_SPAN_SIGMAS = 40.0  # the sample-mean MI integrates this many sigmas beyond the extreme points
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,12 +230,13 @@ def mi_prior_grid(channel, prior, grid_size, n_r, budget=EVAL_BUDGET_DEFAULT):
     return mi_finite_output(channel, discretize_prior(prior, grid_size), n_r, budget)
 
 
-def blahut_arimoto(channel, points, n_r, tol=1e-9, max_iter=10 ** 4,
-                   budget=EVAL_BUDGET_DEFAULT, full_output=False):
+def blahut_arimoto(channel, points, n_r, tol=1e-9, budget=EVAL_BUDGET_DEFAULT,
+                   full_output=False):
     """Capacity-achieving input weights over fixed points, via Blahut-Arimoto.
 
     Alternates the standard updates on the type-likelihood matrix until
-    the capacity upper/lower bound gap drops below ``tol`` bits.
+    the capacity upper/lower bound gap drops below ``tol`` bits, and
+    raises ConvergenceError after 10,000 iterations.
     Returns ``(DiscreteInput, bits)``; with ``full_output`` also a dict
     carrying the per-iteration bound gaps.
     """
@@ -264,7 +267,7 @@ def blahut_arimoto(channel, points, n_r, tol=1e-9, max_iter=10 ** 4,
     gaps = []
     nats_tol = tol * math.log(2.0)
     c_low = 0.0
-    for _ in range(int(max_iter)):
+    for _ in range(_BA_MAX_ITER):
         r = np.exp(log_r)
         log_mix = rm + np.log(r @ e)  # log p_r(t) - log multinomial
         d_x = c - e @ (g * log_mix)  # D(p(.|x_i) || p_r) in nats
@@ -277,7 +280,7 @@ def blahut_arimoto(channel, points, n_r, tol=1e-9, max_iter=10 ** 4,
         log_r -= logsumexp(log_r)
     else:
         raise ConvergenceError(
-            f"blahut_arimoto: bound gap {gaps[-1]:.3e} bits after {max_iter} iterations"
+            f"blahut_arimoto: bound gap {gaps[-1]:.3e} bits after {_BA_MAX_ITER} iterations"
         )
     result = DiscreteInput(pts, np.exp(log_r) / np.exp(log_r).sum())
     bits = c_low / math.log(2.0)
@@ -286,7 +289,7 @@ def blahut_arimoto(channel, points, n_r, tol=1e-9, max_iter=10 ** 4,
     return result, bits
 
 
-def mi_gaussian_sufficient(input_dist, n_r, span_sigmas=40.0):
+def mi_gaussian_sufficient(input_dist, n_r):
     """Exact MI for the unit-noise scalar Gaussian channel via the sample mean.
 
     The mean of n_r unit-variance observations is Gaussian with variance
@@ -302,8 +305,8 @@ def mi_gaussian_sufficient(input_dist, n_r, span_sigmas=40.0):
     if pts.size == 1:
         return 0.0
     sigma = 1.0 / math.sqrt(n_r)
-    lo = pts.min() - span_sigmas * sigma
-    hi = pts.max() + span_sigmas * sigma
+    lo = pts.min() - _SPAN_SIGMAS * sigma
+    hi = pts.max() + _SPAN_SIGMAS * sigma
 
     def neg_mix_entropy(y):
         z = (y[:, None] - pts[None, :]) / sigma

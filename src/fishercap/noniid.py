@@ -14,16 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CHANNEL_BUILDERS, ChannelSpec, ParameterSpace
+from .channels import CHANNEL_BUILDERS, _interval_channel
 from .errors import DomainError, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
 class Autocovariance:
-    """Symmetric summable autocovariance gamma(k); series_sum = sum_k gamma(k)."""
+    """Symmetric summable autocovariance gamma(k); series_sum = sum_k gamma(k).
+
+    ``record`` is the ``autocovariance_from_json`` record it was built
+    from, when it has one.
+    """
 
     gamma: callable
     series_sum: float | None = None
+    record: dict | None = None
 
     def __post_init__(self):
         if self.gamma(0) <= 0:
@@ -34,7 +39,8 @@ def white_noise_autocovariance(variance=1.0):
     v = float(variance)
     if not v > 0:
         raise DomainError("white_noise_autocovariance: variance must be positive")
-    return Autocovariance(gamma=lambda k: v if k == 0 else 0.0, series_sum=v)
+    return Autocovariance(gamma=lambda k: v if k == 0 else 0.0, series_sum=v,
+                          record={"kind": "white", "variance": v})
 
 
 def ar1_autocovariance(rho, variance=1.0):
@@ -48,6 +54,7 @@ def ar1_autocovariance(rho, variance=1.0):
     return Autocovariance(
         gamma=lambda k: v * rho ** abs(k),
         series_sum=v * (1.0 + rho) / (1.0 - rho),
+        record={"kind": "ar1", "rho": rho, "variance": v},
     )
 
 
@@ -112,28 +119,21 @@ def correlated_awgn_channel(peak, acov):
 
     Fisher information is the (theta-independent) rate limit, so the
     tilted prior coincides with the white-noise one while the capacity
-    offset tracks the correlation.
+    offset tracks the correlation.  ``params`` carry ``acov.record``, so
+    ``channel_from_json(channel.params)`` rebuilds the channel.
     """
     A = float(peak)
     if not A > 0:
         raise ValidationError("correlated_awgn_channel: peak must be positive")
     rate = fisher_rate_limit(acov)
-    ps = ParameterSpace.interval(-A, A)
 
     def const(theta):
         t = np.asarray(theta, dtype=float)
         out = np.full_like(t, rate)
         return float(out) if np.ndim(theta) == 0 else out
 
-    return ChannelSpec(
-        kind="correlated_awgn",
-        param_space=ps,
-        cost=lambda t: np.square(np.asarray(t, dtype=float)),
-        fisher=const,
-        sqrt_det_fisher=lambda t: np.sqrt(const(t)),
-        output_kind="continuous-scalar",
-        params={"kind": "correlated_awgn", "A": A},
-    )
+    return _interval_channel("correlated_awgn", A, -A, const, {"acov": acov.record},
+                             output_kind="continuous-scalar")
 
 
 def autocovariance_from_json(record):

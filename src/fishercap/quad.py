@@ -30,14 +30,11 @@ NODES, WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 @dataclass(frozen=True)
 class QuadRule:
-    kind: str = "adaptive-interval"
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 2 ** 14
 
     def __post_init__(self):
-        if self.kind not in ("adaptive-interval", "transformed-semi-infinite"):
-            raise DomainError(f"QuadRule.kind unknown: {self.kind!r}")
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise DomainError("QuadRule tolerances must be positive")
         if self.max_subdivisions < 1:

@@ -22,6 +22,7 @@ from .errors import DomainError, ValidationError
 from .mutual_info import TypeIndex
 
 NEG_INF = float("-inf")
+_SLOPE_FLOOR = 1e-15  # fit_loglog_slope drops e_L values below this (underflowed)
 
 
 @dataclass(frozen=True)
@@ -197,14 +198,14 @@ def ml_detect(channel, q, type_index, constellation):
     return build_detector(channel, q, points, type_index).detect()
 
 
-def fit_loglog_slope(L_values, e_values, drop_below=1e-15):
+def fit_loglog_slope(L_values, e_values):
     """Least-squares slope of ln e against ln L, dropping underflowed points."""
     L = np.asarray(L_values, dtype=float)
     e = np.asarray(e_values, dtype=float)
-    keep = e >= drop_below
+    keep = e >= _SLOPE_FLOOR
     if not np.all(keep):
         warnings.warn(
-            f"fit_loglog_slope: dropped {int((~keep).sum())} point(s) below {drop_below:g}",
+            f"fit_loglog_slope: dropped {int((~keep).sum())} point(s) below {_SLOPE_FLOOR:g}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -222,7 +223,7 @@ class ScalingResult:
     slope: float
 
 
-def scaling_study(channel, r_schedule, L_list, grid_size=1025):
+def scaling_study(channel, r_schedule, L_list):
     """e_L over a geometric ladder of bin counts, with its log-log slope.
 
     ``r_schedule`` maps L to the overflow radius; for Gaussian tails
@@ -237,7 +238,7 @@ def scaling_study(channel, r_schedule, L_list, grid_size=1025):
     es = []
     for l in L:
         q = build_quantizer(float(r_schedule(l)), l)
-        es.append(capacity_loss_eL(channel, q, grid_size))
+        es.append(capacity_loss_eL(channel, q))
     slope = fit_loglog_slope(L, es)
     return ScalingResult(tuple(L), tuple(es), slope)
 

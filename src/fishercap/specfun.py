@@ -7,8 +7,6 @@ to |x| ~ 38 keep full relative accuracy instead of collapsing through a
 ``1 - cdf`` subtraction.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special as _sp
 
@@ -16,17 +14,6 @@ from .errors import DomainError
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 _SQRT2 = float(np.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class AccuracySpec:
-    """Relative-error contract: 1e-12 targeted, 1e-10 guaranteed."""
-
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError("AccuracySpec.rel_tol must be positive")
 
 
 def _as_array(x, name):

@@ -1,8 +1,11 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+import fishercap as fc
 from conftest import finite_fd_fisher
 from fishercap import channels as ch
 from fishercap import specfun
@@ -345,17 +348,89 @@ def test_channel_json_round_trip():
         assert np.isfinite(channel.sqrt_det_fisher(mid))
 
 
+# One JSON record per registered kind; the contract test below runs on each.
+CONTRACT_RECORDS = {
+    "awgn": {"kind": "awgn", "A": 2.0},
+    "clipped_awgn": {"kind": "clipped_awgn", "A": 3.0, "B": 1.5},
+    "truncated_awgn": {"kind": "truncated_awgn", "A": 2.0, "B": 3.0},
+    "quantized_awgn": {"kind": "quantized_awgn", "A": 2.0, "thresholds": [-0.5, 0.0, 1.0]},
+    "energy_detection": {"kind": "energy_detection", "A": 2.0},
+    "mimo_imperfect_csi": {"kind": "mimo_imperfect_csi", "A": 2.0, "nt": 2, "sigma2": 0.1},
+    "noncoherent": {"kind": "noncoherent", "A": 2.0, "sigma2": 0.5},
+    "poisson": {"kind": "poisson", "A": 2.0,
+                "h": {"values": [0.5, 1.0], "probs": [0.5, 0.5]},
+                "mu": {"values": [0.1], "probs": [1.0]}},
+    "dithered_onebit": {"kind": "dithered_onebit", "A": 2.0, "points": [-0.5, 0.5]},
+    "correlated_awgn": {"kind": "correlated_awgn", "A": 2.0, "acov": {"kind": "ar1", "rho": 0.5}},
+}
+
+
+def test_contract_records_cover_every_kind():
+    assert set(CONTRACT_RECORDS) == set(ch.CHANNEL_BUILDERS)
+
+
+def _midpoint(channel):
+    """The profile midpoint, as the full d-vector fisher takes on ball spaces."""
+    lo, hi = channel.param_space.profile_bounds
+    if channel.param_space.shape == "interval":
+        return 0.5 * (lo + hi)
+    x = np.zeros(channel.param_space.dim)
+    x[0] = 0.5 * (lo + hi)
+    return x
+
+
+@pytest.mark.parametrize("kind", sorted(CONTRACT_RECORDS))
+def test_channel_contract(kind):
+    channel = ch.channel_from_json(CONTRACT_RECORDS[kind])
+    mid = _midpoint(channel)
+
+    # params are a JSON record that rebuilds the same channel
+    rebuilt = ch.channel_from_json(json.dumps(channel.params))
+    assert rebuilt.params == channel.params
+    np.testing.assert_array_equal(rebuilt.fisher(mid), channel.fisher(mid))
+
+    # interval spaces: sqrt det J is sqrt(J)
+    if channel.param_space.shape == "interval":
+        lo, hi = channel.param_space.profile_bounds
+        grid = lo + (hi - lo) * (np.arange(9) + 0.5) / 9
+        np.testing.assert_allclose(channel.sqrt_det_fisher(grid) ** 2, channel.fisher(grid),
+                                   rtol=1e-14, atol=0.0)
+
+    # the four per-point callables can be swapped for wrappers
+    calls = {}
+
+    def wrap(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    swapped = dataclasses.replace(channel, **{
+        name: wrap(name, getattr(channel, name))
+        for name in ("cost", "fisher", "sqrt_det_fisher", "output_pmf")
+        if getattr(channel, name) is not None})
+    assert fc.jeffreys_factor(swapped, 1.0) == fc.jeffreys_factor(channel, 1.0)
+    np.testing.assert_array_equal(swapped.fisher(mid), channel.fisher(mid))
+    if channel.output_pmf is not None:
+        np.testing.assert_array_equal(swapped.output_pmf(mid), channel.output_pmf(mid))
+    assert calls["cost"] > 0 and calls["sqrt_det_fisher"] > 0 and calls["fisher"] > 0
+
+
+def test_ball_spec_needs_sqrt_det_fisher():
+    with pytest.raises(ValidationError, match="sqrt_det_fisher"):
+        ch.ChannelSpec(kind="ball", param_space=ch.ParameterSpace.ball(2, 1.0),
+                       fisher=lambda th: np.eye(2), output_kind="pair-with-state")
+
+
 def test_parameter_space_validation():
     ps = ch.ParameterSpace.interval(-1.0, 1.0)
     assert ps.profile_bounds == (-1.0, 1.0)
     ball = ch.ParameterSpace.ball(8, 2.0)
-    assert ball.profile_bounds == (0.0, 2.0) and ball.isotropic
+    assert ball.profile_bounds == (0.0, 2.0)
     with pytest.raises(ValidationError):
         ch.ParameterSpace.interval(1.0, -1.0)
     with pytest.raises(ValidationError):
         ch.ParameterSpace.ball(4, 0.0)
-    with pytest.raises(ValidationError):
-        ch.ParameterSpace(dim=1, shape="interval", lo=-1.0, hi=1.0, isotropic=True)
     with pytest.raises(ValidationError):
         ch.ParameterSpace(dim=2, shape="interval", lo=-1.0, hi=1.0)
 

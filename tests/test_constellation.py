@@ -184,9 +184,7 @@ def test_fit_iteration_cap():
 
 def test_schedule_validation():
     with pytest.raises(ValidationError):
-        BarrierSchedule(gamma_0=1e-9, gamma_min=1e-8)
-    with pytest.raises(ValidationError):
-        BarrierSchedule(decay=1.5)
+        BarrierSchedule(max_newton=0)
     stages = BarrierSchedule().stages()
     assert stages[0] == 10.0 and stages[-1] == pytest.approx(1e-8, rel=1e-6)
 

@@ -98,8 +98,6 @@ def test_rule_validation():
     with pytest.raises(DomainError):
         QuadRule(abs_tol=0.0)
     with pytest.raises(DomainError):
-        QuadRule(kind="monte-carlo")
-    with pytest.raises(DomainError):
         QuadRule(max_subdivisions=0)
 
 
