@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .quad import QuadRule, integrate_semiinf
-from .specfun import SQRT_2PI, _phi_raw, _q_raw, gauss_hazard, gauss_mass, gauss_phi_q
+from .specfun import SQRT_2PI, _cell_mass, _phi_raw, _q_pair, gauss_hazard, gauss_mass, gauss_phi_q
 from scipy import special as _sp
 
 
@@ -199,12 +199,9 @@ def quantized_pmf_dtheta(theta, thresholds):
     """
     t = _validate_thresholds(thresholds)
     th = np.asarray(theta, dtype=float)
-    edges = np.concatenate(([-np.inf], t, [np.inf]))
-    lo = edges[:-1] - th[..., None]
-    hi = edges[1:] - th[..., None]
-    p = gauss_mass(lo, hi)
-    dp = _phi_raw(lo) - _phi_raw(hi)
-    return p, dp
+    edges = np.concatenate(([-np.inf], t, [np.inf])) - th[..., None]
+    phi = _phi_raw(edges)
+    return _cell_mass(edges), phi[..., :-1] - phi[..., 1:]
 
 
 def fisher_quantized_awgn(theta, thresholds, peak=None):
@@ -613,8 +610,7 @@ def dithered_onebit_channel(peak, dither):
     def pmf(theta):
         th = _check_profile(theta, -A, A, "dithered_onebit.output_pmf")
         u = pts - np.asarray(th)[..., None]
-        q_plus = _q_raw(u)          # y = +1
-        q_minus = _q_raw(-u)        # y = -1
+        q_plus, q_minus = _q_pair(u)  # y = +1, y = -1
         stacked = np.stack([w * q_plus, w * q_minus], axis=-1)
         return stacked.reshape(np.asarray(th).shape + (2 * pts.size,))
 

@@ -3,8 +3,8 @@
 Channels come in as JSON (inline or a file path); results go out as CSV
 for tabular commands and JSON (inputs echoed) for scalar ones.  Every
 command is deterministic: identical arguments give identical output
-bytes.  Exit codes: 0 success, 1 validation error, 2 numerical
-failure.
+bytes.  Exit codes: 0 success, 1 validation error (usage errors
+included), 2 numerical failure.
 """
 
 import argparse
@@ -264,8 +264,16 @@ def _cmd_fisher_rate(args, channel):
     return _csv(["n (outputs)", "fisher_rate (per noise power)", "limit (per noise power)"], rows)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, the code for invalid input; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fishercap",
         description="Large-array capacities and constellation design from per-antenna Fisher information",
     )

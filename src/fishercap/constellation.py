@@ -6,8 +6,13 @@ holds.  When the cdf has no closed form, a polynomial density is fitted
 to the prior by Newton descent on the KL divergence with a logarithmic
 barrier enforcing positivity; the polynomial cdf has a closed form and
 inverts with the same safeguarded Newton solver as the prior cdf.
+
+The fit builds its grid problem once and each barrier stage changes only
+the barrier weight gamma; each Newton iterate evaluates the density on
+the grid once, for its value, gradient, Hessian and boundary step.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -134,7 +139,7 @@ def poly_cdf_inverse(p, u):
         return lo
     if u == 1.0:
         return hi
-    return invert_monotone(lambda t: poly_cdf(p, t), lambda t: float(p.pdf(t)), u, lo, hi,
+    return invert_monotone(lambda t: (poly_cdf(p, t), float(p.pdf(t))), u, lo, hi,
                            lo + u * (hi - lo))
 
 
@@ -191,6 +196,10 @@ class BarrierObjective:
     (both divergences are invariant under the change of variables), so
     the monomial Gram matrix stays well conditioned for wide supports;
     ``to_poly_density`` maps the solution back to the theta power basis.
+
+    Everything but gamma is fixed by (channel, lambda*, degree), so a fit
+    builds the grid problem once and each barrier stage uses a copy from
+    ``_with_gamma`` that shares its arrays and changes only gamma.
     """
 
     def __init__(self, channel, lam_star, degree, gamma):
@@ -224,6 +233,12 @@ class BarrierObjective:
         # basis of the free coordinates: d f / d xi_i, i = 1..degree
         self.basis = powers[:, 1:] - self.alphas[1:] / self.alphas[0]
 
+    def _with_gamma(self, gamma):
+        """This grid problem at barrier weight gamma; the arrays are shared, not copied."""
+        stage = copy.copy(self)
+        stage.gamma = float(gamma)
+        return stage
+
     def full_coeffs(self, xi_free):
         xi_free = np.asarray(xi_free, dtype=float)
         if xi_free.shape != (self.degree,):
@@ -244,22 +259,28 @@ class BarrierObjective:
         return PolyDensity(theta_coef, (self.lo, self.hi))
 
     def value(self, xi_free):
-        f = self.density_on_grid(xi_free)
+        return self._value(self.density_on_grid(xi_free))
+
+    def gradient(self, xi_free):
+        return self._gradient(self.density_on_grid(xi_free))
+
+    def hessian(self, xi_free):
+        return self._hessian(self.density_on_grid(xi_free))
+
+    def _value(self, f):
         if np.any(f <= 0):
             return math.inf
         kl = float(self.weights @ (f * (np.log(f) - self.log_target)))
         barrier = float(self.weights @ (-np.log(f * self.width))) / self.width
         return kl + self.gamma * barrier
 
-    def gradient(self, xi_free):
-        f = self.density_on_grid(xi_free)
+    def _gradient(self, f):
         if np.any(f <= 0):
             raise PositivityError("gradient requested at an infeasible point")
         psi = np.log(f) + 1.0 - self.log_target - (self.gamma / self.width) / f
         return self.basis.T @ (self.weights * psi)
 
-    def hessian(self, xi_free):
-        f = self.density_on_grid(xi_free)
+    def _hessian(self, f):
         if np.any(f <= 0):
             raise PositivityError("hessian requested at an infeasible point")
         curv = self.weights * (1.0 / f + (self.gamma / self.width) / (f * f))
@@ -291,10 +312,11 @@ def _newton_stage(problem, xi, schedule, info):
     peaked targets end their small-gamma stages this way, pressed
     against the positivity boundary.
     """
-    obj = problem.value(xi)
+    f = problem.density_on_grid(xi)
+    obj = problem._value(f)
     iters = 0
     while True:
-        g = problem.gradient(xi)
+        g = problem._gradient(f)
         gnorm = float(np.linalg.norm(g))
         if gnorm < _NEWTON_TOL:
             return xi, iters, "gradient"
@@ -303,7 +325,7 @@ def _newton_stage(problem, xi, schedule, info):
                 f"fit_poly_density: Newton stalled at stage gamma={problem.gamma:g} "
                 f"after {iters} steps (grad norm {gnorm:.3e})"
             )
-        h = problem.hessian(xi)
+        h = problem._hessian(f)
         try:
             step = -_la.cho_solve(_la.cho_factor(h), g)
         except _la.LinAlgError as e:
@@ -317,14 +339,14 @@ def _newton_stage(problem, xi, schedule, info):
         df = problem.basis @ step
         neg = df < 0
         if np.any(neg):
-            f = problem.density_on_grid(xi)
             t = min(1.0, 0.995 * float(np.min(-f[neg] / df[neg])))
         else:
             t = 1.0
         accepted = False
         while t >= 1e-14:
             cand = xi + t * step
-            cand_obj = problem.value(cand)
+            cand_f = problem.density_on_grid(cand)
+            cand_obj = problem._value(cand_f)
             if cand_obj < obj:
                 accepted = True
                 break
@@ -335,8 +357,7 @@ def _newton_stage(problem, xi, schedule, info):
             raise ConvergenceError(
                 f"fit_poly_density: line search failed at stage gamma={problem.gamma:g}"
             )
-        xi = cand
-        obj = cand_obj
+        xi, f, obj = cand, cand_f, cand_obj
         info.objective_path.append(obj)
         iters += 1
 
@@ -352,9 +373,9 @@ def fit_poly_density(channel, lam_star, degree, schedule=None, full_output=False
         schedule = BarrierSchedule()
     xi = np.zeros(degree)
     info = PolyFitInfo()
-    problem = None
+    grid_problem = BarrierObjective(channel, lam_star, degree, _GAMMA_0)
     for gamma in schedule.stages():
-        problem = BarrierObjective(channel, lam_star, degree, gamma)
+        problem = grid_problem._with_gamma(gamma)
         xi, iters, reason = _newton_stage(problem, xi, schedule, info)
         info.gammas.append(gamma)
         info.newton_iterations.append(iters)

@@ -49,7 +49,7 @@ Tables are built at first use and kept in one LRU cache of at most
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -95,22 +95,22 @@ def _legendre(s):
     return np.array(p)
 
 
-def invert_monotone(F, dF, target, lo, hi, x):
-    """x in [lo, hi] with F(x) = target, for F nondecreasing with derivative dF.
+def invert_monotone(F_dF, target, lo, hi, x):
+    """x in [lo, hi] with F(x) = target, for F nondecreasing; F_dF(x) = (F(x), F'(x)).
 
-    Newton steps from the start x; a step that leaves the bracket kept
-    around the root is replaced by bisection.  Stops when a step no
-    longer moves x.
+    Newton steps from the start x, one F_dF call each; a step that leaves
+    the bracket kept around the root is replaced by bisection.  Stops
+    when a step no longer moves x.
     """
     for _ in range(200):
-        g = F(x) - target
+        F, d = F_dF(x)
+        g = F - target
         if g == 0.0:
             return x
         if g < 0.0:
             lo = x
         else:
             hi = x
-        d = dF(x)
         nxt = x - g / d if d > 0.0 else math.nan
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
@@ -234,8 +234,7 @@ class _Tilt:
         i = min(int(np.searchsorted(cum[1:], target)), cum.size - 2)
         need = min(max(target - cum[i], 0.0), cum[i + 1] - cum[i])
         s0 = -1.0 + 2.0 * need / (cum[i + 1] - cum[i])
-        s = invert_monotone(lambda s: self._panel_mass(i, s)[0],
-                            lambda s: self._panel_mass(i, s)[1], need, -1.0, 1.0, s0)
+        s = invert_monotone(partial(self._panel_mass, i), need, -1.0, 1.0, s0)
         a, b = self.leaves.a[i], self.leaves.b[i]
         return min(max(0.5 * (a + b) + 0.5 * (b - a) * s, a), b)
 

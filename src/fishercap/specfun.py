@@ -44,12 +44,13 @@ def gauss_phi_q(x):
     return _maybe_scalar(x, phi, q)
 
 
-def _q_raw(a):
-    # Tail for internal use; accepts +-inf edges (Q(inf)=0, Q(-inf)=1).
+def _q_pair(a):
+    # (Q(a), Q(-a)) for internal use, both from one erfcx pass over |a|;
+    # accepts +-inf edges (Q(inf)=0, Q(-inf)=1).
     with np.errstate(invalid="ignore"):
         qa = 0.5 * _sp.erfcx(np.abs(a) / _SQRT2) * np.exp(-0.5 * a * a)
     qa = np.where(np.isposinf(np.abs(a)), 0.0, qa)
-    return np.where(a >= 0, qa, 1.0 - qa)
+    return np.where(a >= 0, qa, 1.0 - qa), np.where(a <= 0, qa, 1.0 - qa)
 
 
 def _phi_raw(a):
@@ -63,7 +64,7 @@ def gauss_hazard(x):
     a = _as_array(x, "gauss_hazard")
     pos = 2.0 / (SQRT_2PI * _sp.erfcx(np.maximum(a, 0.0) / _SQRT2))
     neg_a = np.minimum(a, 0.0)
-    neg = _phi_raw(neg_a) / _q_raw(neg_a)
+    neg = _phi_raw(neg_a) / _q_pair(neg_a)[0]
     h = np.where(a >= 0, pos, neg)
     return _maybe_scalar(x, h)
 
@@ -74,11 +75,19 @@ def gauss_mass(a, b):
     Uses the complement on whichever side is in the deep tail, so thin
     cells far from the origin keep relative accuracy.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
-    qa, qb = _q_raw(a), _q_raw(b)
-    qna, qnb = _q_raw(-a), _q_raw(-b)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return _mass(a, b, _q_pair(a), _q_pair(b))
+
+
+def _cell_mass(edges):
+    # gauss_mass(edges[..., :-1], edges[..., 1:]), one tail pass over the shared edges
+    q, qn = _q_pair(edges)
+    return _mass(edges[..., :-1], edges[..., 1:], (q[..., :-1], qn[..., :-1]),
+                 (q[..., 1:], qn[..., 1:]))
+
+
+def _mass(a, b, a_tails, b_tails):
+    (qa, qna), (qb, qnb) = a_tails, b_tails  # (Q(x), Q(-x)) at each edge
     both_pos = qa - qb           # a >= 0: both tails small
     both_neg = qnb - qna         # b <= 0: reflected tails small
     straddle = 1.0 - qna - qb    # a < 0 < b: bulk cell

@@ -157,6 +157,26 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--channel", '{"kind": "awgn", "A": 3}', "--P", "1"],  # --nr missing
+    ["fisher", "--channel", '{"kind": "awgn", "A": 3}', "--bogus"],
+    ["fisher", "--channel", '{"kind": "awgn", "A": 3}', "--theta-grid", "-2:2:9"],
+], ids=["missing-flag", "unknown-flag", "dash-value"])
+def test_usage_errors_exit_validation(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["fisher", "--help"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 0
+    assert "--theta-grid" in capsys.readouterr().out
+
+
 def test_exit_code_numerical_failure(awgn_json, capsys):
     rc = main(["fit-poly", "--channel", awgn_json, "--P", "0.001",
                "--degree", "8", "--max-newton", "1"])

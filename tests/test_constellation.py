@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -180,6 +181,40 @@ def test_fit_iteration_cap():
     schedule = BarrierSchedule(max_newton=2)
     with pytest.raises(ConvergenceError):
         fc.fit_poly_density(channel, 0.0, 8, schedule)
+
+
+def test_fit_evaluates_the_channel_once(awgn):
+    lam = fc.solve_lambda_star(awgn, 1.0 / 9.0).lambda_star
+    calls = {"cost": 0, "fisher": 0}
+
+    def counted(name):
+        fn = getattr(awgn, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    channel = dataclasses.replace(awgn, cost=counted("cost"), fisher=counted("fisher"))
+    poly, info = fc.fit_poly_density(channel, lam, 8, full_output=True)
+    assert len(info.gammas) == 10
+    assert calls == {"cost": 1, "fisher": 1}
+    assert np.array_equal(poly.coeffs, fc.fit_poly_density(awgn, lam, 8).coeffs)
+
+
+@pytest.mark.parametrize("gamma", [1e-2, 1e-7])
+def test_stage_matches_fresh_objective(gamma):
+    channel = fc.quantized_awgn_channel(2.0, [0.0])
+    lam = fc.solve_lambda_star(channel, 0.444).lambda_star
+    grid_problem = BarrierObjective(channel, lam, 6, 10.0)
+    stage = grid_problem._with_gamma(gamma)
+    fresh = BarrierObjective(channel, lam, 6, gamma)
+    assert stage.gamma == gamma and grid_problem.gamma == 10.0
+    rng = np.random.default_rng(7)
+    for xi in [np.zeros(6), *rng.normal(scale=0.02, size=(3, 6))]:
+        assert np.array_equal(stage.value(xi), fresh.value(xi))
+        assert np.array_equal(stage.gradient(xi), fresh.gradient(xi))
+        assert np.array_equal(stage.hessian(xi), fresh.hessian(xi))
 
 
 def test_schedule_validation():

@@ -308,3 +308,16 @@ def test_lambda_validation(awgn_unit):
     s = fc.solve_lambda_star(awgn_unit, 0.5)
     with pytest.raises(DomainError):
         s.capacity_fn(0)
+
+
+def test_invert_monotone_one_call_per_iteration():
+    xs = []
+
+    def F_dF(x):
+        xs.append(x)
+        return x ** 3 + x, 3.0 * x * x + 1.0
+
+    x = jef.invert_monotone(F_dF, 0.3, -2.0, 2.0, 1.5)
+    assert x ** 3 + x == pytest.approx(0.3, rel=1e-15)
+    # each iteration evaluates F and F' together at one new point
+    assert xs[0] == 1.5 and len(set(xs)) == len(xs) and 2 < len(xs) < 200

@@ -9,7 +9,10 @@ Over the channel zoo:
 * a result depends only on (channel, lambda): JF at one tilt is
   bit-identical whether or not other tilts were evaluated first;
 * a binned receiver never has more Fisher information than the full
-  output: J_L(theta) <= J(theta).
+  output: J_L(theta) <= J(theta);
+* the one-pass Gaussian tail helpers give the same bits as the
+  per-edge ones: Q(a) and Q(-a) from one pass, and the masses of
+  consecutive cells from one pass over their edges.
 
 Over random small pmf matrices, weights and antenna counts:
 
@@ -27,9 +30,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import fishercap as fc
-from fishercap import mutual_info
+from fishercap import mutual_info, specfun
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -138,6 +142,39 @@ def test_binned_fisher_below_full(kind, A, B, r, L, frac):
     j_full = float(channel.fisher(theta))
     j_bin = fc.quantized_fisher(channel, fc.build_quantizer(r, L), theta)
     assert 0.0 <= j_bin <= j_full * (1.0 + 1e-12)
+
+
+edge = st.one_of(st.sampled_from([-np.inf, np.inf, 0.0, -0.0, 38.0, -38.0]),
+                 st.floats(-38.0, 38.0))
+TAIL_SETTINGS = settings(SETTINGS, max_examples=200)  # cheap: cover the special edges well
+
+
+def _q_raw(a):
+    # the per-edge tail Q(a), one erfcx pass per call: the reference for _q_pair
+    with np.errstate(invalid="ignore"):
+        qa = 0.5 * special.erfcx(np.abs(a) / math.sqrt(2.0)) * np.exp(-0.5 * a * a)
+    qa = np.where(np.isposinf(np.abs(a)), 0.0, qa)
+    return np.where(a >= 0, qa, 1.0 - qa)
+
+
+@TAIL_SETTINGS
+@given(a=st.lists(edge, min_size=1, max_size=8))
+def test_q_pair_is_both_tails(a):
+    a = np.array(a)
+    q, qn = specfun._q_pair(a)
+    assert q.tobytes() == _q_raw(a).tobytes()
+    assert qn.tobytes() == _q_raw(-a).tobytes()
+
+
+@TAIL_SETTINGS
+@given(edges=st.lists(edge, min_size=2, max_size=8), shift=st.floats(-10.0, 10.0))
+def test_cell_mass_is_gauss_mass_of_cells(edges, shift):
+    edges = np.sort(np.array(edges))
+    assert (specfun._cell_mass(edges).tobytes()
+            == specfun.gauss_mass(edges[:-1], edges[1:]).tobytes())
+    rows = edges - np.array([[0.0], [shift]])  # one row of cells per theta
+    assert (specfun._cell_mass(rows).tobytes()
+            == specfun.gauss_mass(rows[:, :-1], rows[:, 1:]).tobytes())
 
 
 # --- the type engine ---------------------------------------------------------
