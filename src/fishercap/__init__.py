@@ -91,7 +91,6 @@ from .noniid import (
 )
 from .quad import QuadRule, integrate_interval, integrate_semiinf
 from .receiver_quant import (
-    ApproxLogLik,
     Quantizer1D,
     ScalingResult,
     approx_loglik,

@@ -19,8 +19,16 @@ A ``ChannelSpec`` bundles the callables the rest of the library needs:
 * ``fisher`` is vectorized theta -> J(theta) for d = 1 and maps a full
   d-vector to the d x d matrix otherwise.
 * finite-output channels expose ``output_pmf``; scalar continuous
-  channels may expose ``output_logdensity_dtheta`` and closed-form bin
-  masses through ``interval_mass_dtheta``.
+  channels may expose ``output_logdensity_dtheta`` and closed-form cell
+  masses through ``cell_mass_dtheta(theta, cuts)``.
+
+The cell model is the L-level ADC's: sorted cut points c_1 < ... < c_K
+split the output line into the cells (-inf, c_1], ..., (c_K, inf), and
+``cell_mass_dtheta`` returns their masses and theta-derivatives, shape
+``theta.shape + (K+1,)``, from one tail pass over the cuts.  AWGN's is
+``quantized_pmf_dtheta`` itself; truncated AWGN clips the cuts to +-B
+and normalizes.  The binned receiver of ``receiver_quant`` is this ADC
+with its cuts at the bin edges.
 
 Channels can also be built from JSON records, e.g.
 ``{"kind": "quantized_awgn", "A": 1.0, "thresholds": [-1, 0, 1]}``;
@@ -129,7 +137,7 @@ class ChannelSpec:
     alphabet_size: int | None = None
     output_pmf: Callable | None = None
     output_logdensity_dtheta: Callable | None = None
-    interval_mass_dtheta: Callable | None = None
+    cell_mass_dtheta: Callable | None = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -190,6 +198,13 @@ def _validate_thresholds(thresholds):
     return t
 
 
+def _gauss_cells(edges):
+    # unit-Gaussian masses of the cells between consecutive (theta-shifted)
+    # edges and their theta-derivatives, one tail pass over the edges
+    phi = _phi_raw(edges)
+    return _cell_mass(edges), phi[..., :-1] - phi[..., 1:]
+
+
 def quantized_pmf_dtheta(theta, thresholds):
     """Level probabilities and their theta-derivatives for an L-level ADC.
 
@@ -199,9 +214,14 @@ def quantized_pmf_dtheta(theta, thresholds):
     """
     t = _validate_thresholds(thresholds)
     th = np.asarray(theta, dtype=float)
-    edges = np.concatenate(([-np.inf], t, [np.inf])) - th[..., None]
-    phi = _phi_raw(edges)
-    return _cell_mass(edges), phi[..., :-1] - phi[..., 1:]
+    return _gauss_cells(np.concatenate(([-np.inf], t, [np.inf])) - th[..., None])
+
+
+def _pmf_fisher(p, dp):
+    # sum over the last axis of dp^2 / p; cells whose mass underflows contribute nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, dp * dp / np.where(p > 0.0, p, 1.0), 0.0)
+    return terms.sum(axis=-1)
 
 
 def fisher_quantized_awgn(theta, thresholds, peak=None):
@@ -214,10 +234,7 @@ def fisher_quantized_awgn(theta, thresholds, peak=None):
     """
     lo, hi = (-peak, peak) if peak is not None else (-np.inf, np.inf)
     th = _check_profile(theta, lo, hi, "fisher_quantized_awgn")
-    p, dp = quantized_pmf_dtheta(th, thresholds)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, dp * dp / np.where(p > 0.0, p, 1.0), 0.0)
-    j = terms.sum(axis=-1)
+    j = _pmf_fisher(*quantized_pmf_dtheta(th, thresholds))
     return float(j) if np.ndim(theta) == 0 else j
 
 
@@ -381,13 +398,6 @@ def output_pmf_finite(channel, theta):
 # Channel constructors
 # ---------------------------------------------------------------------------
 
-def _awgn_interval_mass(lo_edge, hi_edge, theta):
-    th = np.asarray(theta, dtype=float)
-    lo = np.asarray(lo_edge, dtype=float) - th
-    hi = np.asarray(hi_edge, dtype=float) - th
-    return gauss_mass(lo, hi), _phi_raw(lo) - _phi_raw(hi)
-
-
 def _interval_channel(kind, A, lo, fisher, params, **outputs):
     """The spec on [lo, A] whose params are kind, A and ``params``; default cost and sqrt(J)."""
     return ChannelSpec(kind=kind, param_space=ParameterSpace.interval(lo, A), fisher=fisher,
@@ -408,7 +418,7 @@ def awgn_channel(peak):
         "awgn", A, -A, lambda t: fisher_awgn(t, A), {},
         output_kind="continuous-scalar",
         output_logdensity_dtheta=logdensity_dtheta,
-        interval_mass_dtheta=_awgn_interval_mass,
+        cell_mass_dtheta=quantized_pmf_dtheta,
     )
 
 
@@ -448,8 +458,10 @@ def truncated_awgn_channel(peak, support_radius):
     if not (A > 0 and B > 0):
         raise ValidationError("truncated_awgn_channel: peak and radius must be positive")
 
-    def _z(theta):
-        return gauss_mass(-B - np.asarray(theta, dtype=float), B - np.asarray(theta, dtype=float))
+    def _z_dz(theta):
+        # P(|y| < B | theta) and its theta-derivative
+        t = np.asarray(theta, dtype=float)
+        return gauss_mass(-B - t, B - t), _phi_raw(-B - t) - _phi_raw(B - t)
 
     def fisher(theta):
         t = _check_profile(theta, -A, A, "truncated_awgn.fisher")
@@ -460,13 +472,12 @@ def truncated_awgn_channel(peak, support_radius):
         j = 1.0 + (a * pa - b * pb) / z - ((pa - pb) / z) ** 2
         return float(j) if np.ndim(theta) == 0 else j
 
-    def interval_mass(lo_edge, hi_edge, theta):
-        t = np.asarray(theta, dtype=float)
-        lo = np.clip(np.asarray(lo_edge, dtype=float), -B, B)
-        hi = np.clip(np.asarray(hi_edge, dtype=float), -B, B)
-        m, dm = _awgn_interval_mass(lo, hi, t)
-        z = _z(t)
-        dz = _phi_raw(-B - t) - _phi_raw(B - t)
+    def cell_mass_dtheta(theta, cuts):
+        # the AWGN cells with every edge clipped to [-B, B], normalized by P(|y| < B)
+        t = np.asarray(theta, dtype=float)[..., None]
+        c = np.clip(_validate_thresholds(cuts), -B, B)
+        m, dm = _gauss_cells(np.concatenate(([-B], c, [B])) - t)
+        z, dz = _z_dz(t)
         return m / z, dm / z - m * dz / (z * z)
 
     def logdensity_dtheta(y, theta):
@@ -474,15 +485,14 @@ def truncated_awgn_channel(peak, support_radius):
         if np.any(np.abs(yy) >= B):
             raise DomainError("truncated_awgn: outputs lie strictly inside (-B, B)")
         r = yy - theta
-        z = _z(theta)
-        dz = _phi_raw(-B - theta) - _phi_raw(B - theta)
+        z, dz = _z_dz(theta)
         return (-0.5 * np.log(2.0 * np.pi) - 0.5 * r * r - np.log(z), r - dz / z)
 
     return _interval_channel(
         "truncated_awgn", A, -A, fisher, {"B": B},
         output_kind="continuous-scalar",
         output_logdensity_dtheta=logdensity_dtheta,
-        interval_mass_dtheta=interval_mass,
+        cell_mass_dtheta=cell_mass_dtheta,
     )
 
 
@@ -668,21 +678,33 @@ def channel_from_json(record):
     * ``dithered_onebit``: A, points [, weights]
     * ``correlated_awgn``: A, acov (an ``autocovariance_from_json`` record)
     """
+    return _from_record(CHANNEL_BUILDERS, record, "channel_from_json")
+
+
+def _from_record(builders, record, what):
+    """``builders[kind](record)`` for a JSON record (dict or JSON string) naming its kind.
+
+    A malformed record raises ValidationError: bad JSON, not an object,
+    an unknown kind, or a field that is missing (KeyError) or of the
+    wrong type (TypeError) for the kind's builder.
+    """
     if isinstance(record, (str, bytes)):
         try:
             record = json.loads(record)
         except json.JSONDecodeError as e:
-            raise ValidationError(f"channel_from_json: invalid JSON ({e})") from e
+            raise ValidationError(f"{what}: invalid JSON ({e})") from e
     if not isinstance(record, dict):
-        raise ValidationError("channel_from_json: expected a JSON object")
+        raise ValidationError(f"{what}: expected a JSON object")
     kind = record.get("kind")
-    build = CHANNEL_BUILDERS.get(kind)
+    build = builders.get(kind) if isinstance(kind, str) else None
     if build is None:
-        raise ValidationError(f"channel_from_json: unknown channel kind {kind!r}")
+        raise ValidationError(f"{what}: unknown kind {kind!r}")
     try:
         return build(record)
     except KeyError as e:
-        raise ValidationError(f"channel_from_json: kind {kind!r} is missing field {e}") from e
+        raise ValidationError(f"{what}: kind {kind!r} is missing field {e}") from e
+    except TypeError as e:
+        raise ValidationError(f"{what}: kind {kind!r} has a field of the wrong type ({e})") from e
 
 
 def channel_from_file(path):

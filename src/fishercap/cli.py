@@ -31,9 +31,11 @@ from .errors import (
     UnboundedTiltError,
     ValidationError,
 )
+from .quad import _midpoints
 
+# TypeError: the channel lacks the output model the command needs (e.g. mi on awgn)
 _VALIDATION_ERRORS = (ValidationError, DomainError, PositivityError, ValueError,
-                      KeyError, OSError, json.JSONDecodeError)
+                      KeyError, TypeError, OSError, json.JSONDecodeError)
 _NUMERICAL_ERRORS = (ToleranceError, ConvergenceError, UnboundedTiltError,
                      BudgetError, DegenerateChannelError, RangeError, FloatingPointError,
                      np.linalg.LinAlgError)
@@ -107,7 +109,7 @@ def _cmd_fisher(args, channel):
         lo, hi, n = _parse_grid(args.theta_grid)
     else:
         (lo, hi), n = channel.param_space.profile_bounds, args.grid
-    grid = lo + (hi - lo) * (np.arange(n) + 0.5) / n if n > 1 else np.array([(lo + hi) / 2])
+    grid = _midpoints(lo, hi, n) if n > 1 else np.array([(lo + hi) / 2])
     if channel.param_space.shape == "ball":
         vals = np.asarray(channel.sqrt_det_fisher(grid), dtype=float)
         header = ["radius (input norm)", "sqrt_det_fisher (dimensionless)"]
@@ -135,8 +137,7 @@ def _cmd_prior(args, channel):
     P = _finite("--P", args.P)
     solution = _jef.solve_lambda_star(channel, P)
     prior = _jef.tilted_prior(channel, solution.lambda_star, P)
-    n = args.grid
-    grid = prior.lo + (prior.hi - prior.lo) * (np.arange(n) + 0.5) / n
+    grid = _midpoints(prior.lo, prior.hi, args.grid)
     dens = np.asarray(prior.density(grid), dtype=float)
     return _csv(
         ["theta (profile coordinate)", "density (1 per theta unit)"],
@@ -320,8 +321,11 @@ def _build_parser():
 
 
 def main(argv=None):
-    """Run one command; returns the process exit status (0/1/2)."""
-    args = _build_parser().parse_args(argv)
+    """Run one command; returns the process exit status (0/1/2), also for usage errors and --help."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits: 1 on usage errors (_Parser.error), 0 after --help
+        return e.code
     try:
         channel = None
         if args.command != "fisher-rate":

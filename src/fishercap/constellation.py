@@ -22,6 +22,7 @@ from scipy import linalg as _la
 from .errors import ConvergenceError, DomainError, PositivityError, ValidationError
 from .jeffreys import LN2, invert_monotone, prior_cdf_inverse, solve_lambda_star, tilted_prior
 from .mutual_info import DiscreteInput
+from .quad import _midpoints
 
 _GRID_POINTS = 4097  # odd: the fit grid is integrated by composite Simpson
 _GAMMA_0, _GAMMA_MIN = 10.0, 1e-8  # first and last barrier weight
@@ -32,7 +33,7 @@ def midpoint_grid(m):
     """The m midpoints (2i - 1) / (2m), avoiding the cdf endpoints."""
     if m < 1:
         raise DomainError("midpoint_grid: m must be >= 1")
-    return (2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m)
+    return _midpoints(0.0, 1.0, m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,7 +61,7 @@ from .errors import (
     RangeError,
     UnboundedTiltError,
 )
-from .quad import NODES, WEIGHTS, QuadRule, integrate_interval, quad
+from .quad import NODES, WEIGHTS, QuadRule, _midpoints, integrate_interval, quad
 from .specfun import log_gamma
 
 LN2 = math.log(2.0)
@@ -442,7 +442,7 @@ def mismatch_rate(channel, w, P, n_r):
     solution = solve_lambda_star(channel, P)
     prior = tilted_prior(channel, solution.lambda_star, P)
     lo, hi = prior.lo, prior.hi
-    grid = lo + (hi - lo) * (np.arange(_MISMATCH_GRID) + 0.5) / _MISMATCH_GRID
+    grid = _midpoints(lo, hi, _MISMATCH_GRID)
     w_grid = np.asarray(w(grid), dtype=float)
     if np.any(w_grid <= 0):
         raise PositivityError("mismatch_rate: prior must be strictly positive on the space")

@@ -33,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from .channels import output_pmf_finite
 from .errors import BudgetError, ConvergenceError, DomainError, ValidationError
-from .quad import integrate_interval
+from .quad import _midpoints, integrate_interval
 from .specfun import SQRT_2PI
 
 EVAL_BUDGET_DEFAULT = 10 ** 8
@@ -196,12 +197,10 @@ def mi_from_pmf_matrix(pmf, weights, n_r, budget=EVAL_BUDGET_DEFAULT):
 
 
 def _pmf_for_points(channel, points):
-    if channel.output_kind != "finite" or channel.output_pmf is None:
-        raise TypeError(f"mutual_info: channel {channel.kind!r} is not finite-output")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1:
         raise ValidationError("finite-output channels here take scalar inputs")
-    return np.asarray(channel.output_pmf(pts), dtype=float)
+    return np.asarray(output_pmf_finite(channel, pts), dtype=float)
 
 
 def mi_finite_output(channel, input_dist, n_r, budget=EVAL_BUDGET_DEFAULT):
@@ -214,8 +213,7 @@ def discretize_prior(prior, grid_size):
     """Midpoint discretization of a tilted prior as a DiscreteInput."""
     if grid_size < 1:
         raise DomainError("discretize_prior: grid_size must be >= 1")
-    lo, hi = prior.lo, prior.hi
-    pts = lo + (hi - lo) * (np.arange(grid_size) + 0.5) / grid_size
+    pts = _midpoints(prior.lo, prior.hi, grid_size)
     w = np.asarray(prior.density(pts), dtype=float)
     if np.any(w < 0):
         raise DomainError("discretize_prior: negative density")

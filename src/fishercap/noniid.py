@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CHANNEL_BUILDERS, _interval_channel
+from .channels import CHANNEL_BUILDERS, _from_record, _interval_channel
 from .errors import DomainError, ValidationError
 
 
@@ -136,21 +136,15 @@ def correlated_awgn_channel(peak, acov):
                              output_kind="continuous-scalar")
 
 
-def autocovariance_from_json(record):
-    """Parse {"kind": "white"|"ar1", ...} into an Autocovariance."""
-    import json
+_ACOV_BUILDERS = {
+    "white": lambda r: white_noise_autocovariance(r.get("variance", 1.0)),
+    "ar1": lambda r: ar1_autocovariance(r["rho"], r.get("variance", 1.0)),
+}
 
-    if isinstance(record, (str, bytes)):
-        try:
-            record = json.loads(record)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"autocovariance_from_json: invalid JSON ({e})") from e
-    kind = record.get("kind")
-    if kind == "white":
-        return white_noise_autocovariance(record.get("variance", 1.0))
-    if kind == "ar1":
-        return ar1_autocovariance(record["rho"], record.get("variance", 1.0))
-    raise ValidationError(f"autocovariance_from_json: unknown kind {kind!r}")
+
+def autocovariance_from_json(record):
+    """Parse {"kind": "white"|"ar1", ...} (dict or JSON string) into an Autocovariance."""
+    return _from_record(_ACOV_BUILDERS, record, "autocovariance_from_json")
 
 
 CHANNEL_BUILDERS["correlated_awgn"] = lambda r: correlated_awgn_channel(

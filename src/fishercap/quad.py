@@ -178,3 +178,8 @@ def integrate_semiinf(f, a, rule=DEFAULT_RULE):
         return np.asarray(f(t), dtype=float) / (onem * onem)
 
     return integrate_interval(g, 0.0, 1.0, rule)
+
+
+def _midpoints(lo, hi, n):
+    """The n midpoints of the equal cells of [lo, hi], the nodes of the midpoint rule."""
+    return lo + (hi - lo) * (np.arange(n) + 0.5) / n

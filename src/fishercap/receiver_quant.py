@@ -1,9 +1,13 @@
 """Bin-quantized receivers: approximate log-likelihood and its capacity loss.
 
 Outputs are folded into L uniform interior bins on [-r, r] plus one
-overflow bin for |y| > r (bin index 0).  The per-bin type then drives a
-log-likelihood whose cost is O(L) regardless of the array size, and the
-information lost to binning is tracked by
+overflow bin for |y| > r (bin index 0).  This receiver is the ADC of
+``channels`` with its cuts at the L + 1 bin edges: the channel's
+``cell_mass_dtheta`` gives the cells (-inf, -r], the L bins and
+(r, inf), and the two tail cells merge into the overflow bin.  The
+per-bin type then drives a log-likelihood whose cost is O(L)
+regardless of the array size, and the information lost to binning is
+tracked by
 
     e_L = integral over Theta of ln( J(theta) / J_L(theta) ) dtheta,
 
@@ -18,33 +22,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import _pmf_fisher
 from .errors import DomainError, ValidationError
 from .mutual_info import TypeIndex
+from .quad import _midpoints
 
-NEG_INF = float("-inf")
 _SLOPE_FLOOR = 1e-15  # fit_loglog_slope drops e_L values below this (underflowed)
 
 
 @dataclass(frozen=True)
 class Quantizer1D:
-    """Uniform interior bins on [-r, r]; bin 0 collects |y| > r."""
+    """L uniform interior bins of width 2r/L on [-r, r]; bin 0 collects |y| > r."""
 
     r: float
     L: int
-    edges: tuple
 
     def __post_init__(self):
-        e = np.asarray(self.edges, dtype=float)
         if not self.r > 0 or self.L < 1:
             raise ValidationError("Quantizer1D: need r > 0 and L >= 1")
-        if e.shape != (self.L + 1,) or np.any(np.diff(e) <= 0):
-            raise ValidationError("Quantizer1D: edges must be L+1 strictly increasing values")
-        if abs(e[0] + self.r) > 1e-12 or abs(e[-1] - self.r) > 1e-12:
-            raise ValidationError("Quantizer1D: edges must span [-r, r]")
-        width = 2.0 * self.r / self.L
-        if np.any(np.abs(np.diff(e) - width) > 1e-9 * max(width, 1.0)):
-            raise ValidationError("Quantizer1D: interior bins must have uniform width 2r/L")
-        object.__setattr__(self, "edges", tuple(float(x) for x in e))
+
+    @property
+    def edges(self):
+        """The L + 1 bin edges from -r to r, the cut points of the binned receiver."""
+        return tuple(float(x) for x in np.linspace(-self.r, self.r, self.L + 1))
 
     @property
     def num_cells(self):
@@ -57,42 +57,30 @@ def build_quantizer(r, L):
     L = int(L)
     if not r > 0 or L < 1:
         raise DomainError("build_quantizer: need r > 0 and L >= 1")
-    return Quantizer1D(r=r, L=L, edges=tuple(np.linspace(-r, r, L + 1)))
+    return Quantizer1D(r=r, L=L)
 
 
-def _require_mass(channel):
-    if channel.interval_mass_dtheta is None:
-        raise TypeError(
-            f"receiver_quant: channel {channel.kind!r} has no closed-form bin masses"
-        )
-    return channel.interval_mass_dtheta
+def _merge_tails(cells):
+    # (-inf, -r], the L bins, (r, inf) -> overflow bin, the L bins
+    return np.concatenate([(cells[..., -1] + cells[..., 0])[..., None], cells[..., 1:-1]], axis=-1)
 
 
 def bin_probs_and_dtheta(channel, q, theta):
-    """Cell probabilities p_l(theta) and derivatives, overflow first.
+    """Bin probabilities p_l(theta) and derivatives, overflow first.
 
+    One ``cell_mass_dtheta`` call on the bin edges, tails merged.
     Shapes are ``theta.shape + (L+1,)``; probabilities sum to one and
     the derivatives to zero.
     """
-    mass = _require_mass(channel)
-    th = np.asarray(theta, dtype=float)
-    edges = np.asarray(q.edges)
-    lo = edges[:-1]
-    hi = edges[1:]
-    p_in, dp_in = mass(lo, hi, th[..., None])
-    p_hi, dp_hi = mass(q.r, np.inf, th)
-    p_lo, dp_lo = mass(-np.inf, -q.r, th)
-    p = np.concatenate([np.asarray(p_hi + p_lo)[..., None], p_in], axis=-1)
-    dp = np.concatenate([np.asarray(dp_hi + dp_lo)[..., None], dp_in], axis=-1)
-    return p, dp
+    if channel.cell_mass_dtheta is None:
+        raise TypeError(f"receiver_quant: channel {channel.kind!r} has no closed-form cell masses")
+    p, dp = channel.cell_mass_dtheta(theta, q.edges)
+    return _merge_tails(p), _merge_tails(dp)
 
 
 def quantized_fisher(channel, q, theta):
     """Fisher information of the binned output, sum of (dp)^2 / p over cells."""
-    p, dp = bin_probs_and_dtheta(channel, q, theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, dp * dp / np.where(p > 0.0, p, 1.0), 0.0)
-    j = terms.sum(axis=-1)
+    j = _pmf_fisher(*bin_probs_and_dtheta(channel, q, theta))
     return float(j) if np.ndim(theta) == 0 else j
 
 
@@ -103,7 +91,7 @@ def capacity_loss_eL(channel, q, grid_size=1025):
     on the grid (infinite loss), never raises for that case.
     """
     lo, hi = channel.param_space.profile_bounds
-    grid = lo + (hi - lo) * (np.arange(grid_size) + 0.5) / grid_size
+    grid = _midpoints(lo, hi, grid_size)
     j_full = np.asarray(channel.fisher(grid), dtype=float)
     j_bin = quantized_fisher(channel, q, grid)
     if np.any(j_bin <= 0.0):
@@ -141,8 +129,10 @@ def exact_loglik(channel, samples, theta):
 def approx_loglik(channel, q, type_index, theta):
     """n_r * sum_l pi(l) ln p(l | theta); O(L) regardless of n_r.
 
-    Returns -inf (a sentinel, not an exception) when some observed cell
-    has zero probability under theta.
+    theta is a scalar or an array, and the result has its shape; each
+    value is the same float as the scalar call at that theta.  A value
+    is -inf (a sentinel, not an exception) when some observed cell has
+    zero probability under that theta.
     """
     counts = np.asarray(type_index.counts, dtype=float)
     if counts.size != q.num_cells:
@@ -152,50 +142,22 @@ def approx_loglik(channel, q, type_index, theta):
         raise ValidationError("approx_loglik: empty type")
     p, _ = bin_probs_and_dtheta(channel, q, theta)
     observed = counts > 0
-    if np.any(p[observed] <= 0.0):
-        return NEG_INF
-    return float(counts[observed] @ np.log(p[observed]))
-
-
-@dataclass(frozen=True, eq=False)
-class ApproxLogLik:
-    """Per-candidate bin log-probabilities, bundled with an observed type."""
-
-    log_bin_probs: np.ndarray  # (num_candidates, L + 1); -inf marks empty cells
-    type_index: TypeIndex
-
-    def logliks(self):
-        counts = np.asarray(self.type_index.counts, dtype=float)
-        observed = counts > 0
-        lp = self.log_bin_probs[:, observed]
-        out = np.where(np.any(np.isneginf(lp), axis=1), NEG_INF, lp @ counts[observed])
-        return out
-
-    def detect(self):
-        ll = self.logliks()
-        if np.all(np.isneginf(ll)):
-            return 0
-        return int(np.argmax(ll))
-
-
-def build_detector(channel, q, candidates, type_index):
-    cand = np.asarray(candidates, dtype=float)
-    p, _ = bin_probs_and_dtheta(channel, q, cand)
-    with np.errstate(divide="ignore"):
-        lp = np.where(p > 0.0, np.log(np.clip(p, 1e-320, None)), NEG_INF)
-    return ApproxLogLik(log_bin_probs=lp, type_index=type_index)
+    with np.errstate(divide="ignore"):  # log 0 = -inf, times a positive count stays -inf
+        ll = (np.log(p[..., observed]) * counts[observed]).sum(axis=-1)
+    return float(ll) if np.ndim(theta) == 0 else ll
 
 
 def ml_detect(channel, q, type_index, constellation):
     """Index of the constellation point maximizing the binned log-likelihood.
 
-    Ties break toward the smaller index; if every candidate scores
-    -inf, index 0 is returned.
+    The first argmax of ``approx_loglik`` over the points: ties break
+    toward the smaller index, and if every candidate scores -inf,
+    index 0 is returned.
     """
     points = np.asarray(getattr(constellation, "points", constellation), dtype=float)
     if points.ndim != 1 or points.size == 0:
         raise ValidationError("ml_detect: constellation must hold scalar points")
-    return build_detector(channel, q, points, type_index).detect()
+    return int(np.argmax(approx_loglik(channel, q, type_index, points)))
 
 
 def fit_loglog_slope(L_values, e_values):

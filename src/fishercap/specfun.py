@@ -39,9 +39,7 @@ def gauss_phi_q(x):
     """
     a = _as_array(x, "gauss_phi_q")
     phi = np.exp(-0.5 * a * a) / SQRT_2PI
-    qa = 0.5 * _sp.erfcx(np.abs(a) / _SQRT2) * np.exp(-0.5 * a * a)
-    q = np.where(a >= 0, qa, 1.0 - qa)
-    return _maybe_scalar(x, phi, q)
+    return _maybe_scalar(x, phi, _q_pair(a)[0])
 
 
 def _q_pair(a):

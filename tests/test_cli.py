@@ -163,18 +163,39 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     ["fisher", "--channel", '{"kind": "awgn", "A": 3}', "--theta-grid", "-2:2:9"],
 ], ids=["missing-flag", "unknown-flag", "dash-value"])
 def test_usage_errors_exit_validation(argv, capsys):
-    with pytest.raises(SystemExit) as e:
-        main(argv)
-    assert e.value.code == 1
+    assert main(argv) == 1
     assert "usage:" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
     for argv in (["--help"], ["fisher", "--help"]):
-        with pytest.raises(SystemExit) as e:
-            main(argv)
-        assert e.value.code == 0
+        assert main(argv) == 0
     assert "--theta-grid" in capsys.readouterr().out
+
+
+_POISSON_BAD_H = {"kind": "poisson", "A": 1.0, "h": [1], "mu": {"values": [0.5], "probs": [1.0]}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda-star", "--channel", '{"kind": "awgn", "A": null}', "--P", "0.5"],
+    ["lambda-star", "--channel", '{"kind": "awgn", "A": [1]}', "--P", "0.5"],
+    ["lambda-star", "--channel", json.dumps(_POISSON_BAD_H), "--P", "0.5"],
+    ["lambda-star", "--channel", '{"kind": [1], "A": 1.0}', "--P", "0.5"],
+    ["fisher-rate", "--acov", '{"kind": "ar1", "rho": [1]}', "--n-list", "8"],
+    ["fisher-rate", "--acov", "acov_list.json", "--n-list", "8"],
+    ["quant-loss", "--channel", '{"kind": "quantized_awgn", "A": 1.0, "thresholds": [0.0]}',
+     "--L-list", "8,16,32,64"],
+    ["mi", "--channel", '{"kind": "awgn", "A": 1.0}', "--nr", "4", "--P", "0.5",
+     "--prior-grid", "9"],
+], ids=["null-field", "list-field", "poisson-h-list", "list-kind", "acov-list-field",
+        "acov-file-not-object", "quant-loss-adc", "mi-awgn"])
+def test_malformed_input_is_invalid_not_traceback(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "acov_list.json").write_text("[1]")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input" in captured.err and "Traceback" not in captured.err
 
 
 def test_exit_code_numerical_failure(awgn_json, capsys):

@@ -12,7 +12,10 @@ Over the channel zoo:
   output: J_L(theta) <= J(theta);
 * the one-pass Gaussian tail helpers give the same bits as the
   per-edge ones: Q(a) and Q(-a) from one pass, and the masses of
-  consecutive cells from one pass over their edges.
+  consecutive cells from one pass over their edges;
+* the binned receiver's bins, one cell-mass call on the shared bin
+  edges with the tails merged, give the same bits as the bins built
+  one (lo, hi) pair at a time.
 
 Over random small pmf matrices, weights and antenna counts:
 
@@ -175,6 +178,49 @@ def test_cell_mass_is_gauss_mass_of_cells(edges, shift):
     rows = edges - np.array([[0.0], [shift]])  # one row of cells per theta
     assert (specfun._cell_mass(rows).tobytes()
             == specfun.gauss_mass(rows[:, :-1], rows[:, 1:]).tobytes())
+
+
+def _pair_mass(lo_edge, hi_edge, theta, B):
+    # the mass of each (lo, hi) cell on its own, and its theta-derivative; for a
+    # finite B the AWGN cell clipped to [-B, B] and normalized by P(|y| < B)
+    if B is not None:
+        lo_edge, hi_edge = np.clip(lo_edge, -B, B), np.clip(hi_edge, -B, B)
+    lo = np.asarray(lo_edge, dtype=float) - theta
+    hi = np.asarray(hi_edge, dtype=float) - theta
+    m, dm = specfun.gauss_mass(lo, hi), specfun._phi_raw(lo) - specfun._phi_raw(hi)
+    if B is None:
+        return m, dm
+    z = specfun.gauss_mass(-B - theta, B - theta)
+    dz = specfun._phi_raw(-B - theta) - specfun._phi_raw(B - theta)
+    return m / z, dm / z - m * dz / (z * z)
+
+
+def _pair_bins(q, theta, B):
+    # the reference for bin_probs_and_dtheta: interior bins pair by pair, overflow = (r, inf) + (-inf, -r)
+    th = np.asarray(theta, dtype=float)
+    edges = np.asarray(q.edges)
+    p_in, dp_in = _pair_mass(edges[:-1], edges[1:], th[..., None], B)
+    p_hi, dp_hi = _pair_mass(q.r, np.inf, th, B)
+    p_lo, dp_lo = _pair_mass(-np.inf, -q.r, th, B)
+    return (np.concatenate([np.asarray(p_hi + p_lo)[..., None], p_in], axis=-1),
+            np.concatenate([np.asarray(dp_hi + dp_lo)[..., None], dp_in], axis=-1))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(truncated=st.booleans(), A=peak, B=st.floats(1.0, 3.0), r_over_b=st.floats(0.2, 3.0),
+       L=st.integers(1, 300), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+       scalar=st.booleans())
+def test_shared_cut_bins_are_pairwise_bins(truncated, A, B, r_over_b, L, fracs, scalar):
+    # r_over_b < 1 puts the overflow radius inside the truncated support, > 1 outside it
+    channel = fc.channel_from_json({"kind": "truncated_awgn" if truncated else "awgn", "A": A, "B": B})
+    q = fc.build_quantizer(B * r_over_b, L)
+    theta = -A + 2.0 * A * np.array(fracs)
+    if scalar:
+        theta = float(theta[0])
+    p, dp = fc.bin_probs_and_dtheta(channel, q, theta)
+    want_p, want_dp = _pair_bins(q, theta, B if truncated else None)
+    assert p.shape == want_p.shape == np.shape(theta) + (L + 1,)
+    assert p.tobytes() == want_p.tobytes() and dp.tobytes() == want_dp.tobytes()
 
 
 # --- the type engine ---------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 import fishercap as fc
 from fishercap.errors import DomainError, ValidationError
-from fishercap.receiver_quant import ApproxLogLik, build_detector
 
 
 @pytest.fixture(scope="module")
@@ -199,31 +198,42 @@ def test_ml_detect_single_point(awgn):
     assert fc.ml_detect(awgn, q, t, np.array([0.4])) == 0
 
 
-def test_detector_relabeling_invariance():
-    rng = np.random.default_rng(4)
-    lp = np.log(rng.dirichlet(np.ones(6), size=3))
-    counts = (4, 0, 2, 1, 0, 3)
-    base = ApproxLogLik(lp, fc.TypeIndex(counts))
-    perm = [5, 3, 0, 1, 2, 4]
-    permuted = ApproxLogLik(lp[:, perm], fc.TypeIndex(tuple(counts[i] for i in perm)))
-    assert base.detect() == permuted.detect()
+def test_approx_loglik_array_is_scalar_calls():
+    # every kind with cell masses, and a sentinel type that some candidates cannot produce
+    q = fc.build_quantizer(4.0, 8)
+    t = fc.TypeIndex((2, 0, 1, 3, 7, 5, 2, 0, 1))
+    sentinel = fc.TypeIndex((0, 0, 0, 0, 0, 0, 0, 0, 9))
+    for channel in (fc.awgn_channel(3.0), fc.truncated_awgn_channel(3.0, 2.5)):
+        theta = np.linspace(-3.0, 3.0, 13)
+        for ti in (t, sentinel):
+            ll = fc.approx_loglik(channel, q, ti, theta)
+            assert ll.shape == theta.shape
+            want = np.array([fc.approx_loglik(channel, q, ti, float(x)) for x in theta])
+            assert ll.tobytes() == want.tobytes()
+            grid = fc.approx_loglik(channel, q, ti, theta.reshape(13, 1))
+            assert grid.shape == (13, 1) and grid.tobytes() == want.tobytes()
 
 
-def test_detector_all_neginf_returns_zero():
-    lp = np.full((3, 4), -math.inf)
-    t = fc.TypeIndex((1, 1, 0, 0))
-    assert ApproxLogLik(lp, t).detect() == 0
-
-
-def test_build_detector_matches_ml(awgn):
+def test_ml_detect_is_first_argmax(awgn):
     q = fc.build_quantizer(5.0, 16)
     y = 0.4 + np.random.default_rng(9).normal(size=500)
     t = fc.type_from_samples(q, y)
     points = np.array([-0.4, 0.0, 0.4])
-    det = build_detector(awgn, q, points, t)
-    assert det.detect() == fc.ml_detect(awgn, q, t, points)
-    probs_sum = np.exp(det.log_bin_probs).sum(axis=1)
-    assert np.allclose(probs_sum, 1.0, atol=1e-10)
+    ll = fc.approx_loglik(awgn, q, t, points)
+    assert fc.ml_detect(awgn, q, t, points) == int(np.argmax(ll)) == 2
+    # a repeated point ties with itself; the first copy wins
+    assert fc.ml_detect(awgn, q, t, np.array([0.0, 0.4, 0.4])) == 1
+    p, _ = fc.bin_probs_and_dtheta(awgn, q, points)
+    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-10)
+
+
+def test_ml_detect_all_neginf_returns_zero():
+    channel = fc.truncated_awgn_channel(1.0, 2.0)
+    q = fc.build_quantizer(4.0, 8)  # outer bins impossible under |y| < 2
+    t = fc.TypeIndex((5, 0, 0, 0, 0, 3, 0, 0, 0))
+    points = np.array([-0.5, 0.0, 0.5])
+    assert np.all(np.isneginf(fc.approx_loglik(channel, q, t, points)))
+    assert fc.ml_detect(channel, q, t, points) == 0
 
 
 # --- scaling study ----------------------------------------------------------------
@@ -267,6 +277,11 @@ def test_scaling_study_validation(awgn):
         fc.scaling_study(awgn, fc.default_radius_schedule, [8, 16, 32, 48])
 
 
-def test_quantizer_rejects_nonuniform_edges():
+def test_quantizer_is_r_and_L():
+    q = fc.Quantizer1D(r=2.0, L=4)
+    assert q == fc.build_quantizer(2.0, 4)
+    assert q.edges == (-2.0, -1.0, 0.0, 1.0, 2.0)
     with pytest.raises(ValidationError):
-        fc.Quantizer1D(r=2.0, L=2, edges=(-2.0, 1.0, 2.0))
+        fc.Quantizer1D(r=0.0, L=4)
+    with pytest.raises(ValidationError):
+        fc.Quantizer1D(r=1.0, L=0)
