@@ -35,7 +35,6 @@ from .channels import (
     truncated_awgn_channel,
 )
 from .constellation import (
-    BarrierSchedule,
     Constellation,
     PolyDensity,
     approx_jeffreys_constellation,

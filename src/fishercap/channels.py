@@ -131,7 +131,6 @@ class ChannelSpec:
     kind: str
     param_space: ParameterSpace
     fisher: Callable
-    output_kind: str  # "finite" | "continuous-scalar" | "pair-with-state"
     cost: Callable = _squared
     sqrt_det_fisher: Callable | None = None
     alphabet_size: int | None = None
@@ -389,7 +388,7 @@ def fisher_dithered_1bit(theta, dither, peak=None):
 
 def output_pmf_finite(channel, theta):
     """Output pmf of a finite-output channel at parameter theta."""
-    if channel.output_kind != "finite" or channel.output_pmf is None:
+    if channel.output_pmf is None:
         raise TypeError(f"output_pmf_finite: channel {channel.kind!r} is not finite-output")
     return channel.output_pmf(theta)
 
@@ -416,7 +415,6 @@ def awgn_channel(peak):
 
     return _interval_channel(
         "awgn", A, -A, lambda t: fisher_awgn(t, A), {},
-        output_kind="continuous-scalar",
         output_logdensity_dtheta=logdensity_dtheta,
         cell_mass_dtheta=quantized_pmf_dtheta,
     )
@@ -443,7 +441,6 @@ def clipped_awgn_channel(peak, clip):
 
     return _interval_channel(
         "clipped_awgn", A, -A, lambda t: fisher_clipped_awgn(t, B, peak=A), {"B": B},
-        output_kind="continuous-scalar",
         output_logdensity_dtheta=logdensity_dtheta,
     )
 
@@ -490,7 +487,6 @@ def truncated_awgn_channel(peak, support_radius):
 
     return _interval_channel(
         "truncated_awgn", A, -A, fisher, {"B": B},
-        output_kind="continuous-scalar",
         output_logdensity_dtheta=logdensity_dtheta,
         cell_mass_dtheta=cell_mass_dtheta,
     )
@@ -511,7 +507,6 @@ def quantized_awgn_channel(peak, thresholds):
     return _interval_channel(
         "quantized_awgn", A, -A, lambda x: fisher_quantized_awgn(x, t, peak=A),
         {"thresholds": [float(x) for x in t]},
-        output_kind="finite",
         alphabet_size=t.size + 1,
         output_pmf=pmf,
     )
@@ -537,7 +532,6 @@ def energy_detection_channel(peak):
 
     return _interval_channel(
         "energy_detection", A, 0.0, fisher, {},
-        output_kind="continuous-scalar",
         output_logdensity_dtheta=logdensity_dtheta,
     )
 
@@ -560,7 +554,6 @@ def mimo_imperfect_csi_channel(peak, nt, sigma2):
         param_space=ParameterSpace.ball(dim=2 * nt, radius=A),
         fisher=lambda th: mimo_fisher_matrix(th, nt, sigma2),
         sqrt_det_fisher=lambda r: mimo_sqrt_det_fisher(r, nt, sigma2, peak=A),
-        output_kind="pair-with-state",
         params={"kind": "mimo_imperfect_csi", "A": A, "nt": nt, "sigma2": float(sigma2)},
     )
 
@@ -582,7 +575,6 @@ def noncoherent_channel(peak, sigma2):
         "noncoherent", A, 0.0, lambda t: fisher_noncoherent(t, sigma2, peak=A),
         {"sigma2": float(sigma2)},
         sqrt_det_fisher=sdf,
-        output_kind="continuous-scalar",
     )
 
 
@@ -600,7 +592,6 @@ def poisson_channel(peak, h_dist, mu_dist):
         "poisson", A, 0.0, lambda t: fisher_poisson(t, h, mu, peak=A),
         {"h": {"values": hv.tolist(), "probs": hp.tolist()},
          "mu": {"values": mv.tolist(), "probs": mp.tolist()}},
-        output_kind="pair-with-state",
     )
 
 
@@ -627,7 +618,6 @@ def dithered_onebit_channel(peak, dither):
     return _interval_channel(
         "dithered_onebit", A, -A, lambda t: fisher_dithered_1bit(t, dither, peak=A),
         {"points": pts.tolist(), "weights": w.tolist()},
-        output_kind="finite",
         alphabet_size=2 * pts.size,
         output_pmf=pmf,
     )

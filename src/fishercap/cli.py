@@ -135,8 +135,7 @@ def _cmd_jf(args, channel):
 
 def _cmd_prior(args, channel):
     P = _finite("--P", args.P)
-    solution = _jef.solve_lambda_star(channel, P)
-    prior = _jef.tilted_prior(channel, solution.lambda_star, P)
+    prior = _jef.solve_lambda_star(channel, P).prior
     grid = _midpoints(prior.lo, prior.hi, args.grid)
     dens = np.asarray(prior.density(grid), dtype=float)
     return _csv(
@@ -186,9 +185,8 @@ def _cmd_constellation(args, channel):
 def _cmd_fit_poly(args, channel):
     P = _finite("--P", args.P)
     s = _jef.solve_lambda_star(channel, P)
-    schedule = _con.BarrierSchedule(max_newton=args.max_newton)
-    poly, info = _con.fit_poly_density(channel, s.lambda_star, args.degree, schedule,
-                                       full_output=True)
+    poly, info = _con.fit_poly_density(channel, s.lambda_star, args.degree,
+                                       max_newton=args.max_newton, full_output=True)
     return _json_text({
         "channel": args.channel,
         "P": P,
@@ -230,8 +228,7 @@ def _cmd_mi(args, channel):
         source = {"points_csv": args.points_csv}
     else:
         s = _jef.solve_lambda_star(channel, P)
-        prior = _jef.tilted_prior(channel, s.lambda_star, P)
-        dist = _mi.discretize_prior(prior, args.prior_grid)
+        dist = _mi.discretize_prior(s.prior, args.prior_grid)
         source = {"prior_grid": args.prior_grid, "lambda_star": s.lambda_star}
     out = {
         "channel": args.channel,

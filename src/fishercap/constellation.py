@@ -7,20 +7,22 @@ to the prior by Newton descent on the KL divergence with a logarithmic
 barrier enforcing positivity; the polynomial cdf has a closed form and
 inverts with the same safeguarded Newton solver as the prior cdf.
 
-The fit builds its grid problem once and each barrier stage changes only
-the barrier weight gamma; each Newton iterate evaluates the density on
-the grid once, for its value, gradient, Hessian and boundary step.
+A fit is one grid problem: it is built once, each barrier stage only sets
+its barrier weight gamma, and a stage fails after ``max_newton`` Newton
+steps.  Each Newton iterate evaluates the density on the grid once, for
+its value, gradient, Hessian and boundary step.  The exact designs read
+the prior the tilt solve returns (``JeffreysSolution.prior``).
 """
 
-import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as _la
 
 from .errors import ConvergenceError, DomainError, PositivityError, ValidationError
-from .jeffreys import LN2, invert_monotone, prior_cdf_inverse, solve_lambda_star, tilted_prior
+from .jeffreys import LN2, invert_monotone, prior_cdf_inverse, solve_lambda_star
 from .mutual_info import DiscreteInput
 from .quad import _midpoints
 
@@ -28,11 +30,21 @@ _GRID_POINTS = 4097  # odd: the fit grid is integrated by composite Simpson
 _GAMMA_0, _GAMMA_MIN = 10.0, 1e-8  # first and last barrier weight
 _NEWTON_TOL = 1e-9  # a Newton stage stops once the gradient norm is below this
 
+# Barrier weights 10, 1, 0.1, ..., 1e-8, one per stage.  The continuation
+# starts barrier-dominated, so the first stage is an easy solve from the
+# uniform start and every later stage is warm-started; cold starts at
+# small gamma stall against the positivity boundary for strongly peaked
+# targets.
+_GAMMAS = [_GAMMA_0]
+while _GAMMAS[-1] > _GAMMA_MIN * (1.0 + 1e-9):
+    _GAMMAS.append(max(_GAMMAS[-1] * 0.1, _GAMMA_MIN))
+_GAMMAS = tuple(_GAMMAS)
+
 
 def midpoint_grid(m):
     """The m midpoints (2i - 1) / (2m), avoiding the cdf endpoints."""
-    if m < 1:
-        raise DomainError("midpoint_grid: m must be >= 1")
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise DomainError(f"midpoint_grid: m must be an integer >= 1, got {m!r}")
     return _midpoints(0.0, 1.0, m)
 
 
@@ -69,9 +81,9 @@ def jeffreys_constellation(channel, P, M):
     """
     if M < 2:
         raise DomainError("jeffreys_constellation: M must be >= 2")
-    solution = solve_lambda_star(channel, P)
-    prior = tilted_prior(channel, solution.lambda_star, P)
-    raw = np.array([prior_cdf_inverse(prior, u) for u in midpoint_grid(M)])
+    grid = midpoint_grid(M)
+    prior = solve_lambda_star(channel, P).prior
+    raw = np.array([prior_cdf_inverse(prior, u) for u in grid])
     return _scaled_constellation(raw, P)
 
 
@@ -122,8 +134,8 @@ def poly_cdf(p, theta):
     """Closed-form cdf F(theta) = sum_i xi_i (theta^(i+1) - lo^(i+1)) / (i+1)."""
     lo, hi = p.support
     t = np.asarray(theta, dtype=float)
-    if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
-        raise DomainError(f"poly_cdf: theta outside [{lo}, {hi}]")
+    if not np.all((t >= lo - 1e-12) & (t <= hi + 1e-12)):  # NaN fails too
+        raise DomainError(f"poly_cdf: theta must lie in [{lo}, {hi}]")
     i = np.arange(p.coeffs.size)
     terms = (t[..., None] ** (i + 1) - lo ** (i + 1)) / (i + 1)
     out = np.clip(terms @ p.coeffs, 0.0, 1.0)
@@ -142,33 +154,6 @@ def poly_cdf_inverse(p, u):
         return hi
     return invert_monotone(lambda t: (poly_cdf(p, t), float(p.pdf(t))), u, lo, hi,
                            lo + u * (hi - lo))
-
-
-@dataclass(frozen=True)
-class BarrierSchedule:
-    """Barrier weights 10, 1, 0.1, ..., 1e-8 and the Newton step budget of each stage.
-
-    The continuation starts barrier-dominated (gamma = 10), so the first
-    stage is an easy solve from the uniform start and every later stage
-    is warm-started; cold starts at small gamma stall against the
-    positivity boundary for strongly peaked targets.  A stage stops once
-    the gradient norm is below 1e-9, and fails after ``max_newton``
-    steps.
-    """
-
-    max_newton: int = 100
-
-    def __post_init__(self):
-        if not self.max_newton >= 1:
-            raise ValidationError("BarrierSchedule: need max_newton >= 1")
-
-    def stages(self):
-        out = [_GAMMA_0]
-        g = _GAMMA_0
-        while g > _GAMMA_MIN * (1.0 + 1e-9):
-            g = max(g * 0.1, _GAMMA_MIN)
-            out.append(g)
-        return out
 
 
 def _simpson_weights(n, lo, hi):
@@ -199,8 +184,7 @@ class BarrierObjective:
     ``to_poly_density`` maps the solution back to the theta power basis.
 
     Everything but gamma is fixed by (channel, lambda*, degree), so a fit
-    builds the grid problem once and each barrier stage uses a copy from
-    ``_with_gamma`` that shares its arrays and changes only gamma.
+    builds the grid problem once and sets ``gamma`` at each barrier stage.
     """
 
     def __init__(self, channel, lam_star, degree, gamma):
@@ -233,12 +217,6 @@ class BarrierObjective:
         self.powers = powers
         # basis of the free coordinates: d f / d xi_i, i = 1..degree
         self.basis = powers[:, 1:] - self.alphas[1:] / self.alphas[0]
-
-    def _with_gamma(self, gamma):
-        """This grid problem at barrier weight gamma; the arrays are shared, not copied."""
-        stage = copy.copy(self)
-        stage.gamma = float(gamma)
-        return stage
 
     def full_coeffs(self, xi_free):
         xi_free = np.asarray(xi_free, dtype=float)
@@ -302,7 +280,7 @@ class PolyFitInfo:
         return sum(self.newton_iterations)
 
 
-def _newton_stage(problem, xi, schedule, info):
+def _newton_stage(problem, xi, max_newton, info):
     """Damped Newton until the gradient-norm stop or the objective floor.
 
     The step is capped by the exact fraction-to-boundary rule (f is
@@ -321,7 +299,7 @@ def _newton_stage(problem, xi, schedule, info):
         gnorm = float(np.linalg.norm(g))
         if gnorm < _NEWTON_TOL:
             return xi, iters, "gradient"
-        if iters >= schedule.max_newton:
+        if iters >= max_newton:
             raise ConvergenceError(
                 f"fit_poly_density: Newton stalled at stage gamma={problem.gamma:g} "
                 f"after {iters} steps (grad norm {gnorm:.3e})"
@@ -363,21 +341,23 @@ def _newton_stage(problem, xi, schedule, info):
         iters += 1
 
 
-def fit_poly_density(channel, lam_star, degree, schedule=None, full_output=False):
+def fit_poly_density(channel, lam_star, degree, max_newton=100, full_output=False):
     """Fit a positive polynomial density of the given degree to the tilted prior.
 
-    Barrier continuation with a damped Newton solve per stage, starting
-    from the uniform density.  Deterministic: identical inputs give
+    Barrier continuation over gamma = 10, 1, ..., 1e-8 with a damped
+    Newton solve per stage, starting from the uniform density; a stage
+    stops once the gradient norm is below 1e-9 and fails after
+    ``max_newton`` steps.  Deterministic: identical inputs give
     identical iterates and iteration counts.
     """
-    if schedule is None:
-        schedule = BarrierSchedule()
+    if not max_newton >= 1:
+        raise ValidationError("fit_poly_density: need max_newton >= 1")
     xi = np.zeros(degree)
     info = PolyFitInfo()
-    grid_problem = BarrierObjective(channel, lam_star, degree, _GAMMA_0)
-    for gamma in schedule.stages():
-        problem = grid_problem._with_gamma(gamma)
-        xi, iters, reason = _newton_stage(problem, xi, schedule, info)
+    problem = BarrierObjective(channel, lam_star, degree, _GAMMAS[0])
+    for gamma in _GAMMAS:
+        problem.gamma = gamma
+        xi, iters, reason = _newton_stage(problem, xi, max_newton, info)
         info.gammas.append(gamma)
         info.newton_iterations.append(iters)
         info.stop_reasons.append(reason)
@@ -428,8 +408,8 @@ def radial_constellation_isotropic(channel, P, M_r, directions):
         raise ValidationError("directions must be unit vectors")
     if M_r < 1:
         raise DomainError("radial_constellation_isotropic: M_r must be >= 1")
-    solution = solve_lambda_star(channel, P)
-    prior = tilted_prior(channel, solution.lambda_star, P)
-    radii = np.array([prior_cdf_inverse(prior, u) for u in midpoint_grid(M_r)])
+    grid = midpoint_grid(M_r)
+    prior = solve_lambda_star(channel, P).prior
+    radii = np.array([prior_cdf_inverse(prior, u) for u in grid])
     raw = np.concatenate([r * dirs for r in radii], axis=0)
     return _scaled_constellation(raw, P)

@@ -42,6 +42,12 @@ large-array capacity is then
 up to a term that vanishes as the number of antennas n_r grows; that
 vanishing term is not modeled here.
 
+A tilt is one object, ``TiltedPrior``: the normalized prior at lambda,
+with its node sums, density, cdf and inverse cdf.  The
+``JeffreysSolution`` that ``solve_lambda_star`` returns carries the
+solved tilt as its ``prior``, so the designs, the mismatch rate and the
+CLI read the prior at lambda* without tilting again.
+
 Tables are built at first use and kept in one LRU cache of at most
 ``_TABLE_CACHE_SIZE`` channels, keyed by channel identity.
 """
@@ -172,15 +178,22 @@ class _ProfileTable:
             return np.exp2(-lam * dc) * root_det
 
         leaves = quad(f, self.lo, self.hi, _PRIOR_RULE, self._breakpoints(lam))
-        return _Tilt(self, lam, leaves)
+        return TiltedPrior(self, lam, leaves)
 
 
-class _Tilt:
-    """The tilted weight at one lambda: node sums and the panel cdf."""
+class TiltedPrior:
+    """The normalized tilted Jeffreys prior at one lambda, on [lo, hi].
+
+    Holds the converged panels of the weight, its node sums (z, the mean
+    cost m and its variance) and the panel cdf with its inverse.  Built
+    by ``tilted_prior``, and carried by the ``JeffreysSolution`` of the
+    solved tilt.
+    """
 
     def __init__(self, table, lam, leaves):
         self.table = table
         self.lam = lam
+        self.lo, self.hi = table.lo, table.hi
         self.leaves = leaves
         self.z = leaves.value
         if not (np.isfinite(self.z) and self.z > 0):
@@ -193,6 +206,10 @@ class _Tilt:
         mean_dc = float((mass * dc).sum()) / self.z
         self.m = table.c_min + mean_dc
         self.var = float((mass * (dc - mean_dc) ** 2).sum()) / self.z
+
+    def density(self, t):
+        """The normalized density at arbitrary points (vectorized; radial marginal for balls)."""
+        return self.table.weight(t, self.lam) / self.z
 
     def log2_jf(self, P):
         return self.lam * (P - self.table.c_min) + math.log2(self.z)
@@ -274,35 +291,9 @@ def jeffreys_factor(channel, lam, P=0.0):
     return _table(channel).tilt(lam).jf(_check_power(P, "jeffreys_factor"))
 
 
-@dataclass(frozen=True, eq=False)
-class TiltedPrior:
-    """Normalized tilted Jeffreys density in the 1-D working coordinate."""
-
-    channel: object
-    lam: float
-    P: float
-    Z: float            # normalization: integral of 2^(-lam (c - c_min)) sqrt det J
-    density: callable   # vectorized; radial marginal for ball spaces
-    lo: float
-    hi: float
-    panels: object      # the tabulated tilt the cdf and its inverse read from
-
-
 def tilted_prior(channel, lam, P=0.0):
-    """Construct the tilted Jeffreys prior (the tilt does not depend on P)."""
-    lam = _check_lambda(lam)
-    table = _table(channel)
-    tilt = table.tilt(lam)
-    return TiltedPrior(
-        channel=channel,
-        lam=lam,
-        P=float(P),
-        Z=tilt.z,
-        density=lambda t, _w=table.weight, _z=tilt.z, _l=lam: _w(t, _l) / _z,
-        lo=table.lo,
-        hi=table.hi,
-        panels=tilt,
-    )
+    """The tilted Jeffreys prior at lam (the tilt does not depend on P)."""
+    return _table(channel).tilt(_check_lambda(lam))
 
 
 def average_cost(channel, lam):
@@ -312,30 +303,31 @@ def average_cost(channel, lam):
 
 @dataclass(frozen=True, eq=False)
 class JeffreysSolution:
-    """Solved tilt for a (channel, P) pair with the capacity closure."""
+    """The solved tilt for a (channel, P) pair: its prior, JF(lambda*) and log2 JF(lambda*)."""
 
-    channel: object
     P: float
-    lambda_star: float
+    prior: TiltedPrior
     jf: float
-    m_at_star: float
-    capacity_fn: callable
     log2_jf: float
 
+    @property
+    def lambda_star(self):
+        return self.prior.lam
 
-def _capacity_closure(d, log2_jf):
-    def capacity(n_r):
-        if n_r < 1:
-            raise DomainError("capacity_fn: n_r must be >= 1")
-        return 0.5 * d * math.log2(n_r / (2.0 * math.pi * math.e)) + log2_jf
+    @property
+    def m_at_star(self):
+        return self.prior.m
 
-    return capacity
+    def capacity_fn(self, n_r):
+        """(d/2) log2(n_r / 2 pi e) + log2 JF(lambda*), for a finite n_r >= 1."""
+        if not 1 <= n_r < math.inf:
+            raise DomainError(f"capacity_fn: n_r must be finite and >= 1, got {n_r!r}")
+        d = self.prior.table.channel.param_space.dim
+        return 0.5 * d * math.log2(n_r / (2.0 * math.pi * math.e)) + self.log2_jf
 
 
-def _solution(channel, P, tilt):
-    log2_jf = tilt.log2_jf(P)
-    return JeffreysSolution(channel, P, tilt.lam, tilt.jf(P), tilt.m,
-                            _capacity_closure(channel.param_space.dim, log2_jf), log2_jf)
+def _solution(P, prior):
+    return JeffreysSolution(P, prior, prior.jf(P), prior.log2_jf(P))
 
 
 def _newton_root(table, P, lo, hi):
@@ -381,7 +373,7 @@ def solve_lambda_star(channel, P):
     # ties at M(0) = P resolve to lambda* = 0; the slack absorbs quadrature
     # roundoff, far below the 1e-6 scale at which activity is ever probed
     if t0.m <= P + 1e-12 * max(1.0, P):
-        return _solution(channel, P, t0)
+        return _solution(P, t0)
     if table.c_min >= P:
         raise UnboundedTiltError(
             "solve_lambda_star: no finite tilt reaches the power target: the smallest "
@@ -417,13 +409,13 @@ def solve_lambda_star(channel, P):
         else:
             cur = table.tilt(mid)
             if abs(cur.m - P) < _M_TOL_REL * P:
-                return _solution(channel, P, cur)
+                return _solution(P, cur)
             above = cur.m > P
         if above:
             lo = mid
         else:
             hi, at_hi = mid, cur
-    return _solution(channel, P, at_hi if at_hi is not None else table.tilt(hi))
+    return _solution(P, at_hi if at_hi is not None else table.tilt(hi))
 
 
 def asymptotic_capacity(channel, P, n_r):
@@ -440,7 +432,7 @@ def mismatch_rate(channel, w, P, n_r):
     vanish on an interior subinterval are rejected.
     """
     solution = solve_lambda_star(channel, P)
-    prior = tilted_prior(channel, solution.lambda_star, P)
+    prior = solution.prior
     lo, hi = prior.lo, prior.hi
     grid = _midpoints(lo, hi, _MISMATCH_GRID)
     w_grid = np.asarray(w(grid), dtype=float)
@@ -464,12 +456,12 @@ def mismatch_rate(channel, w, P, n_r):
 def prior_cdf(prior, theta):
     """F(theta), the cdf of the profile density on [lo, hi]."""
     t = float(theta)
-    if t < prior.lo - 1e-12 or t > prior.hi + 1e-12:
-        raise DomainError(f"prior_cdf: theta outside [{prior.lo}, {prior.hi}]")
+    if not prior.lo - 1e-12 <= t <= prior.hi + 1e-12:  # NaN fails too
+        raise DomainError(f"prior_cdf: theta={t!r} is not in [{prior.lo}, {prior.hi}]")
     t = min(max(t, prior.lo), prior.hi)
     if t == prior.lo:
         return 0.0
-    return min(max(prior.panels.cdf(t), 0.0), 1.0)
+    return min(max(prior.cdf(t), 0.0), 1.0)
 
 
 def prior_cdf_inverse(prior, u):
@@ -481,4 +473,4 @@ def prior_cdf_inverse(prior, u):
         return prior.lo
     if u == 1.0:
         return prior.hi
-    return prior.panels.inverse(u)
+    return prior.inverse(u)

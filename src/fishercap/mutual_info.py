@@ -241,6 +241,8 @@ def blahut_arimoto(channel, points, n_r, tol=1e-9, budget=EVAL_BUDGET_DEFAULT,
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size == 0:
         raise ValidationError("blahut_arimoto: points must be a nonempty 1-D array")
+    if not n_r >= 1:
+        raise DomainError("blahut_arimoto: n_r must be >= 1")
     pmf = _pmf_for_points(channel, pts)
     parts = pmf.shape[1]
     _check_budget(n_r, parts, pts.size, budget)

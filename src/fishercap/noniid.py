@@ -132,8 +132,7 @@ def correlated_awgn_channel(peak, acov):
         out = np.full_like(t, rate)
         return float(out) if np.ndim(theta) == 0 else out
 
-    return _interval_channel("correlated_awgn", A, -A, const, {"acov": acov.record},
-                             output_kind="continuous-scalar")
+    return _interval_channel("correlated_awgn", A, -A, const, {"acov": acov.record})
 
 
 _ACOV_BUILDERS = {

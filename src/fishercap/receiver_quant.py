@@ -38,8 +38,8 @@ class Quantizer1D:
     L: int
 
     def __post_init__(self):
-        if not self.r > 0 or self.L < 1:
-            raise ValidationError("Quantizer1D: need r > 0 and L >= 1")
+        if not 0 < self.r < math.inf or self.L < 1:
+            raise ValidationError("Quantizer1D: need a finite r > 0 and L >= 1")
 
     @property
     def edges(self):
@@ -55,8 +55,8 @@ def build_quantizer(r, L):
     """Uniform quantizer: L interior bins of width 2r/L plus the overflow bin."""
     r = float(r)
     L = int(L)
-    if not r > 0 or L < 1:
-        raise DomainError("build_quantizer: need r > 0 and L >= 1")
+    if not 0 < r < math.inf or L < 1:
+        raise DomainError("build_quantizer: need a finite r > 0 and L >= 1")
     return Quantizer1D(r=r, L=L)
 
 
@@ -90,6 +90,8 @@ def capacity_loss_eL(channel, q, grid_size=1025):
     Returns +inf when the binned Fisher information vanishes somewhere
     on the grid (infinite loss), never raises for that case.
     """
+    if not grid_size >= 1:
+        raise DomainError("capacity_loss_eL: grid_size must be >= 1")
     lo, hi = channel.param_space.profile_bounds
     grid = _midpoints(lo, hi, grid_size)
     j_full = np.asarray(channel.fisher(grid), dtype=float)

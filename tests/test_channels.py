@@ -419,7 +419,7 @@ def test_channel_contract(kind):
 def test_ball_spec_needs_sqrt_det_fisher():
     with pytest.raises(ValidationError, match="sqrt_det_fisher"):
         ch.ChannelSpec(kind="ball", param_space=ch.ParameterSpace.ball(2, 1.0),
-                       fisher=lambda th: np.eye(2), output_kind="pair-with-state")
+                       fisher=lambda th: np.eye(2))
 
 
 def test_parameter_space_validation():

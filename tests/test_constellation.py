@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fishercap as fc
-from fishercap.constellation import BarrierObjective, BarrierSchedule, PolyFitInfo
+from fishercap.constellation import _GAMMAS, BarrierObjective, PolyFitInfo
 from fishercap.errors import (
     ConvergenceError,
     DomainError,
@@ -178,9 +178,8 @@ def test_fit_converges_on_wide_support_target():
 
 def test_fit_iteration_cap():
     channel = fc.quantized_awgn_channel(10.0, [0.0])
-    schedule = BarrierSchedule(max_newton=2)
     with pytest.raises(ConvergenceError):
-        fc.fit_poly_density(channel, 0.0, 8, schedule)
+        fc.fit_poly_density(channel, 0.0, 8, max_newton=2)
 
 
 def test_fit_evaluates_the_channel_once(awgn):
@@ -206,10 +205,9 @@ def test_fit_evaluates_the_channel_once(awgn):
 def test_stage_matches_fresh_objective(gamma):
     channel = fc.quantized_awgn_channel(2.0, [0.0])
     lam = fc.solve_lambda_star(channel, 0.444).lambda_star
-    grid_problem = BarrierObjective(channel, lam, 6, 10.0)
-    stage = grid_problem._with_gamma(gamma)
+    stage = BarrierObjective(channel, lam, 6, 10.0)
+    stage.gamma = gamma  # what each barrier stage of a fit does to its one problem
     fresh = BarrierObjective(channel, lam, 6, gamma)
-    assert stage.gamma == gamma and grid_problem.gamma == 10.0
     rng = np.random.default_rng(7)
     for xi in [np.zeros(6), *rng.normal(scale=0.02, size=(3, 6))]:
         assert np.array_equal(stage.value(xi), fresh.value(xi))
@@ -219,9 +217,9 @@ def test_stage_matches_fresh_objective(gamma):
 
 def test_schedule_validation():
     with pytest.raises(ValidationError):
-        BarrierSchedule(max_newton=0)
-    stages = BarrierSchedule().stages()
-    assert stages[0] == 10.0 and stages[-1] == pytest.approx(1e-8, rel=1e-6)
+        fc.fit_poly_density(fc.awgn_channel(1.0), 0.0, 4, max_newton=0)
+    assert len(_GAMMAS) == 10
+    assert _GAMMAS[0] == 10.0 and _GAMMAS[-1] == pytest.approx(1e-8, rel=1e-6)
 
 
 # --- polynomial cdf -----------------------------------------------------------
@@ -251,6 +249,20 @@ def test_poly_density_validation():
         fc.PolyDensity(np.array([1.0]), (-1.0, 1.0))  # integrates to 2
     with pytest.raises(DomainError):
         fc.poly_cdf_inverse(fc.PolyDensity(np.array([0.5]), (-1.0, 1.0)), 1.5)
+
+
+def test_poly_cdf_rejects_nan():
+    with pytest.raises(DomainError):
+        fc.poly_cdf(fc.PolyDensity(np.array([0.5]), (-1.0, 1.0)), math.nan)
+
+
+def test_midpoint_grid_needs_an_integer():
+    # m = 2.5 gave [0.2, 0.6, 1.0], whose last point is the cdf endpoint
+    with pytest.raises(DomainError):
+        fc.midpoint_grid(2.5)
+    with pytest.raises(DomainError):
+        fc.jeffreys_constellation(fc.awgn_channel(3.0), 1.0, 2.5)
+    assert fc.midpoint_grid(np.int64(2)).tolist() == [0.25, 0.75]
 
 
 # --- approximate constellation -------------------------------------------------

@@ -233,7 +233,6 @@ def _constant_cost_channel(cost_offset):
         cost=lambda t: np.square(np.asarray(t, float)) + cost_offset,
         fisher=lambda t: np.ones_like(np.asarray(t, float)),
         sqrt_det_fisher=lambda t: np.ones_like(np.asarray(t, float)),
-        output_kind="continuous-scalar",
     )
 
 
@@ -294,7 +293,6 @@ def test_degenerate_channel_error():
         cost=lambda t: np.square(np.asarray(t, float)),
         fisher=lambda t: np.zeros_like(np.asarray(t, float)),
         sqrt_det_fisher=lambda t: np.zeros_like(np.asarray(t, float)),
-        output_kind="continuous-scalar",
     )
     with pytest.raises(DegenerateChannelError):
         fc.tilted_prior(dead, 0.0)
@@ -308,6 +306,19 @@ def test_lambda_validation(awgn_unit):
     s = fc.solve_lambda_star(awgn_unit, 0.5)
     with pytest.raises(DomainError):
         s.capacity_fn(0)
+
+
+def test_capacity_needs_finite_antenna_count(awgn_unit):
+    # NaN and inf antenna counts used to come back as NaN and inf bits
+    with pytest.raises(DomainError):
+        fc.solve_lambda_star(awgn_unit, 0.5).capacity_fn(math.nan)
+    with pytest.raises(DomainError):
+        fc.asymptotic_capacity(awgn_unit, 0.5, math.inf)
+
+
+def test_prior_cdf_rejects_nan(awgn_unit):
+    with pytest.raises(DomainError):
+        fc.prior_cdf(fc.tilted_prior(awgn_unit, 1.0), math.nan)
 
 
 def test_invert_monotone_one_call_per_iteration():

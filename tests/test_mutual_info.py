@@ -105,6 +105,13 @@ def test_input_validation(onebit):
                             fc.DiscreteInput(np.array([0.0]), np.array([1.0])), 2)
 
 
+@pytest.mark.parametrize("n_r", [0, -1])
+def test_ba_needs_an_antenna(onebit, n_r):
+    # without the check, BA returned uniform weights and 0.0 bits
+    with pytest.raises(DomainError):
+        fc.blahut_arimoto(onebit, [-1.0, 1.0], n_r)
+
+
 def test_type_index_validation():
     t = fc.TypeIndex((3, 0, 2))
     assert t.n_r == 5

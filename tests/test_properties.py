@@ -8,6 +8,8 @@ Over the channel zoo:
 * the prior density integrates to one;
 * a result depends only on (channel, lambda): JF at one tilt is
   bit-identical whether or not other tilts were evaluated first;
+* the prior a tilt solve returns is the prior tilted afresh at its
+  lambda*, bit for bit: density, cdf and inverse cdf;
 * a binned receiver never has more Fisher information than the full
   output: J_L(theta) <= J(theta);
 * the one-pass Gaussian tail helpers give the same bits as the
@@ -134,6 +136,24 @@ def test_jf_independent_of_call_history(kind, data, others, bits):
         fc.jeffreys_factor(used, b / span)
     lam = bits / span
     assert fc.jeffreys_factor(used, lam) == fc.jeffreys_factor(fresh, lam)
+
+
+@per_kind
+@SETTINGS
+@given(data=st.data(), frac=st.floats(0.01, 1.0))
+def test_solution_prior_is_the_fresh_tilt(kind, data, frac):
+    record = data.draw(KINDS[kind])
+    solved = fc.channel_from_json(record)
+    fresh = fc.channel_from_json(record)
+    P = frac * _cost_span(solved)
+    s = fc.solve_lambda_star(solved, P)
+    prior = fc.tilted_prior(fresh, s.lambda_star, P)
+    grid = np.linspace(prior.lo, prior.hi, 33)
+    assert s.prior.density(grid).tobytes() == prior.density(grid).tobytes()
+    for t in grid[1:-1:4]:
+        assert fc.prior_cdf(s.prior, t) == fc.prior_cdf(prior, t)
+    for u in (1e-3, 0.25, 0.5, 0.9):
+        assert fc.prior_cdf_inverse(s.prior, u) == fc.prior_cdf_inverse(prior, u)
 
 
 @SETTINGS

@@ -40,6 +40,20 @@ def test_build_validation():
         fc.build_quantizer(1.0, 0)
 
 
+def test_quantizer_needs_finite_radius():
+    # an infinite radius gives NaN edges that bin every sample into cell 1
+    with pytest.raises(ValidationError):
+        fc.Quantizer1D(math.inf, 4)
+    with pytest.raises(DomainError):
+        fc.build_quantizer(math.inf, 4)
+
+
+def test_e_l_needs_a_grid(awgn):
+    # an empty midpoint grid gave NaN (the mean of no values) with two RuntimeWarnings
+    with pytest.raises(DomainError):
+        fc.capacity_loss_eL(awgn, fc.build_quantizer(4.0, 8), 0)
+
+
 # --- bin probabilities --------------------------------------------------------
 
 def test_bin_probs_symmetry_and_normalization(awgn):
