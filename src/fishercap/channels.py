@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .quad import QuadRule, integrate_semiinf
-from .specfun import SQRT_2PI, _cell_mass, _phi_raw, _q_pair, gauss_hazard, gauss_mass, gauss_phi_q
+from .specfun import _cell_mass, _gauss_tails, _phi_raw, _q_pair, gauss_mass
 from scipy import special as _sp
 
 
@@ -168,9 +168,10 @@ def fisher_awgn(theta, peak):
 
 
 def _clip_term(s):
-    # Q(s) + s phi(s) - phi(s)^2 / Q(s), decaying to 0 as s -> inf.
-    phi, q = gauss_phi_q(s)
-    return q + s * phi - phi * gauss_hazard(s)
+    # Q(s) + s phi(s) - phi(s)^2 / Q(s) elementwise, decaying to 0 as s -> inf;
+    # one tail pass over the stacked arguments
+    phi, q, hazard, _ = _gauss_tails(s)
+    return q + s * phi - phi * hazard
 
 
 def fisher_clipped_awgn(theta, clip, peak=None):
@@ -184,7 +185,8 @@ def fisher_clipped_awgn(theta, clip, peak=None):
         raise DomainError("fisher_clipped_awgn: clip level must be positive")
     lo, hi = (-peak, peak) if peak is not None else (-np.inf, np.inf)
     t = _check_profile(theta, lo, hi, "fisher_clipped_awgn")
-    j = 1.0 - _clip_term(clip + t) - _clip_term(clip - t)
+    loss = _clip_term(np.stack([clip + t, clip - t]))
+    j = 1.0 - loss[0] - loss[1]
     return float(j) if np.ndim(theta) == 0 else j
 
 
@@ -240,18 +242,17 @@ def fisher_quantized_awgn(theta, thresholds, peak=None):
 _ENERGY_RULE = QuadRule(abs_tol=1e-13, rel_tol=1e-11)
 
 
-def _energy_density(y, theta):
-    # Density of y~ = 2|x+z|^2 given theta = |x|, in scaled-Bessel form:
-    # 0.5 * exp(-(sqrt(y~) - sqrt(2) theta)^2 / 2) * i0e(theta sqrt(2 y~)).
-    s = theta * np.sqrt(2.0 * y)
+def _energy_density_score(y, theta):
+    # Density of y~ = 2|x+z|^2 given theta = |x| and its score, from one
+    # scaled-Bessel evaluation at s = theta sqrt(2 y~):
+    # density 0.5 * exp(-(sqrt(y~) - sqrt(2) theta)^2 / 2) * i0e(s),
+    # score -2 theta + sqrt(2 y~) i1e(s) / i0e(s).
+    root = np.sqrt(2.0 * y)
+    s = theta * root
+    i0, i1 = _sp.i0e(s), _sp.i1e(s)
     expo = -0.5 * (np.sqrt(y) - math.sqrt(2.0) * theta) ** 2
-    return 0.5 * np.exp(expo) * _sp.i0e(s)
-
-
-def _energy_score(y, theta):
-    s = theta * np.sqrt(2.0 * y)
-    ratio = np.where(s > 0.0, _sp.i1e(s) / _sp.i0e(s), 0.0)
-    return -2.0 * theta + np.sqrt(2.0 * y) * ratio
+    ratio = np.where(s > 0.0, i1 / i0, 0.0)
+    return 0.5 * np.exp(expo) * i0, -2.0 * theta + root * ratio
 
 
 def fisher_energy_detection(theta, peak=None):
@@ -272,8 +273,8 @@ def fisher_energy_detection(theta, peak=None):
         t = flat[live][:, None]
 
         def integrand(y):
-            sc = _energy_score(y, t)
-            return sc * sc * _energy_density(y, t)
+            density, sc = _energy_density_score(y, t)
+            return sc * sc * density
 
         out[live], _ = integrate_semiinf(integrand, 0.0, _ENERGY_RULE)
     return float(out[0]) if np.ndim(theta) == 0 else out.reshape(th.shape)
@@ -381,7 +382,8 @@ def fisher_dithered_1bit(theta, dither, peak=None):
     t = _check_profile(theta, lo, hi, "fisher_dithered_1bit")
     pts, w = dither.arrays()
     u = np.asarray(t)[..., None] - pts
-    terms = gauss_hazard(u) * gauss_hazard(-u)
+    _, _, h_up, h_down = _gauss_tails(u)  # phi/Q at u and at -u, one tail pass
+    terms = h_up * h_down
     j = (terms * w).sum(axis=-1)
     return float(j) if np.ndim(theta) == 0 else j
 
@@ -431,12 +433,10 @@ def clipped_awgn_channel(peak, clip):
         yy = np.asarray(y, dtype=float)
         r = yy - theta
         interior = (-0.5 * np.log(2.0 * np.pi) - 0.5 * r * r, r)
-        _, q_hi = gauss_phi_q(B - theta)
-        _, q_lo = gauss_phi_q(B + theta)
+        # Q and phi/Q at the rails B - theta (upper atom) and B + theta (lower), one tail pass
+        _, (q_hi, q_lo), (h_hi, h_lo), _ = _gauss_tails(np.stack([B - theta, B + theta]))
         logp = np.where(yy >= B, np.log(q_hi), np.where(yy <= -B, np.log(q_lo), interior[0]))
-        dlog = np.where(
-            yy >= B, gauss_hazard(B - theta), np.where(yy <= -B, -gauss_hazard(B + theta), interior[1])
-        )
+        dlog = np.where(yy >= B, h_hi, np.where(yy <= -B, -h_lo, interior[1]))
         return logp, dlog
 
     return _interval_channel(
@@ -526,9 +526,10 @@ def energy_detection_channel(peak):
         yy = np.asarray(y, dtype=float)
         if np.any(yy < 0):
             raise DomainError("energy_detection: the energy statistic is nonnegative")
+        density, score = _energy_density_score(yy, theta)
         with np.errstate(divide="ignore"):
-            logp = np.log(_energy_density(yy, theta))  # -inf far in the tail
-        return logp, _energy_score(yy, theta)
+            logp = np.log(density)  # -inf far in the tail
+        return logp, score
 
     return _interval_channel(
         "energy_detection", A, 0.0, fisher, {},

@@ -42,12 +42,18 @@ def gauss_phi_q(x):
     return _maybe_scalar(x, phi, _q_pair(a)[0])
 
 
+def _q_abs(a):
+    # erfcx(|a|/sqrt(2)) and Q(|a|) from one pass; Q(inf) = 0
+    e = _sp.erfcx(np.abs(a) / _SQRT2)
+    with np.errstate(invalid="ignore"):
+        qa = 0.5 * e * np.exp(-0.5 * a * a)
+    return e, np.where(np.isposinf(np.abs(a)), 0.0, qa)
+
+
 def _q_pair(a):
     # (Q(a), Q(-a)) for internal use, both from one erfcx pass over |a|;
     # accepts +-inf edges (Q(inf)=0, Q(-inf)=1).
-    with np.errstate(invalid="ignore"):
-        qa = 0.5 * _sp.erfcx(np.abs(a) / _SQRT2) * np.exp(-0.5 * a * a)
-    qa = np.where(np.isposinf(np.abs(a)), 0.0, qa)
+    qa = _q_abs(a)[1]
     return np.where(a >= 0, qa, 1.0 - qa), np.where(a <= 0, qa, 1.0 - qa)
 
 
@@ -57,14 +63,26 @@ def _phi_raw(a):
     return np.where(np.isinf(a), 0.0, p)
 
 
+def _gauss_tails(a):
+    """phi(a), Q(a) and the hazards phi/Q at a and at -a, from one erfcx pass over |a|.
+
+    The hazard at +|a| is 2 / (sqrt(2 pi) erfcx(|a|/sqrt(2))), which never
+    underflows; at -|a| it is phi / (1 - Q(|a|)).  At a = 0 both are the first.
+    """
+    e, qa = _q_abs(a)
+    phi = _phi_raw(a)
+    upper = 2.0 / (SQRT_2PI * e)
+    lower = phi / (1.0 - qa)
+    pos = a >= 0
+    neg = a <= 0
+    return (phi, np.where(pos, qa, 1.0 - qa),
+            np.where(pos, upper, lower), np.where(neg, upper, lower))
+
+
 def gauss_hazard(x):
     """phi(x)/Q(x), stable for arbitrarily large x via erfcx."""
     a = _as_array(x, "gauss_hazard")
-    pos = 2.0 / (SQRT_2PI * _sp.erfcx(np.maximum(a, 0.0) / _SQRT2))
-    neg_a = np.minimum(a, 0.0)
-    neg = _phi_raw(neg_a) / _q_pair(neg_a)[0]
-    h = np.where(a >= 0, pos, neg)
-    return _maybe_scalar(x, h)
+    return _maybe_scalar(x, _gauss_tails(a)[2])
 
 
 def gauss_mass(a, b):
@@ -74,7 +92,8 @@ def gauss_mass(a, b):
     cells far from the origin keep relative accuracy.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    return _mass(a, b, _q_pair(a), _q_pair(b))
+    q, qn = _q_pair(np.stack([a, b]))  # one tail pass over both edges
+    return _mass(a, b, (q[0], qn[0]), (q[1], qn[1]))
 
 
 def _cell_mass(edges):
