@@ -28,6 +28,7 @@ from .mutual_info import TypeIndex
 from .quad import _midpoints
 
 _SLOPE_FLOOR = 1e-15  # fit_loglog_slope drops e_L values below this (underflowed)
+_EL_CHUNK = 64  # e_L grid points per quantized_fisher call: a (64, L+1) cell block bounds memory
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,8 @@ def capacity_loss_eL(channel, q, grid_size=1025):
     lo, hi = channel.param_space.profile_bounds
     grid = _midpoints(lo, hi, grid_size)
     j_full = np.asarray(channel.fisher(grid), dtype=float)
-    j_bin = quantized_fisher(channel, q, grid)
+    j_bin = np.concatenate([quantized_fisher(channel, q, grid[i:i + _EL_CHUNK])
+                            for i in range(0, grid.size, _EL_CHUNK)])
     if np.any(j_bin <= 0.0):
         return math.inf
     vals = np.log(j_full / j_bin)
