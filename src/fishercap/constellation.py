@@ -15,7 +15,6 @@ the prior the tilt solve returns (``JeffreysSolution.prior``).
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ from scipy import linalg as _la
 from .errors import ConvergenceError, DomainError, PositivityError, ValidationError
 from .jeffreys import LN2, invert_monotone, prior_cdf_inverse, solve_lambda_star
 from .mutual_info import DiscreteInput
-from .quad import _midpoints
+from .quad import _check_grid_size, _midpoints
 
 _GRID_POINTS = 4097  # odd: the fit grid is integrated by composite Simpson
 _GAMMA_0, _GAMMA_MIN = 10.0, 1e-8  # first and last barrier weight
@@ -43,8 +42,7 @@ _GAMMAS = tuple(_GAMMAS)
 
 def midpoint_grid(m):
     """The m midpoints (2i - 1) / (2m), avoiding the cdf endpoints."""
-    if not isinstance(m, numbers.Integral) or m < 1:
-        raise DomainError(f"midpoint_grid: m must be an integer >= 1, got {m!r}")
+    _check_grid_size(m, "midpoint_grid: m")
     return _midpoints(0.0, 1.0, m)
 
 

@@ -35,7 +35,7 @@ from scipy.special import gammaln, logsumexp
 
 from .channels import output_pmf_finite
 from .errors import BudgetError, ConvergenceError, DomainError, ValidationError
-from .quad import _midpoints, integrate_interval
+from .quad import _check_grid_size, _midpoints, integrate_interval
 from .specfun import SQRT_2PI
 
 EVAL_BUDGET_DEFAULT = 10 ** 8
@@ -211,8 +211,7 @@ def mi_finite_output(channel, input_dist, n_r, budget=EVAL_BUDGET_DEFAULT):
 
 def discretize_prior(prior, grid_size):
     """Midpoint discretization of a tilted prior as a DiscreteInput."""
-    if grid_size < 1:
-        raise DomainError("discretize_prior: grid_size must be >= 1")
+    _check_grid_size(grid_size, "discretize_prior: grid_size")
     pts = _midpoints(prior.lo, prior.hi, grid_size)
     w = np.asarray(prior.density(pts), dtype=float)
     if np.any(w < 0):

@@ -19,6 +19,7 @@ meets the tolerance.
 """
 
 import heapq
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +179,12 @@ def integrate_semiinf(f, a, rule=DEFAULT_RULE):
         return np.asarray(f(t), dtype=float) / (onem * onem)
 
     return integrate_interval(g, 0.0, 1.0, rule)
+
+
+def _check_grid_size(n, what):
+    # a midpoint grid needs an integer size: _midpoints(lo, hi, 2.5) puts its last point on hi
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"{what} must be an integer >= 1, got {n!r}")
 
 
 def _midpoints(lo, hi, n):

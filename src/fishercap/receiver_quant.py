@@ -25,7 +25,7 @@ import numpy as np
 from .channels import _pmf_fisher
 from .errors import DomainError, ValidationError
 from .mutual_info import TypeIndex
-from .quad import _midpoints
+from .quad import _check_grid_size, _midpoints
 
 _SLOPE_FLOOR = 1e-15  # fit_loglog_slope drops e_L values below this (underflowed)
 _EL_CHUNK = 64  # e_L grid points per quantized_fisher call: a (64, L+1) cell block bounds memory
@@ -91,8 +91,7 @@ def capacity_loss_eL(channel, q, grid_size=1025):
     Returns +inf when the binned Fisher information vanishes somewhere
     on the grid (infinite loss), never raises for that case.
     """
-    if not grid_size >= 1:
-        raise DomainError("capacity_loss_eL: grid_size must be >= 1")
+    _check_grid_size(grid_size, "capacity_loss_eL: grid_size")
     lo, hi = channel.param_space.profile_bounds
     grid = _midpoints(lo, hi, grid_size)
     j_full = np.asarray(channel.fisher(grid), dtype=float)

@@ -80,6 +80,14 @@ def test_prior_grid_single_point(onebit):
     assert fc.mi_prior_grid(onebit, prior, 1, 10) == 0.0
 
 
+def test_discretize_prior_needs_an_integer(onebit):
+    # a grid size of 2.5 gave the points [-1.2, 0.4, 2.0], the last one on the upper bound
+    prior = fc.tilted_prior(onebit, 0.0)
+    with pytest.raises(DomainError):
+        fc.discretize_prior(prior, 2.5)
+    assert fc.discretize_prior(prior, np.int64(3)).points.tolist() == pytest.approx([-4 / 3, 0.0, 4 / 3])
+
+
 def test_prior_grid_smoke_envelope():
     channel = fc.quantized_awgn_channel(2.0, [0.0])
     P = 4.0 / 9.0

@@ -49,9 +49,11 @@ def test_quantizer_needs_finite_radius():
 
 
 def test_e_l_needs_a_grid(awgn):
-    # an empty midpoint grid gave NaN (the mean of no values) with two RuntimeWarnings
-    with pytest.raises(DomainError):
-        fc.capacity_loss_eL(awgn, fc.build_quantizer(4.0, 8), 0)
+    # an empty midpoint grid gave NaN (the mean of no values) with two RuntimeWarnings;
+    # a grid size of 2.5 sampled the upper bound and gave 0.16080
+    for bad in (0, 2.5):
+        with pytest.raises(DomainError):
+            fc.capacity_loss_eL(awgn, fc.build_quantizer(4.0, 8), bad)
 
 
 # --- bin probabilities --------------------------------------------------------
