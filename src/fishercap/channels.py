@@ -44,8 +44,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .quad import QuadRule, integrate_semiinf
-from .specfun import _cell_mass, _gauss_tails, _phi_raw, _q_pair, gauss_mass
-from scipy import special as _sp
+from .specfun import _bessel_i01e, _cell_mass, _gauss_tails, _phi_raw, _q_pair, gauss_mass
 
 
 @dataclass(frozen=True)
@@ -249,7 +248,7 @@ def _energy_density_score(y, theta):
     # score -2 theta + sqrt(2 y~) i1e(s) / i0e(s).
     root = np.sqrt(2.0 * y)
     s = theta * root
-    i0, i1 = _sp.i0e(s), _sp.i1e(s)
+    i0, i1 = _bessel_i01e(s)
     expo = -0.5 * (np.sqrt(y) - math.sqrt(2.0) * theta) ** 2
     ratio = np.where(s > 0.0, i1 / i0, 0.0)
     return 0.5 * np.exp(expo) * i0, -2.0 * theta + root * ratio

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as _la
 
 from .errors import ConvergenceError, DomainError, PositivityError, ValidationError
 from .jeffreys import LN2, invert_monotone, prior_cdf_inverse, solve_lambda_star
@@ -304,15 +303,16 @@ def _newton_stage(problem, xi, max_newton, info):
             )
         h = problem._hessian(f)
         try:
-            step = -_la.cho_solve(_la.cho_factor(h), g)
-        except _la.LinAlgError as e:
+            np.linalg.cholesky(h)  # the positive-definite check
+        except np.linalg.LinAlgError as e:
             raise ConvergenceError(
                 f"fit_poly_density: Hessian not PD at gamma={problem.gamma:g}") from e
+        step = -np.linalg.solve(h, g)
         decrement2 = float(-g @ step)
         floor = 1.0 + abs(obj)
         if decrement2 * 0.5 <= 1e-15 * floor:
             return xi, iters, "objective-floor"
-        info.min_hessian_eigenvalues.append(float(_la.eigvalsh(h)[0]))
+        info.min_hessian_eigenvalues.append(float(np.linalg.eigvalsh(h)[0]))
         df = problem.basis @ step
         neg = df < 0
         if np.any(neg):

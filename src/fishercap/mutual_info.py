@@ -31,12 +31,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .channels import output_pmf_finite
 from .errors import BudgetError, ConvergenceError, DomainError, ValidationError
 from .quad import _check_grid_size, _midpoints, integrate_interval
-from .specfun import SQRT_2PI
+from .specfun import SQRT_2PI, log_gamma
 
 EVAL_BUDGET_DEFAULT = 10 ** 8
 _LOG_ZERO = -1e6  # stand-in for log 0; k * _LOG_ZERO stays finite, exp() is exactly 0
@@ -134,7 +133,7 @@ def _type_blocks(logp, n_r):
     S has one row per input and one column per type; in that layout the
     reductions over inputs run along contiguous rows.
     """
-    lg = gammaln(np.arange(n_r + 1) + 1.0)
+    lg = log_gamma(np.arange(n_r + 1) + 1.0)
     for counts in _composition_chunks(n_r, logp.shape[1]):
         yield lg[n_r] - lg[counts].sum(axis=0), logp @ counts
 
@@ -143,6 +142,19 @@ def _column_exp(x):
     """Column maxima m and E = exp(x - m): log sum_i exp(x_it) = m_t + log sum_i E_it."""
     m = x.max(axis=0)
     return m, np.exp(x - m)
+
+
+def _logsumexp(x):
+    """log sum exp(x) of a 1-D array, shifted by its maximum.
+
+    The maxima are taken out of the sum, which enters through log1p, as
+    scipy.special.logsumexp does.
+    """
+    top = x.max()
+    is_top = x == top
+    n_top = np.count_nonzero(is_top)
+    rest = np.where(is_top, 0.0, np.exp(x - top)).sum() / n_top
+    return np.log1p(rest) + np.log(float(n_top)) + top
 
 
 def _log_pmf_matrix(pmf):
@@ -276,7 +288,7 @@ def blahut_arimoto(channel, points, n_r, tol=1e-9, budget=EVAL_BUDGET_DEFAULT,
         if c_up - c_low < nats_tol:
             break
         log_r = log_r + d_x
-        log_r -= logsumexp(log_r)
+        log_r -= _logsumexp(log_r)
     else:
         raise ConvergenceError(
             f"blahut_arimoto: bound gap {gaps[-1]:.3e} bits after {_BA_MAX_ITER} iterations"

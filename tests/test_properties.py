@@ -35,7 +35,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 import fishercap as fc
 from fishercap import mutual_info, specfun
@@ -175,7 +174,7 @@ TAIL_SETTINGS = settings(SETTINGS, max_examples=200)  # cheap: cover the special
 def _q_raw(a):
     # the per-edge tail Q(a), one erfcx pass per call: the reference for _q_pair
     with np.errstate(invalid="ignore"):
-        qa = 0.5 * special.erfcx(np.abs(a) / math.sqrt(2.0)) * np.exp(-0.5 * a * a)
+        qa = 0.5 * specfun._erfcx(np.abs(a) / math.sqrt(2.0)) * np.exp(-0.5 * a * a)
     qa = np.where(np.isposinf(np.abs(a)), 0.0, qa)
     return np.where(a >= 0, qa, 1.0 - qa)
 
@@ -187,6 +186,22 @@ def test_q_pair_is_both_tails(a):
     q, qn = specfun._q_pair(a)
     assert q.tobytes() == _q_raw(a).tobytes()
     assert qn.tobytes() == _q_raw(-a).tobytes()
+
+
+def _hazard_raw(a):
+    # phi/Q at each argument on its own: the erfcx form at a >= 0, phi / (1 - Q(|a|)) below
+    upper = 2.0 / (specfun.SQRT_2PI * specfun._erfcx(np.maximum(a, 0.0) / math.sqrt(2.0)))
+    lower = specfun._phi_raw(np.minimum(a, 0.0)) / _q_raw(np.minimum(a, 0.0))
+    return np.where(a >= 0, upper, lower)
+
+
+@TAIL_SETTINGS
+@given(u=st.lists(st.floats(-38.0, 38.0), min_size=1, max_size=8))
+def test_hazard_pair_is_both_hazards(u):
+    u = np.array(u)
+    _, _, h, h_neg = specfun._gauss_tails(u)
+    assert h.tobytes() == specfun.gauss_hazard(u).tobytes() == _hazard_raw(u).tobytes()
+    assert h_neg.tobytes() == specfun.gauss_hazard(-u).tobytes() == _hazard_raw(-u).tobytes()
 
 
 @TAIL_SETTINGS

@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import special
 
+import fishercap
 from fishercap import specfun
 from fishercap.errors import DomainError
 
@@ -158,3 +162,57 @@ def test_reference_generator_reproduces_committed_table():
         for (x0, v0), (x1, v1) in zip(rows, fresh[name]):
             assert x0 == x1
             assert float(v0) == pytest.approx(float(v1), rel=1e-25, abs=1e-300)
+
+
+# --- the numpy kernels against scipy (a test dependency only) ----------------
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+def test_erfcx_matches_scipy():
+    for x in (np.linspace(0.0, 40.0, 40001), np.geomspace(1e-8, 1e6, 40001)):
+        assert _max_rel(specfun._erfcx(x), special.erfcx(x)) <= 2e-15
+    assert specfun._erfcx(np.array([np.inf]))[0] == 0.0
+    assert specfun._erfcx(np.array([0.0]))[0] == 1.0
+    assert specfun.gauss_phi_q(0.0)[1] == 0.5 and specfun.gauss_mass(-np.inf, 0.0) == 0.5
+
+
+def test_bessel_pair_matches_scipy():
+    x = np.concatenate([np.linspace(0.0, 1e5, 100001), np.geomspace(1e-12, 1e-4, 2001),
+                        np.linspace(0.0, 50.0, 20001)])
+    i0s, i1s = specfun.bessel_i01_scaled(x)
+    assert _max_rel(i0s, special.i0e(x)) <= 1e-14
+    live = x > 0
+    assert _max_rel(i1s[live], special.i1e(x[live])) <= 1e-14
+    assert np.all(i1s[~live] == 0.0)
+
+
+def test_e1_and_log_gamma_match_scipy_and_oracle():
+    x = np.geomspace(0.01, 30.0, 20001)
+    assert _max_rel(specfun.exp_integral_e1(x), special.exp1(x)) <= 1e-14
+    for xv, want in _load_table("e1"):
+        assert specfun.exp_integral_e1(xv) == pytest.approx(want, rel=1e-14)
+    # ln Gamma vanishes at 1 and 2: relative error where |ln Gamma| >= 1, absolute below
+    x = np.geomspace(0.05, 200.5, 20001)
+    got, want = specfun.log_gamma(x), special.gammaln(x)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
+    for xv, want in _load_table("log_gamma"):
+        assert specfun.log_gamma(xv) == pytest.approx(want, rel=1e-14, abs=1e-16)
+
+
+def test_no_scipy_at_runtime(tmp_path):
+    # a fresh process: importing the package and running a clipped capacity load no scipy module
+    code = (
+        "import sys; import fishercap; from fishercap import cli; "
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'import'; "
+        "rc = cli.main(['capacity', '--channel', '{\"kind\": \"clipped_awgn\", \"A\": 3, \"B\": 1.5}', "
+        "'--P', '1.0', '--nr', '64']); "
+        "assert rc == 0, rc; "
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'capacity'"
+    )
+    src = os.path.dirname(os.path.dirname(fishercap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
