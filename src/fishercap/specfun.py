@@ -176,6 +176,28 @@ def _bessel_i01e(x):
     return p[0] / r, p[1] * (x / (r * r1))
 
 
+_LGAMMA = np.vectorize(math.lgamma, otypes=[float])
+_EULER_GAMMA = 0.57721566490153286061
+
+
+def _e1(x):
+    # E1 for x > 0: -gamma - ln x - sum_k (-x)^k / (k k!) up to x = 1; above it the
+    # continued fraction e^-x / (x + 1 - 1^2 / (x + 3 - 2^2 / (x + 5 - ...))), evaluated
+    # from depth 100 upwards, which holds 4e-16 down to x = 1
+    small = x <= 1.0
+    xs = np.where(small, x, 1.0)
+    term, total = -xs, np.zeros_like(xs)
+    for k in range(1, 30):
+        total += term / k
+        term = term * (-xs / (k + 1))
+    series = -_EULER_GAMMA - np.log(xs) - total
+    xl = np.where(small, 1.0, x)
+    f = np.zeros_like(xl)
+    for i in range(100, 0, -1):
+        f = -float(i * i) / (xl + (2 * i + 1) + f)
+    return np.where(small, series, np.exp(-xl) / (xl + 1.0 + f))
+
+
 def _as_array(x, name):
     a = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -300,24 +322,3 @@ def log_gamma(x):
         raise DomainError("log_gamma: requires x > 0")
     return _maybe_scalar(x, _LGAMMA(a))
 
-
-_LGAMMA = np.vectorize(math.lgamma, otypes=[float])
-_EULER_GAMMA = 0.57721566490153286061
-
-
-def _e1(x):
-    # E1 for x > 0: -gamma - ln x - sum_k (-x)^k / (k k!) up to x = 1; above it the
-    # continued fraction e^-x / (x + 1 - 1^2 / (x + 3 - 2^2 / (x + 5 - ...))), evaluated
-    # from depth 100 upwards, which holds 4e-16 down to x = 1
-    small = x <= 1.0
-    xs = np.where(small, x, 1.0)
-    term, total = -xs, np.zeros_like(xs)
-    for k in range(1, 30):
-        total += term / k
-        term = term * (-xs / (k + 1))
-    series = -_EULER_GAMMA - np.log(xs) - total
-    xl = np.where(small, 1.0, x)
-    f = np.zeros_like(xl)
-    for i in range(100, 0, -1):
-        f = -float(i * i) / (xl + (2 * i + 1) + f)
-    return np.where(small, series, np.exp(-xl) / (xl + 1.0 + f))
