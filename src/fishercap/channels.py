@@ -22,6 +22,16 @@ A ``ChannelSpec`` bundles the callables the rest of the library needs:
   channels may expose ``output_logdensity_dtheta`` and closed-form cell
   masses through ``cell_mass_dtheta(theta, cuts)``.
 
+Each check lives in one place.  A constructor checks the channel's
+parameters, all of which must be finite.  The spec's ``fisher``,
+``sqrt_det_fisher`` and ``output_pmf`` reject a theta that is not
+finite or lies outside the parameter space, and return a float for a
+scalar theta.  The public formula functions (``fisher_clipped_awgn``
+and the rest) check their own parameters and check theta only against
+its natural domain: finite, and nonnegative for magnitudes, intensities
+and radii.  ``fisher_awgn`` alone takes the peak, because the peak
+defines its formula.
+
 The cell model is the L-level ADC's: sorted cut points c_1 < ... < c_K
 split the output line into the cells (-inf, c_1], ..., (c_K, inf), and
 ``cell_mass_dtheta`` returns their masses and theta-derivatives, shape
@@ -37,6 +47,7 @@ see ``channel_from_json`` for the full schema.
 
 import json
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -102,9 +113,11 @@ class DitherSet:
         w = np.asarray(self.weights, dtype=float)
         if p.ndim != 1 or p.size == 0 or p.shape != w.shape:
             raise ValidationError("DitherSet: points/weights must be matching 1-D sequences")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("DitherSet: points must be finite")
         if np.unique(p).size != p.size:
             raise ValidationError("DitherSet: points must be distinct")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        if not np.all(np.isfinite(w) & (w >= 0)) or abs(w.sum() - 1.0) > 1e-12:
             raise ValidationError("DitherSet: weights must be a probability vector")
         object.__setattr__(self, "points", tuple(float(x) for x in p))
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
@@ -148,11 +161,19 @@ class ChannelSpec:
 
 def _check_profile(theta, lo, hi, what):
     t = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise DomainError(f"{what}: theta must be finite")
-    if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
+    if not (np.isfinite(t) & (t >= lo - 1e-12) & (t <= hi + 1e-12)).all():  # one reduction
+        if not np.all(np.isfinite(t)):
+            raise DomainError(f"{what}: theta must be finite")
         raise DomainError(f"{what}: theta outside parameter space [{lo}, {hi}]")
     return t
+
+
+def _on_space(fn, lo, hi, what):
+    """``fn`` called on finite theta in [lo, hi] only; a 0-d result becomes a float."""
+    def checked(theta):
+        out = fn(_check_profile(theta, lo, hi, what))
+        return float(out) if np.ndim(out) == 0 else out
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +194,7 @@ def _clip_term(s):
     return q + s * phi - phi * hazard
 
 
-def fisher_clipped_awgn(theta, clip, peak=None):
+def fisher_clipped_awgn(theta, clip):
     """Fisher information with output clipping at +-B.
 
     J(theta) = 1 - sum over s in {B+theta, B-theta} of
@@ -182,8 +203,7 @@ def fisher_clipped_awgn(theta, clip, peak=None):
     """
     if not clip > 0:
         raise DomainError("fisher_clipped_awgn: clip level must be positive")
-    lo, hi = (-peak, peak) if peak is not None else (-np.inf, np.inf)
-    t = _check_profile(theta, lo, hi, "fisher_clipped_awgn")
+    t = _check_profile(theta, -np.inf, np.inf, "fisher_clipped_awgn")
     loss = _clip_term(np.stack([clip + t, clip - t]))
     j = 1.0 - loss[0] - loss[1]
     return float(j) if np.ndim(theta) == 0 else j
@@ -224,7 +244,7 @@ def _pmf_fisher(p, dp):
     return terms.sum(axis=-1)
 
 
-def fisher_quantized_awgn(theta, thresholds, peak=None):
+def fisher_quantized_awgn(theta, thresholds):
     """Fisher information of the L-level quantized Gaussian channel.
 
     J(theta) = sum_l [phi(theta-t_{l-1}) - phi(theta-t_l)]^2
@@ -232,8 +252,7 @@ def fisher_quantized_awgn(theta, thresholds, peak=None):
     with phi(+-inf) = 0, Q(-inf) = 1, Q(inf) = 0.  Cells whose mass
     underflows contribute nothing.
     """
-    lo, hi = (-peak, peak) if peak is not None else (-np.inf, np.inf)
-    th = _check_profile(theta, lo, hi, "fisher_quantized_awgn")
+    th = _check_profile(theta, -np.inf, np.inf, "fisher_quantized_awgn")
     j = _pmf_fisher(*quantized_pmf_dtheta(th, thresholds))
     return float(j) if np.ndim(theta) == 0 else j
 
@@ -254,7 +273,7 @@ def _energy_density_score(y, theta):
     return 0.5 * np.exp(expo) * i0, -2.0 * theta + root * ratio
 
 
-def fisher_energy_detection(theta, peak=None):
+def fisher_energy_detection(theta):
     """Fisher information of the magnitude-only complex Gaussian channel.
 
     Given theta = |x|, the statistic 2|y|^2 is noncentral chi-square with
@@ -263,8 +282,7 @@ def fisher_energy_detection(theta, peak=None):
     Bessels and one semi-infinite quadrature over the whole batch of
     theta values, each to abs 1e-13 or rel 1e-11.
     """
-    hi = peak if peak is not None else np.inf
-    th = _check_profile(theta, 0.0, hi, "fisher_energy_detection")
+    th = _check_profile(theta, 0.0, np.inf, "fisher_energy_detection")
     flat = np.ravel(th)
     out = np.zeros(flat.shape)
     live = flat > 0.0  # the score is identically zero at theta = 0
@@ -279,7 +297,7 @@ def fisher_energy_detection(theta, peak=None):
     return float(out[0]) if np.ndim(theta) == 0 else out.reshape(th.shape)
 
 
-def mimo_sqrt_det_fisher(r, nt, sigma2, peak=None):
+def mimo_sqrt_det_fisher(r, nt, sigma2):
     """sqrt(det J) as a function of the input radius, isotropic estimate error.
 
     For channel-estimate rows with uncorrelated real/imaginary parts of
@@ -293,8 +311,7 @@ def mimo_sqrt_det_fisher(r, nt, sigma2, peak=None):
         raise DomainError("mimo_sqrt_det_fisher: sigma2 must lie in (0, 1)")
     if nt < 1:
         raise DomainError("mimo_sqrt_det_fisher: nt must be >= 1")
-    hi = peak if peak is not None else np.inf
-    rr = _check_profile(r, 0.0, hi, "mimo_sqrt_det_fisher")
+    rr = _check_profile(r, 0.0, np.inf, "mimo_sqrt_det_fisher")
     denom = 1.0 + sigma2 * rr * rr
     base = (2.0 * (1.0 - sigma2) / denom) ** nt
     bump = np.sqrt(1.0 + (2.0 * sigma2 ** 2 / (1.0 - sigma2)) * rr * rr / denom)
@@ -302,16 +319,14 @@ def mimo_sqrt_det_fisher(r, nt, sigma2, peak=None):
     return float(out) if np.ndim(r) == 0 else out
 
 
-def mimo_fisher_matrix(theta, nt, sigma2, gamma=None):
+def mimo_fisher_matrix(theta, nt, sigma2):
     """Dense Fisher matrix of the imperfect-CSI fading channel.
 
     theta stacks real and imaginary input parts (length 2 nt).  With
-    lifted estimate covariance Gamma,
+    the isotropic lifted estimate covariance Gamma = (1 - sigma2) I,
 
         J = 2/(1+sigma2 |theta|^2) Gamma
             + 4 sigma2^2/(1+sigma2 |theta|^2)^2 theta theta^T.
-
-    ``gamma=None`` uses the isotropic example (1 - sigma2) I.
     """
     if not 0.0 < sigma2 < 1.0:
         raise DomainError("mimo_fisher_matrix: sigma2 must lie in (0, 1)")
@@ -319,18 +334,16 @@ def mimo_fisher_matrix(theta, nt, sigma2, gamma=None):
     d = 2 * nt
     if th.shape != (d,):
         raise DomainError(f"mimo_fisher_matrix: theta must have shape ({d},)")
-    if gamma is None:
-        gamma = (1.0 - sigma2) * np.eye(d)
+    gamma = (1.0 - sigma2) * np.eye(d)
     s = 1.0 + sigma2 * float(th @ th)
-    return (2.0 / s) * np.asarray(gamma, dtype=float) + (4.0 * sigma2 ** 2 / s ** 2) * np.outer(th, th)
+    return (2.0 / s) * gamma + (4.0 * sigma2 ** 2 / s ** 2) * np.outer(th, th)
 
 
-def fisher_noncoherent(theta, sigma2, peak=None):
+def fisher_noncoherent(theta, sigma2):
     """Fisher information of the noncoherent channel, J = 4 s^2 t^2/(1+s t^2)^2."""
     if not sigma2 > 0:
         raise DomainError("fisher_noncoherent: sigma2 must be positive")
-    hi = peak if peak is not None else np.inf
-    t = _check_profile(theta, 0.0, hi, "fisher_noncoherent")
+    t = _check_profile(theta, 0.0, np.inf, "fisher_noncoherent")
     denom = 1.0 + sigma2 * t * t
     j = 4.0 * sigma2 ** 2 * t * t / (denom * denom)
     return float(j) if np.ndim(theta) == 0 else j
@@ -341,14 +354,14 @@ def _validate_discrete(dist, name):
     probs = np.asarray(dist[1], dtype=float)
     if values.ndim != 1 or values.shape != probs.shape or values.size == 0:
         raise ValidationError(f"{name}: expected (values, probs) 1-D pair")
-    if np.any(values < 0):
-        raise DomainError(f"{name}: support must be nonnegative")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        raise DomainError(f"{name}: support must be finite and nonnegative")
+    if not np.all(np.isfinite(probs) & (probs >= 0)) or abs(probs.sum() - 1.0) > 1e-12:
         raise ValidationError(f"{name}: probs must be a probability vector")
     return values, probs
 
 
-def fisher_poisson(theta, h_dist, mu_dist, peak=None):
+def fisher_poisson(theta, h_dist, mu_dist):
     """Optical intensity channel with receiver-known fading and background.
 
     J(theta) = E_{h,mu}[h^2 / (h theta + mu)] over the finite supports of
@@ -356,9 +369,7 @@ def fisher_poisson(theta, h_dist, mu_dist, peak=None):
     """
     hv, hp = _validate_discrete(h_dist, "fisher_poisson h_dist")
     mv, mp = _validate_discrete(mu_dist, "fisher_poisson mu_dist")
-    hi = peak if peak is not None else np.inf
-    t = _check_profile(theta, 0.0, hi, "fisher_poisson")
-    th = np.asarray(t, dtype=float)
+    th = _check_profile(theta, 0.0, np.inf, "fisher_poisson")
     denom = hv[:, None, None] * th[None, None, ...] + mv[None, :, None]
     if np.any(denom <= 0):
         raise DomainError("fisher_poisson: h*theta + mu must be positive on the support")
@@ -368,7 +379,7 @@ def fisher_poisson(theta, h_dist, mu_dist, peak=None):
     return float(j) if np.ndim(theta) == 0 else j
 
 
-def fisher_dithered_1bit(theta, dither, peak=None):
+def fisher_dithered_1bit(theta, dither):
     """1-bit ADC with receiver-known dither shifts.
 
     J(theta) = E_s[phi^2(theta-s) / (Q(theta-s)(1 - Q(theta-s)))],
@@ -377,10 +388,9 @@ def fisher_dithered_1bit(theta, dither, peak=None):
     """
     if not isinstance(dither, DitherSet):
         raise ValidationError("fisher_dithered_1bit: dither must be a DitherSet")
-    lo, hi = (-peak, peak) if peak is not None else (-np.inf, np.inf)
-    t = _check_profile(theta, lo, hi, "fisher_dithered_1bit")
+    t = _check_profile(theta, -np.inf, np.inf, "fisher_dithered_1bit")
     pts, w = dither.arrays()
-    u = np.asarray(t)[..., None] - pts
+    u = t[..., None] - pts
     _, _, h_up, h_down = _gauss_tails(u)  # phi/Q at u and at -u, one tail pass
     terms = h_up * h_down
     j = (terms * w).sum(axis=-1)
@@ -399,16 +409,24 @@ def output_pmf_finite(channel, theta):
 # ---------------------------------------------------------------------------
 
 def _interval_channel(kind, A, lo, fisher, params, **outputs):
-    """The spec on [lo, A] whose params are kind, A and ``params``; default cost and sqrt(J)."""
-    return ChannelSpec(kind=kind, param_space=ParameterSpace.interval(lo, A), fisher=fisher,
+    """The spec on [lo, A] whose params are kind, A and ``params``; default cost and sqrt(J).
+
+    Checks the peak, and wraps ``fisher`` and any ``sqrt_det_fisher`` or
+    ``output_pmf`` in ``outputs`` so that they take theta in [lo, A] only.
+    """
+    if not (math.isfinite(A) and A > lo):
+        raise ValidationError(f"{kind}_channel: peak must be finite and positive")
+    for name in ("sqrt_det_fisher", "output_pmf"):
+        if name in outputs:
+            outputs[name] = _on_space(outputs[name], lo, A, f"{kind}.{name}")
+    return ChannelSpec(kind=kind, param_space=ParameterSpace.interval(lo, A),
+                       fisher=_on_space(fisher, lo, A, f"{kind}.fisher"),
                        params={"kind": kind, "A": A, **params}, **outputs)
 
 
 def awgn_channel(peak):
     """Real AWGN with unit noise variance, input on [-A, A]."""
     A = float(peak)
-    if not A > 0:
-        raise ValidationError("awgn_channel: peak must be positive")
 
     def logdensity_dtheta(y, theta):
         r = np.asarray(y, dtype=float) - theta
@@ -424,8 +442,8 @@ def awgn_channel(peak):
 def clipped_awgn_channel(peak, clip):
     """AWGN whose output saturates at +-B (atoms at the rails)."""
     A, B = float(peak), float(clip)
-    if not (A > 0 and B > 0):
-        raise ValidationError("clipped_awgn_channel: peak and clip must be positive")
+    if not (math.isfinite(B) and B > 0):
+        raise ValidationError("clipped_awgn_channel: clip must be finite and positive")
 
     def logdensity_dtheta(y, theta):
         # Density w.r.t. Lebesgue measure on (-B, B) plus atoms at +-B.
@@ -439,7 +457,7 @@ def clipped_awgn_channel(peak, clip):
         return logp, dlog
 
     return _interval_channel(
-        "clipped_awgn", A, -A, lambda t: fisher_clipped_awgn(t, B, peak=A), {"B": B},
+        "clipped_awgn", A, -A, lambda t: fisher_clipped_awgn(t, B), {"B": B},
         output_logdensity_dtheta=logdensity_dtheta,
     )
 
@@ -449,32 +467,33 @@ def truncated_awgn_channel(peak, support_radius):
 
     Serves as the bounded-tail case for quantized-receiver scaling
     studies.  J(theta) is the variance of the truncated Gaussian.
+    Needs z = P(|y| < B | theta) to be a normal float on all of
+    [-A, A]; z is smallest at theta = +-A.
     """
     A, B = float(peak), float(support_radius)
-    if not (A > 0 and B > 0):
-        raise ValidationError("truncated_awgn_channel: peak and radius must be positive")
+    if not (math.isfinite(B) and B > 0):
+        raise ValidationError("truncated_awgn_channel: radius must be finite and positive")
 
     def _z_dz(theta):
         # P(|y| < B | theta) and its theta-derivative
         t = np.asarray(theta, dtype=float)
         return gauss_mass(-B - t, B - t), _phi_raw(-B - t) - _phi_raw(B - t)
 
-    def fisher(theta):
-        t = _check_profile(theta, -A, A, "truncated_awgn.fisher")
+    def fisher(t):
         a = -B - t
         b = B - t
         z = gauss_mass(a, b)
         pa, pb = _phi_raw(a), _phi_raw(b)
-        j = 1.0 + (a * pa - b * pb) / z - ((pa - pb) / z) ** 2
-        return float(j) if np.ndim(theta) == 0 else j
+        return 1.0 + (a * pa - b * pb) / z - ((pa - pb) / z) ** 2
 
     def cell_mass_dtheta(theta, cuts):
-        # the AWGN cells with every edge clipped to [-B, B], normalized by P(|y| < B)
+        # the AWGN cells with every edge clipped to [-B, B], normalized by P(|y| < B);
+        # the derivative divides by z twice in turn, never by z * z, which underflows first
         t = np.asarray(theta, dtype=float)[..., None]
         c = np.clip(_validate_thresholds(cuts), -B, B)
         m, dm = _gauss_cells(np.concatenate(([-B], c, [B])) - t)
         z, dz = _z_dz(t)
-        return m / z, dm / z - m * dz / (z * z)
+        return m / z, dm / z - (m / z) * (dz / z)
 
     def logdensity_dtheta(y, theta):
         yy = np.asarray(y, dtype=float)
@@ -484,41 +503,33 @@ def truncated_awgn_channel(peak, support_radius):
         z, dz = _z_dz(theta)
         return (-0.5 * np.log(2.0 * np.pi) - 0.5 * r * r - np.log(z), r - dz / z)
 
-    return _interval_channel(
+    spec = _interval_channel(
         "truncated_awgn", A, -A, fisher, {"B": B},
         output_logdensity_dtheta=logdensity_dtheta,
         cell_mass_dtheta=cell_mass_dtheta,
     )
+    if not _cell_mass(np.array([-B - A, B - A]))[0] >= sys.float_info.min:  # z at theta = A
+        raise ValidationError(
+            f"truncated_awgn_channel: P(|y| < B) at theta = A is below the normal float range "
+            f"(A={A}, B={B})")
+    return spec
 
 
 def quantized_awgn_channel(peak, thresholds):
     """AWGN followed by an L-level ADC with the given thresholds."""
     A = float(peak)
     t = _validate_thresholds(thresholds)
-    if not A > 0:
-        raise ValidationError("quantized_awgn_channel: peak must be positive")
-
-    def pmf(theta):
-        th = _check_profile(theta, -A, A, "quantized_awgn.output_pmf")
-        p, _ = quantized_pmf_dtheta(th, t)
-        return p
 
     return _interval_channel(
-        "quantized_awgn", A, -A, lambda x: fisher_quantized_awgn(x, t, peak=A),
+        "quantized_awgn", A, -A, lambda x: fisher_quantized_awgn(x, t),
         {"thresholds": [float(x) for x in t]},
         alphabet_size=t.size + 1,
-        output_pmf=pmf,
+        output_pmf=lambda th: quantized_pmf_dtheta(th, t)[0],
     )
 
 
 def energy_detection_channel(peak):
     """Complex AWGN observed through the magnitude only; theta = |x| in [0, A]."""
-    A = float(peak)
-    if not A > 0:
-        raise ValidationError("energy_detection_channel: peak must be positive")
-
-    def fisher(theta):
-        return fisher_energy_detection(theta, peak=A)
 
     def logdensity_dtheta(y, theta):
         # y here is the scaled energy statistic 2|output|^2
@@ -531,7 +542,7 @@ def energy_detection_channel(peak):
         return logp, score
 
     return _interval_channel(
-        "energy_detection", A, 0.0, fisher, {},
+        "energy_detection", float(peak), 0.0, lambda t: fisher_energy_detection(t), {},
         output_logdensity_dtheta=logdensity_dtheta,
     )
 
@@ -543,53 +554,48 @@ def mimo_imperfect_csi_channel(peak, nt, sigma2):
     sqrt(det J) depend on the radius only.
     """
     A = float(peak)
+    if not (math.isfinite(A) and A > 0 and float(nt).is_integer() and nt >= 1):
+        raise ValidationError(
+            "mimo_imperfect_csi_channel: need a finite peak > 0 and an integer nt >= 1")
     nt = int(nt)
-    if not A > 0 or nt < 1:
-        raise ValidationError("mimo_imperfect_csi_channel: need peak > 0 and nt >= 1")
     if not 0.0 < sigma2 < 1.0:
         raise DomainError("mimo_imperfect_csi_channel: sigma2 must lie in (0, 1)")
+
+    def fisher(th):
+        _check_profile(np.linalg.norm(th), 0.0, A, "mimo_imperfect_csi.fisher")
+        return mimo_fisher_matrix(th, nt, sigma2)
 
     return ChannelSpec(
         kind="mimo_imperfect_csi",
         param_space=ParameterSpace.ball(dim=2 * nt, radius=A),
-        fisher=lambda th: mimo_fisher_matrix(th, nt, sigma2),
-        sqrt_det_fisher=lambda r: mimo_sqrt_det_fisher(r, nt, sigma2, peak=A),
+        fisher=fisher,
+        sqrt_det_fisher=_on_space(lambda r: mimo_sqrt_det_fisher(r, nt, sigma2), 0.0, A,
+                                  "mimo_imperfect_csi.sqrt_det_fisher"),
         params={"kind": "mimo_imperfect_csi", "A": A, "nt": nt, "sigma2": float(sigma2)},
     )
 
 
 def noncoherent_channel(peak, sigma2):
     """Fading with no channel estimate; output depends on |x| = theta only."""
-    A = float(peak)
-    if not A > 0:
-        raise ValidationError("noncoherent_channel: peak must be positive")
-    if not sigma2 > 0:
-        raise DomainError("noncoherent_channel: sigma2 must be positive")
-
-    def sdf(theta):
-        t = _check_profile(theta, 0.0, A, "noncoherent.sqrt_det_fisher")
-        out = 2.0 * sigma2 * t / (1.0 + sigma2 * t * t)
-        return float(out) if np.ndim(theta) == 0 else out
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise DomainError("noncoherent_channel: sigma2 must be finite and positive")
 
     return _interval_channel(
-        "noncoherent", A, 0.0, lambda t: fisher_noncoherent(t, sigma2, peak=A),
+        "noncoherent", float(peak), 0.0, lambda t: fisher_noncoherent(t, sigma2),
         {"sigma2": float(sigma2)},
-        sqrt_det_fisher=sdf,
+        sqrt_det_fisher=lambda t: 2.0 * sigma2 * t / (1.0 + sigma2 * t * t),
     )
 
 
 def poisson_channel(peak, h_dist, mu_dist):
     """Optical intensity channel; theta in [0, A] is the transmitted intensity."""
-    A = float(peak)
-    if not A > 0:
-        raise ValidationError("poisson_channel: peak must be positive")
     hv, hp = _validate_discrete(h_dist, "poisson_channel h_dist")
     mv, mp = _validate_discrete(mu_dist, "poisson_channel mu_dist")
     h = (hv, hp)
     mu = (mv, mp)
 
     return _interval_channel(
-        "poisson", A, 0.0, lambda t: fisher_poisson(t, h, mu, peak=A),
+        "poisson", float(peak), 0.0, lambda t: fisher_poisson(t, h, mu),
         {"h": {"values": hv.tolist(), "probs": hp.tolist()},
          "mu": {"values": mv.tolist(), "probs": mp.tolist()}},
     )
@@ -602,21 +608,18 @@ def dithered_onebit_channel(peak, dither):
     p(y, s | theta) = p(s) Q((s - theta) y).
     """
     A = float(peak)
-    if not A > 0:
-        raise ValidationError("dithered_onebit_channel: peak must be positive")
     if not isinstance(dither, DitherSet):
         dither = DitherSet.uniform(dither)
     pts, w = dither.arrays()
 
-    def pmf(theta):
-        th = _check_profile(theta, -A, A, "dithered_onebit.output_pmf")
-        u = pts - np.asarray(th)[..., None]
+    def pmf(th):
+        u = pts - th[..., None]
         q_plus, q_minus = _q_pair(u)  # y = +1, y = -1
         stacked = np.stack([w * q_plus, w * q_minus], axis=-1)
-        return stacked.reshape(np.asarray(th).shape + (2 * pts.size,))
+        return stacked.reshape(th.shape + (2 * pts.size,))
 
     return _interval_channel(
-        "dithered_onebit", A, -A, lambda t: fisher_dithered_1bit(t, dither, peak=A),
+        "dithered_onebit", A, -A, lambda t: fisher_dithered_1bit(t, dither),
         {"points": pts.tolist(), "weights": w.tolist()},
         alphabet_size=2 * pts.size,
         output_pmf=pmf,

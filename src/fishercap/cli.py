@@ -124,9 +124,8 @@ def _cmd_jf(args, channel):
     lo, hi, n = _parse_grid(args.lambda_grid)
     rows = []
     for lam in np.linspace(lo, hi, n):
-        jf = _jef.jeffreys_factor(channel, lam, P)
-        m = _jef.average_cost(channel, lam)
-        rows.append((float(lam), float(jf), float(m)))
+        prior = _jef.tilted_prior(channel, lam)
+        rows.append((float(lam), float(prior.jf(P)), float(prior.m)))
     return _csv(
         ["lambda (per power unit)", "jeffreys_factor (dimensionless)", "avg_cost (power units)"],
         rows,

@@ -53,9 +53,8 @@ Tables are built at first use and kept in one LRU cache of at most
 """
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -74,7 +73,6 @@ LN2 = math.log(2.0)
 
 _PRIOR_RULE = QuadRule(abs_tol=1e-14, rel_tol=1e-12)
 _TABLE_CACHE_SIZE = 8
-_TABLES = OrderedDict()  # id(channel) -> (channel, _ProfileTable), least recent first
 _GRADE_BITS = 8.0
 _MAX_DOUBLINGS = 200
 _M_TOL_REL, _BRACKET_TOL = 1e-10, 1e-12  # the tilt bisection's stopping rule
@@ -256,16 +254,10 @@ class TiltedPrior:
         return min(max(0.5 * (a + b) + 0.5 * (b - a) * s, a), b)
 
 
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _table(channel):
-    """The channel's profile table from the LRU cache, built at first use."""
-    key = id(channel)  # the cache holds the channel, so its id stays unique
-    entry = _TABLES.get(key)
-    if entry is None:
-        entry = _TABLES[key] = (channel, _ProfileTable(channel))
-        while len(_TABLES) > _TABLE_CACHE_SIZE:
-            _TABLES.popitem(last=False)
-    _TABLES.move_to_end(key)
-    return entry[1]
+    """The channel's profile table, built at first use (``ChannelSpec`` hashes by identity)."""
+    return _ProfileTable(channel)
 
 
 def _check_lambda(lam):

@@ -37,7 +37,7 @@ from .errors import BudgetError, ConvergenceError, DomainError, ValidationError
 from .quad import _check_grid_size, _midpoints, integrate_interval
 from .specfun import SQRT_2PI, log_gamma
 
-EVAL_BUDGET_DEFAULT = 10 ** 8
+_EVAL_BUDGET = 10 ** 8  # log-pmf evaluations one MI or BA call may enumerate
 _LOG_ZERO = -1e6  # stand-in for log 0; k * _LOG_ZERO stays finite, exp() is exactly 0
 _BLOCK_TYPES = 1 << 12  # types per streamed block (M x 4096 doubles stay cache-sized)
 _BA_MAX_ITER = 10 ** 4
@@ -168,17 +168,17 @@ def _log_pmf_matrix(pmf):
     return np.where(pmf > 0.0, logs, _LOG_ZERO)
 
 
-def _check_budget(n_r, parts, num_inputs, budget):
+def _check_budget(n_r, parts, num_inputs):
     n_types = math.comb(n_r + parts - 1, parts - 1)
-    if n_types * num_inputs > budget:
+    if n_types * num_inputs > _EVAL_BUDGET:
         raise BudgetError(
             f"mutual_info: {n_types} types x {num_inputs} inputs exceeds the "
-            f"budget of {budget} log-pmf evaluations; reduce L or n_r, or fall "
+            f"budget of {_EVAL_BUDGET} log-pmf evaluations; reduce L or n_r, or fall "
             "back to Monte-Carlo estimation outside this library"
         )
 
 
-def mi_from_pmf_matrix(pmf, weights, n_r, budget=EVAL_BUDGET_DEFAULT):
+def mi_from_pmf_matrix(pmf, weights, n_r):
     """I(X; T) in bits for the per-antenna pmf matrix p(l | x_i).
 
     Sums over every multinomial type of n_r draws, streamed in blocks
@@ -195,7 +195,7 @@ def mi_from_pmf_matrix(pmf, weights, n_r, budget=EVAL_BUDGET_DEFAULT):
     parts = pmf.shape[1]
     if parts == 1:
         return 0.0  # a single-outcome alphabet carries no information
-    _check_budget(n_r, parts, pmf.shape[0], budget)
+    _check_budget(n_r, parts, pmf.shape[0])
     logp = _log_pmf_matrix(pmf)
     logw = np.where(w > 0.0, np.log(np.clip(w, 1e-300, None)), _LOG_ZERO)
 
@@ -215,10 +215,10 @@ def _pmf_for_points(channel, points):
     return np.asarray(output_pmf_finite(channel, pts), dtype=float)
 
 
-def mi_finite_output(channel, input_dist, n_r, budget=EVAL_BUDGET_DEFAULT):
+def mi_finite_output(channel, input_dist, n_r):
     """Exact I(X; Y^{n_r}) in bits for a finite-output channel."""
     pmf = _pmf_for_points(channel, input_dist.points)
-    return mi_from_pmf_matrix(pmf, input_dist.probs, n_r, budget)
+    return mi_from_pmf_matrix(pmf, input_dist.probs, n_r)
 
 
 def discretize_prior(prior, grid_size):
@@ -234,13 +234,12 @@ def discretize_prior(prior, grid_size):
     return DiscreteInput(pts, w / total)
 
 
-def mi_prior_grid(channel, prior, grid_size, n_r, budget=EVAL_BUDGET_DEFAULT):
+def mi_prior_grid(channel, prior, grid_size, n_r):
     """Exact MI of the discretized tilted prior across n_r antennas."""
-    return mi_finite_output(channel, discretize_prior(prior, grid_size), n_r, budget)
+    return mi_finite_output(channel, discretize_prior(prior, grid_size), n_r)
 
 
-def blahut_arimoto(channel, points, n_r, tol=1e-9, budget=EVAL_BUDGET_DEFAULT,
-                   full_output=False):
+def blahut_arimoto(channel, points, n_r, tol=1e-9, full_output=False):
     """Capacity-achieving input weights over fixed points, via Blahut-Arimoto.
 
     Alternates the standard updates on the type-likelihood matrix until
@@ -256,7 +255,7 @@ def blahut_arimoto(channel, points, n_r, tol=1e-9, budget=EVAL_BUDGET_DEFAULT,
         raise DomainError("blahut_arimoto: n_r must be >= 1")
     pmf = _pmf_for_points(channel, pts)
     parts = pmf.shape[1]
-    _check_budget(n_r, parts, pts.size, budget)
+    _check_budget(n_r, parts, pts.size)
     logp = _log_pmf_matrix(pmf)
 
     # One (M x types) matrix E = exp(S - rm) holds all the likelihoods:

@@ -17,6 +17,8 @@ import numpy as np
 from .channels import CHANNEL_BUILDERS, _from_record, _interval_channel
 from .errors import DomainError, ValidationError
 
+_MAX_TERMS = 10 ** 6  # terms of the numerical sum in fisher_rate_limit
+
 
 @dataclass(frozen=True, eq=False)
 class Autocovariance:
@@ -91,14 +93,14 @@ def fisher_rate_finite(acov, n):
     return math.fsum(terms) / n
 
 
-def fisher_rate_limit(acov, max_terms=10 ** 6):
+def fisher_rate_limit(acov):
     """Limit 1 / sum_k gamma(k), summed numerically when no closed form is known."""
     if acov.series_sum is not None:
         total = float(acov.series_sum)
     else:
         total = float(acov.gamma(0))
         converged = 0
-        for k in range(1, max_terms + 1):
+        for k in range(1, _MAX_TERMS + 1):
             term = 2.0 * float(acov.gamma(k))
             total += term
             if abs(term) < 1e-15 * max(abs(total), 1.0):
@@ -123,16 +125,9 @@ def correlated_awgn_channel(peak, acov):
     ``channel_from_json(channel.params)`` rebuilds the channel.
     """
     A = float(peak)
-    if not A > 0:
-        raise ValidationError("correlated_awgn_channel: peak must be positive")
     rate = fisher_rate_limit(acov)
-
-    def const(theta):
-        t = np.asarray(theta, dtype=float)
-        out = np.full_like(t, rate)
-        return float(out) if np.ndim(theta) == 0 else out
-
-    return _interval_channel("correlated_awgn", A, -A, const, {"acov": acov.record})
+    return _interval_channel("correlated_awgn", A, -A, lambda t: np.full_like(t, rate),
+                             {"acov": acov.record})
 
 
 _ACOV_BUILDERS = {

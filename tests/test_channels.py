@@ -416,6 +416,73 @@ def test_channel_contract(kind):
     assert calls["cost"] > 0 and calls["sqrt_det_fisher"] > 0 and calls["fisher"] > 0
 
 
+@pytest.mark.parametrize("kind", sorted(CONTRACT_RECORDS))
+def test_callables_take_theta_in_the_space_only(kind):
+    channel = ch.channel_from_json(CONTRACT_RECORDS[kind])
+    lo, hi = channel.param_space.profile_bounds
+    mid = 0.5 * (lo + hi)
+    profile = {"sqrt_det_fisher": channel.sqrt_det_fisher, "output_pmf": channel.output_pmf}
+    if channel.param_space.shape == "interval":
+        profile["fisher"] = channel.fisher
+    else:  # fisher takes the full d-vector; its norm is the radius
+        unit = np.eye(channel.param_space.dim)[0]
+        assert channel.fisher(mid * unit).shape == (unit.size, unit.size)
+        for bad in (hi + 1e-9, math.nan):
+            with pytest.raises(DomainError, match=rf"^{kind}\.fisher"):
+                channel.fisher(bad * unit)
+    for name, fn in profile.items():
+        if fn is None:
+            continue
+        for bad in (lo - 1e-9, hi + 1e-9, math.nan, np.array([mid, math.nan])):
+            # the default sqrt_det_fisher is sqrt(fisher), whose message names fisher
+            with pytest.raises(DomainError, match=rf"^{kind}\."):
+                fn(bad)
+        if name == "output_pmf":
+            assert fn(mid).shape == (channel.alphabet_size,)
+        else:
+            assert isinstance(fn(mid), float)
+
+
+# Non-finite parameters, as JSON overflows them (1e999 is inf) or spells them (NaN).
+NON_FINITE_RECORDS = [
+    json.dumps({**rec, "A": "PEAK"}).replace('"PEAK"', "1e999") for rec in CONTRACT_RECORDS.values()
+] + [
+    '{"kind": "clipped_awgn", "A": 1, "B": 1e999}',
+    '{"kind": "truncated_awgn", "A": 1, "B": 1e999}',
+    '{"kind": "noncoherent", "A": 1, "sigma2": 1e999}',
+    '{"kind": "mimo_imperfect_csi", "A": 1, "nt": 2, "sigma2": 1e999}',
+    '{"kind": "mimo_imperfect_csi", "A": 1, "nt": 1e999, "sigma2": 0.1}',
+    '{"kind": "dithered_onebit", "A": 1, "points": [0, NaN]}',
+    '{"kind": "dithered_onebit", "A": 1, "points": [0, 1e999]}',
+    '{"kind": "dithered_onebit", "A": 1, "points": [0, 1], "weights": [NaN, 1]}',
+    '{"kind": "poisson", "A": 1, "h": {"values": [1e999], "probs": [1]},'
+    ' "mu": {"values": [0.1], "probs": [1]}}',
+    '{"kind": "poisson", "A": 1, "h": {"values": [1], "probs": [1]},'
+    ' "mu": {"values": [1e999], "probs": [1]}}',
+    '{"kind": "poisson", "A": 1, "h": {"values": [1, 2], "probs": [NaN, 1]},'
+    ' "mu": {"values": [0.1], "probs": [1]}}',
+]
+
+
+@pytest.mark.parametrize("record", NON_FINITE_RECORDS)
+def test_non_finite_parameters_fail_at_construction(record):
+    assert "1e999" in record or "NaN" in record
+    with pytest.raises((ValidationError, DomainError)):
+        ch.channel_from_json(record)
+
+
+def test_truncated_support_far_from_the_peak():
+    # z = P(|y| < B | theta = A) underflows at A=40, B=1: rejected when built
+    with pytest.raises(ValidationError, match="A=40.0, B=1.0"):
+        ch.truncated_awgn_channel(40.0, 1.0)
+    # at A=38 z stays a normal float; the cell-mass derivative no longer divides by z * z
+    channel = ch.truncated_awgn_channel(38.0, 1.0)
+    q = fc.build_quantizer(4.0, 64)
+    for theta in (30.0, 36.0, 38.0):
+        assert 0.0 < fc.quantized_fisher(channel, q, theta) < channel.fisher(theta) < 1.0
+    assert fc.solve_lambda_star(channel, 1.0).lambda_star > 0.0
+
+
 def test_ball_spec_needs_sqrt_det_fisher():
     with pytest.raises(ValidationError, match="sqrt_det_fisher"):
         ch.ChannelSpec(kind="ball", param_space=ch.ParameterSpace.ball(2, 1.0),
@@ -442,6 +509,8 @@ def test_channel_json_errors():
         ch.channel_from_json({"kind": "quantized_awgn", "A": 1.0})
     with pytest.raises(ValidationError):
         ch.channel_from_json("not json at all {")
+    with pytest.raises(ValidationError, match="integer nt"):
+        ch.channel_from_json({"kind": "mimo_imperfect_csi", "A": 1.0, "nt": 2.5, "sigma2": 0.1})
 
 
 def test_energy_detection_logdensity_normalized():

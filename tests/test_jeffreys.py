@@ -332,3 +332,10 @@ def test_invert_monotone_one_call_per_iteration():
     assert x ** 3 + x == pytest.approx(0.3, rel=1e-15)
     # each iteration evaluates F and F' together at one new point
     assert xs[0] == 1.5 and len(set(xs)) == len(xs) and 2 < len(xs) < 200
+
+
+def test_table_cache_holds_at_most_eight_tables():
+    for k in range(20):
+        fc.jeffreys_factor(fc.awgn_channel(1.0 + k), 0.5)
+    assert jef._TABLE_CACHE_SIZE == 8
+    assert jef._table.cache_info().currsize <= 8

@@ -100,7 +100,7 @@ def test_prior_grid_smoke_envelope():
 def test_budget_error(onebit):
     d = fc.DiscreteInput(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
     with pytest.raises(BudgetError):
-        fc.mi_finite_output(onebit, d, 100, budget=10)
+        fc.mi_finite_output(onebit, d, 10 ** 8)
 
 
 def test_input_validation(onebit):

@@ -45,7 +45,7 @@ def test_numeric_series_summation():
 def test_nonsummable_autocovariance_rejected():
     acov = fc.Autocovariance(gamma=lambda k: 1.0 / (abs(k) + 1.0))
     with pytest.raises(DomainError):
-        fc.fisher_rate_limit(acov, max_terms=10 ** 4)
+        fc.fisher_rate_limit(acov)
 
 
 def test_constant_autocovariance_not_pd():

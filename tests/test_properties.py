@@ -227,7 +227,7 @@ def _pair_mass(lo_edge, hi_edge, theta, B):
         return m, dm
     z = specfun.gauss_mass(-B - theta, B - theta)
     dz = specfun._phi_raw(-B - theta) - specfun._phi_raw(B - theta)
-    return m / z, dm / z - m * dz / (z * z)
+    return m / z, dm / z - (m / z) * (dz / z)
 
 
 def _pair_bins(q, theta, B):
