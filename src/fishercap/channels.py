@@ -23,14 +23,15 @@ A ``ChannelSpec`` bundles the callables the rest of the library needs:
   masses through ``cell_mass_dtheta(theta, cuts)``.
 
 Each check lives in one place.  A constructor checks the channel's
-parameters, all of which must be finite.  The spec's ``fisher``,
-``sqrt_det_fisher`` and ``output_pmf`` reject a theta that is not
-finite or lies outside the parameter space, and return a float for a
-scalar theta.  The public formula functions (``fisher_clipped_awgn``
-and the rest) check their own parameters and check theta only against
-its natural domain: finite, and nonnegative for magnitudes, intensities
-and radii.  ``fisher_awgn`` alone takes the peak, because the peak
-defines its formula.
+parameters, and each public formula function (``fisher_clipped_awgn``
+and the rest) its own, through the helper of ``errors`` for each kind:
+``_real`` for A, B and sigma2, ``_count`` for n_t, ``_probabilities``
+for weights.  The spec's ``fisher``, ``sqrt_det_fisher`` and
+``output_pmf`` reject a theta that is not finite or lies outside the
+parameter space, and return a float for a scalar theta.  The formula
+functions check theta only against its natural domain: finite, and
+nonnegative for magnitudes, intensities and radii.  ``fisher_awgn``
+alone takes the peak, because the peak defines its formula.
 
 The cell model is the L-level ADC's: sorted cut points c_1 < ... < c_K
 split the output line into the cells (-inf, c_1], ..., (c_K, inf), and
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _count, _probabilities, _real
 from .quad import QuadRule, integrate_semiinf
 from .specfun import _bessel_i01e, _cell_mass, _gauss_tails, _phi_raw, _q_pair, gauss_mass
 
@@ -74,14 +75,13 @@ class ParameterSpace:
     radius: float = 0.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("ParameterSpace.dim must be >= 1")
+        object.__setattr__(self, "dim", _count(self.dim, "ParameterSpace: dim", 1, ValidationError))
         if self.shape == "interval":
             if self.dim != 1 or not self.lo < self.hi:
                 raise ValidationError("interval space needs dim=1 and lo < hi")
         elif self.shape == "ball":
-            if not self.radius > 0:
-                raise ValidationError("ball space needs radius > 0")
+            object.__setattr__(self, "radius", _real(self.radius, "ParameterSpace: radius", 0.0,
+                                                     error=ValidationError))
         else:
             raise ValidationError(f"unknown shape {self.shape!r}")
 
@@ -91,7 +91,7 @@ class ParameterSpace:
 
     @classmethod
     def ball(cls, dim, radius):
-        return cls(dim=dim, shape="ball", radius=float(radius))
+        return cls(dim=dim, shape="ball", radius=radius)
 
     @property
     def profile_bounds(self):
@@ -110,15 +110,13 @@ class DitherSet:
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if p.ndim != 1 or p.size == 0 or p.shape != w.shape:
+        w = _probabilities(self.weights, "DitherSet: weights", 1e-12)
+        if p.shape != w.shape:
             raise ValidationError("DitherSet: points/weights must be matching 1-D sequences")
         if not np.all(np.isfinite(p)):
             raise ValidationError("DitherSet: points must be finite")
         if np.unique(p).size != p.size:
             raise ValidationError("DitherSet: points must be distinct")
-        if not np.all(np.isfinite(w) & (w >= 0)) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValidationError("DitherSet: weights must be a probability vector")
         object.__setattr__(self, "points", tuple(float(x) for x in p))
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
 
@@ -201,8 +199,7 @@ def fisher_clipped_awgn(theta, clip):
     (Q(s) + s phi(s) - phi(s)^2/Q(s)); the loss term vanishes as the
     clip level recedes.
     """
-    if not clip > 0:
-        raise DomainError("fisher_clipped_awgn: clip level must be positive")
+    clip = _real(clip, "fisher_clipped_awgn: clip", 0.0)
     t = _check_profile(theta, -np.inf, np.inf, "fisher_clipped_awgn")
     loss = _clip_term(np.stack([clip + t, clip - t]))
     j = 1.0 - loss[0] - loss[1]
@@ -307,10 +304,8 @@ def mimo_sqrt_det_fisher(r, nt, sigma2):
         sqrt(det J(r)) = (2(1-sigma2)/(1+sigma2 r^2))^nt
                          * sqrt(1 + (2 sigma2^2/(1-sigma2)) r^2/(1+sigma2 r^2)).
     """
-    if not 0.0 < sigma2 < 1.0:
-        raise DomainError("mimo_sqrt_det_fisher: sigma2 must lie in (0, 1)")
-    if nt < 1:
-        raise DomainError("mimo_sqrt_det_fisher: nt must be >= 1")
+    nt = _count(nt, "mimo_sqrt_det_fisher: nt", 1)
+    sigma2 = _real(sigma2, "mimo_sqrt_det_fisher: sigma2", 0.0, 1.0)
     rr = _check_profile(r, 0.0, np.inf, "mimo_sqrt_det_fisher")
     denom = 1.0 + sigma2 * rr * rr
     base = (2.0 * (1.0 - sigma2) / denom) ** nt
@@ -328,8 +323,8 @@ def mimo_fisher_matrix(theta, nt, sigma2):
         J = 2/(1+sigma2 |theta|^2) Gamma
             + 4 sigma2^2/(1+sigma2 |theta|^2)^2 theta theta^T.
     """
-    if not 0.0 < sigma2 < 1.0:
-        raise DomainError("mimo_fisher_matrix: sigma2 must lie in (0, 1)")
+    nt = _count(nt, "mimo_fisher_matrix: nt", 1)
+    sigma2 = _real(sigma2, "mimo_fisher_matrix: sigma2", 0.0, 1.0)
     th = np.asarray(theta, dtype=float)
     d = 2 * nt
     if th.shape != (d,):
@@ -341,8 +336,7 @@ def mimo_fisher_matrix(theta, nt, sigma2):
 
 def fisher_noncoherent(theta, sigma2):
     """Fisher information of the noncoherent channel, J = 4 s^2 t^2/(1+s t^2)^2."""
-    if not sigma2 > 0:
-        raise DomainError("fisher_noncoherent: sigma2 must be positive")
+    sigma2 = _real(sigma2, "fisher_noncoherent: sigma2", 0.0)
     t = _check_profile(theta, 0.0, np.inf, "fisher_noncoherent")
     denom = 1.0 + sigma2 * t * t
     j = 4.0 * sigma2 ** 2 * t * t / (denom * denom)
@@ -351,13 +345,11 @@ def fisher_noncoherent(theta, sigma2):
 
 def _validate_discrete(dist, name):
     values = np.asarray(dist[0], dtype=float)
-    probs = np.asarray(dist[1], dtype=float)
-    if values.ndim != 1 or values.shape != probs.shape or values.size == 0:
+    probs = _probabilities(dist[1], f"{name}: probs", 1e-12)
+    if values.shape != probs.shape:
         raise ValidationError(f"{name}: expected (values, probs) 1-D pair")
     if not np.all(np.isfinite(values) & (values >= 0)):
         raise DomainError(f"{name}: support must be finite and nonnegative")
-    if not np.all(np.isfinite(probs) & (probs >= 0)) or abs(probs.sum() - 1.0) > 1e-12:
-        raise ValidationError(f"{name}: probs must be a probability vector")
     return values, probs
 
 
@@ -411,11 +403,10 @@ def output_pmf_finite(channel, theta):
 def _interval_channel(kind, A, lo, fisher, params, **outputs):
     """The spec on [lo, A] whose params are kind, A and ``params``; default cost and sqrt(J).
 
-    Checks the peak, and wraps ``fisher`` and any ``sqrt_det_fisher`` or
-    ``output_pmf`` in ``outputs`` so that they take theta in [lo, A] only.
+    Wraps ``fisher`` and any ``sqrt_det_fisher`` or ``output_pmf`` in
+    ``outputs`` so that they take theta in [lo, A] only.  The constructor
+    has checked the peak A.
     """
-    if not (math.isfinite(A) and A > lo):
-        raise ValidationError(f"{kind}_channel: peak must be finite and positive")
     for name in ("sqrt_det_fisher", "output_pmf"):
         if name in outputs:
             outputs[name] = _on_space(outputs[name], lo, A, f"{kind}.{name}")
@@ -426,7 +417,7 @@ def _interval_channel(kind, A, lo, fisher, params, **outputs):
 
 def awgn_channel(peak):
     """Real AWGN with unit noise variance, input on [-A, A]."""
-    A = float(peak)
+    A = _real(peak, "awgn_channel: peak", 0.0, error=ValidationError)
 
     def logdensity_dtheta(y, theta):
         r = np.asarray(y, dtype=float) - theta
@@ -441,9 +432,8 @@ def awgn_channel(peak):
 
 def clipped_awgn_channel(peak, clip):
     """AWGN whose output saturates at +-B (atoms at the rails)."""
-    A, B = float(peak), float(clip)
-    if not (math.isfinite(B) and B > 0):
-        raise ValidationError("clipped_awgn_channel: clip must be finite and positive")
+    A = _real(peak, "clipped_awgn_channel: peak", 0.0, error=ValidationError)
+    B = _real(clip, "clipped_awgn_channel: B", 0.0, error=ValidationError)
 
     def logdensity_dtheta(y, theta):
         # Density w.r.t. Lebesgue measure on (-B, B) plus atoms at +-B.
@@ -470,9 +460,8 @@ def truncated_awgn_channel(peak, support_radius):
     Needs z = P(|y| < B | theta) to be a normal float on all of
     [-A, A]; z is smallest at theta = +-A.
     """
-    A, B = float(peak), float(support_radius)
-    if not (math.isfinite(B) and B > 0):
-        raise ValidationError("truncated_awgn_channel: radius must be finite and positive")
+    A = _real(peak, "truncated_awgn_channel: peak", 0.0, error=ValidationError)
+    B = _real(support_radius, "truncated_awgn_channel: B", 0.0, error=ValidationError)
 
     def _z_dz(theta):
         # P(|y| < B | theta) and its theta-derivative
@@ -517,7 +506,7 @@ def truncated_awgn_channel(peak, support_radius):
 
 def quantized_awgn_channel(peak, thresholds):
     """AWGN followed by an L-level ADC with the given thresholds."""
-    A = float(peak)
+    A = _real(peak, "quantized_awgn_channel: peak", 0.0, error=ValidationError)
     t = _validate_thresholds(thresholds)
 
     return _interval_channel(
@@ -541,8 +530,9 @@ def energy_detection_channel(peak):
             logp = np.log(density)  # -inf far in the tail
         return logp, score
 
+    A = _real(peak, "energy_detection_channel: peak", 0.0, error=ValidationError)
     return _interval_channel(
-        "energy_detection", float(peak), 0.0, lambda t: fisher_energy_detection(t), {},
+        "energy_detection", A, 0.0, lambda t: fisher_energy_detection(t), {},
         output_logdensity_dtheta=logdensity_dtheta,
     )
 
@@ -553,13 +543,9 @@ def mimo_imperfect_csi_channel(peak, nt, sigma2):
     Parameter space is the radius-A ball in R^(2 nt); cost and
     sqrt(det J) depend on the radius only.
     """
-    A = float(peak)
-    if not (math.isfinite(A) and A > 0 and float(nt).is_integer() and nt >= 1):
-        raise ValidationError(
-            "mimo_imperfect_csi_channel: need a finite peak > 0 and an integer nt >= 1")
-    nt = int(nt)
-    if not 0.0 < sigma2 < 1.0:
-        raise DomainError("mimo_imperfect_csi_channel: sigma2 must lie in (0, 1)")
+    A = _real(peak, "mimo_imperfect_csi_channel: peak", 0.0, error=ValidationError)
+    nt = _count(nt, "mimo_imperfect_csi_channel: nt", 1, ValidationError)
+    sigma2 = _real(sigma2, "mimo_imperfect_csi_channel: sigma2", 0.0, 1.0)
 
     def fisher(th):
         _check_profile(np.linalg.norm(th), 0.0, A, "mimo_imperfect_csi.fisher")
@@ -571,31 +557,31 @@ def mimo_imperfect_csi_channel(peak, nt, sigma2):
         fisher=fisher,
         sqrt_det_fisher=_on_space(lambda r: mimo_sqrt_det_fisher(r, nt, sigma2), 0.0, A,
                                   "mimo_imperfect_csi.sqrt_det_fisher"),
-        params={"kind": "mimo_imperfect_csi", "A": A, "nt": nt, "sigma2": float(sigma2)},
+        params={"kind": "mimo_imperfect_csi", "A": A, "nt": nt, "sigma2": sigma2},
     )
 
 
 def noncoherent_channel(peak, sigma2):
     """Fading with no channel estimate; output depends on |x| = theta only."""
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise DomainError("noncoherent_channel: sigma2 must be finite and positive")
+    A = _real(peak, "noncoherent_channel: peak", 0.0, error=ValidationError)
+    sigma2 = _real(sigma2, "noncoherent_channel: sigma2", 0.0)
 
     return _interval_channel(
-        "noncoherent", float(peak), 0.0, lambda t: fisher_noncoherent(t, sigma2),
-        {"sigma2": float(sigma2)},
+        "noncoherent", A, 0.0, lambda t: fisher_noncoherent(t, sigma2), {"sigma2": sigma2},
         sqrt_det_fisher=lambda t: 2.0 * sigma2 * t / (1.0 + sigma2 * t * t),
     )
 
 
 def poisson_channel(peak, h_dist, mu_dist):
     """Optical intensity channel; theta in [0, A] is the transmitted intensity."""
+    A = _real(peak, "poisson_channel: peak", 0.0, error=ValidationError)
     hv, hp = _validate_discrete(h_dist, "poisson_channel h_dist")
     mv, mp = _validate_discrete(mu_dist, "poisson_channel mu_dist")
     h = (hv, hp)
     mu = (mv, mp)
 
     return _interval_channel(
-        "poisson", float(peak), 0.0, lambda t: fisher_poisson(t, h, mu),
+        "poisson", A, 0.0, lambda t: fisher_poisson(t, h, mu),
         {"h": {"values": hv.tolist(), "probs": hp.tolist()},
          "mu": {"values": mv.tolist(), "probs": mp.tolist()}},
     )
@@ -607,7 +593,7 @@ def dithered_onebit_channel(peak, dither):
     Outcome order: (s_0, +1), (s_0, -1), (s_1, +1), ... with
     p(y, s | theta) = p(s) Q((s - theta) y).
     """
-    A = float(peak)
+    A = _real(peak, "dithered_onebit_channel: peak", 0.0, error=ValidationError)
     if not isinstance(dither, DitherSet):
         dither = DitherSet.uniform(dither)
     pts, w = dither.arrays()

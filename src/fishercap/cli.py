@@ -9,7 +9,6 @@ included), 2 numerical failure.
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -30,6 +29,7 @@ from .errors import (
     ToleranceError,
     UnboundedTiltError,
     ValidationError,
+    _real,
 )
 from .quad import _midpoints
 
@@ -78,10 +78,8 @@ def _load_json_arg(text):
 
 
 def _finite(name, value):
-    """value, unless it is a non-finite float (None passes)."""
-    if value is not None and not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return value
+    """value as a finite float (None passes)."""
+    return None if value is None else _real(value, name, error=ValidationError)
 
 
 def _parse_grid(text):

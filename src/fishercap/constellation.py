@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PositivityError, ValidationError
+from .errors import ConvergenceError, DomainError, PositivityError, ValidationError, _count, _real
 from .jeffreys import LN2, invert_monotone, prior_cdf_inverse, solve_lambda_star
 from .mutual_info import DiscreteInput
-from .quad import _check_grid_size, _midpoints
+from .quad import _midpoints
 
 _GRID_POINTS = 4097  # odd: the fit grid is integrated by composite Simpson
 _GAMMA_0, _GAMMA_MIN = 10.0, 1e-8  # first and last barrier weight
@@ -41,8 +41,7 @@ _GAMMAS = tuple(_GAMMAS)
 
 def midpoint_grid(m):
     """The m midpoints (2i - 1) / (2m), avoiding the cdf endpoints."""
-    _check_grid_size(m, "midpoint_grid: m")
-    return _midpoints(0.0, 1.0, m)
+    return _midpoints(0.0, 1.0, _count(m, "midpoint_grid: m", 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +58,7 @@ def _power_per_point(points):
 
 
 def _scaled_constellation(raw_points, P, probs=None):
+    P = _real(P, "constellation: P", 0.0)
     raw = np.asarray(raw_points, dtype=float)
     m = raw.shape[0]
     probs = np.full(m, 1.0 / m) if probs is None else np.asarray(probs, dtype=float)
@@ -76,9 +76,7 @@ def jeffreys_constellation(channel, P, M):
     probabilities; c_P = min(1, sqrt(P / mean raw power)) keeps the
     average power within budget.
     """
-    if M < 2:
-        raise DomainError("jeffreys_constellation: M must be >= 2")
-    grid = midpoint_grid(M)
+    grid = midpoint_grid(_count(M, "jeffreys_constellation: M", 2))
     prior = solve_lambda_star(channel, P).prior
     raw = np.array([prior_cdf_inverse(prior, u) for u in grid])
     return _scaled_constellation(raw, P)
@@ -87,9 +85,7 @@ def jeffreys_constellation(channel, P, M):
 def pam_constellation(channel, P, M):
     """Uniform grid on [lo, hi] under the same power scaling; the baseline."""
     lo, hi = channel.param_space.profile_bounds
-    if M < 2:
-        raise DomainError("pam_constellation: M must be >= 2")
-    return _scaled_constellation(np.linspace(lo, hi, M), P)
+    return _scaled_constellation(np.linspace(lo, hi, _count(M, "pam_constellation: M", 2)), P)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +181,7 @@ class BarrierObjective:
     """
 
     def __init__(self, channel, lam_star, degree, gamma):
-        if degree < 0:
-            raise DomainError("BarrierObjective: degree must be >= 0")
+        degree = _count(degree, "BarrierObjective: degree", 0)
         if channel.param_space.shape != "interval":
             raise DomainError("BarrierObjective: needs a 1-D interval parameter space")
         lo, hi = channel.param_space.profile_bounds
@@ -267,7 +262,6 @@ class BarrierObjective:
 class PolyFitInfo:
     gammas: list = field(default_factory=list)
     newton_iterations: list = field(default_factory=list)
-    stop_reasons: list = field(default_factory=list)
     objective_path: list = field(default_factory=list)
     min_hessian_eigenvalues: list = field(default_factory=list)
     final_gradient_norm: float = math.nan
@@ -295,7 +289,7 @@ def _newton_stage(problem, xi, max_newton, info):
         g = problem._gradient(f)
         gnorm = float(np.linalg.norm(g))
         if gnorm < _NEWTON_TOL:
-            return xi, iters, "gradient"
+            return xi, iters
         if iters >= max_newton:
             raise ConvergenceError(
                 f"fit_poly_density: Newton stalled at stage gamma={problem.gamma:g} "
@@ -311,7 +305,7 @@ def _newton_stage(problem, xi, max_newton, info):
         decrement2 = float(-g @ step)
         floor = 1.0 + abs(obj)
         if decrement2 * 0.5 <= 1e-15 * floor:
-            return xi, iters, "objective-floor"
+            return xi, iters
         info.min_hessian_eigenvalues.append(float(np.linalg.eigvalsh(h)[0]))
         df = problem.basis @ step
         neg = df < 0
@@ -330,7 +324,7 @@ def _newton_stage(problem, xi, max_newton, info):
             t *= 0.5
         if not accepted:
             if decrement2 * 0.5 <= 1e-12 * floor:
-                return xi, iters, "objective-floor"
+                return xi, iters
             raise ConvergenceError(
                 f"fit_poly_density: line search failed at stage gamma={problem.gamma:g}"
             )
@@ -348,26 +342,23 @@ def fit_poly_density(channel, lam_star, degree, max_newton=100, full_output=Fals
     ``max_newton`` steps.  Deterministic: identical inputs give
     identical iterates and iteration counts.
     """
-    if not max_newton >= 1:
-        raise ValidationError("fit_poly_density: need max_newton >= 1")
-    xi = np.zeros(degree)
+    max_newton = _count(max_newton, "fit_poly_density: max_newton", 1, ValidationError)
     info = PolyFitInfo()
     problem = BarrierObjective(channel, lam_star, degree, _GAMMAS[0])
+    xi = np.zeros(problem.degree)
     for gamma in _GAMMAS:
         problem.gamma = gamma
-        xi, iters, reason = _newton_stage(problem, xi, max_newton, info)
+        xi, iters = _newton_stage(problem, xi, max_newton, info)
         info.gammas.append(gamma)
         info.newton_iterations.append(iters)
-        info.stop_reasons.append(reason)
-        info.final_gradient_norm = float(np.linalg.norm(problem.gradient(xi)))
+    info.final_gradient_norm = float(np.linalg.norm(problem.gradient(xi)))
     poly = problem.to_poly_density(xi)
     return (poly, info) if full_output else poly
 
 
 def approx_jeffreys_constellation(p, P, M):
     """Constellation from the fitted polynomial cdf, same scaling rule."""
-    if M < 2:
-        raise DomainError("approx_jeffreys_constellation: M must be >= 2")
+    M = _count(M, "approx_jeffreys_constellation: M", 2)
     raw = np.array([poly_cdf_inverse(p, u) for u in midpoint_grid(M)])
     return _scaled_constellation(raw, P)
 
@@ -404,8 +395,6 @@ def radial_constellation_isotropic(channel, P, M_r, directions):
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise ValidationError("directions must be unit vectors")
-    if M_r < 1:
-        raise DomainError("radial_constellation_isotropic: M_r must be >= 1")
     grid = midpoint_grid(M_r)
     prior = solve_lambda_star(channel, P).prior
     radii = np.array([prior_cdf_inverse(prior, u) for u in grid])

@@ -1,4 +1,26 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the checks of its inputs.
+
+Each kind of input is checked by one private helper.  A call site names
+its value ``"site: name"`` and gets the value back converted:
+
+* ``_real(x, what, lo, hi, closed)``: a float, finite and in (lo, hi),
+  or in [lo, hi) when ``closed``; a str, bytes or bool is never real.
+* ``_count(n, what, least)``: an int >= least, from a Python or numpy
+  integer or an integer-valued float (the JSON ``2.0``); a bool is never
+  a count, and 2.5 is refused, never truncated.
+* ``_probabilities(p, what, tol)``: a 1-D float array of finite,
+  nonnegative numbers (never strings or bools) summing to 1 within
+  ``tol``.
+
+A value of the wrong type raises ValidationError, as does a malformed
+probability vector.  A value of the right type outside its range raises
+the site's ``error`` (DomainError unless the site passes another), so
+each site keeps the exception class it has always raised.
+"""
+
+import math
+
+import numpy as np
 
 
 class FisherCapError(Exception):
@@ -44,3 +66,54 @@ class RangeError(FisherCapError, OverflowError):
 
 class PositivityError(FisherCapError, ValueError):
     """A density that must be strictly positive vanishes on the grid."""
+
+
+_NOT_REAL = (str, bytes, bool, np.bool_)
+_INTEGER_TYPES = (int, np.integer)
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _need(what, wanted, got):
+    # "site: need <wanted>, got <got>" for what = "site: name"; {} in wanted stands for name
+    site, _, name = what.rpartition(": ")
+    text = f"need {wanted.format(name)}, got {got!r}"
+    return f"{site}: {text}" if site else text
+
+
+def _real(x, what, lo=-math.inf, hi=math.inf, closed=False, error=DomainError):
+    """float(x), finite and in (lo, hi), or in [lo, hi) when ``closed``; see the module docstring."""
+    if not isinstance(x, _NOT_REAL):
+        try:
+            v = float(x)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if math.isfinite(v) and (v >= lo if closed else v > lo) and v < hi:
+                return v
+            rule = f" {'>=' if closed else '>'} {lo:g}" if lo > -math.inf else ""
+            if hi < math.inf:
+                rule += f"{' and' if rule else ''} < {hi:g}"
+            raise error(_need(what, "a finite {}" + rule, x))
+    raise ValidationError(_need(what, "a real {}", x))
+
+
+def _count(n, what, least, error=DomainError):
+    """int(n) for an integer-valued n >= least; see the module docstring."""
+    if isinstance(n, bool) or not isinstance(n, _REAL_TYPES):
+        raise ValidationError(_need(what, f"an integer {{}} >= {least}", n))
+    if (isinstance(n, _INTEGER_TYPES) or float(n).is_integer()) and n >= least:
+        return int(n)
+    raise error(_need(what, f"an integer {{}} >= {least}", n))
+
+
+def _probabilities(p, what, tol):
+    """p as a 1-D float array of finite nonnegative numbers summing to 1 within tol."""
+    try:
+        v = np.asarray(p)
+    except ValueError:  # a ragged sequence
+        v = np.asarray(None)
+    if v.dtype.kind in "iuf" and v.ndim == 1:  # no strings, bools or objects
+        v = v.astype(float, copy=False)
+        if np.all(np.isfinite(v) & (v >= 0)) and abs(v.sum() - 1.0) <= tol:
+            return v
+    raise ValidationError(f"{what} must be a probability vector")

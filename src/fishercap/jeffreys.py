@@ -65,6 +65,7 @@ from .errors import (
     PositivityError,
     RangeError,
     UnboundedTiltError,
+    _real,
 )
 from .quad import NODES, WEIGHTS, QuadRule, _midpoints, integrate_interval, quad
 from .specfun import log_gamma
@@ -213,6 +214,7 @@ class TiltedPrior:
         return self.lam * (P - self.table.c_min) + math.log2(self.z)
 
     def jf(self, P):
+        P = _real(P, "TiltedPrior.jf: P")
         log2_jf = self.log2_jf(P)
         jf = 2.0 ** log2_jf if log2_jf < 1024.0 else math.inf
         if not 0.0 < jf < math.inf:
@@ -260,37 +262,22 @@ def _table(channel):
     return _ProfileTable(channel)
 
 
-def _check_lambda(lam):
-    lam = float(lam)
-    if not (np.isfinite(lam) and lam >= 0):
-        raise DomainError("tilt lambda must be finite and >= 0")
-    return lam
-
-
-def _check_power(P, what):
-    P = float(P)
-    if not np.isfinite(P):
-        raise DomainError(f"{what}: P must be finite")
-    return P
-
-
 def jeffreys_factor(channel, lam, P=0.0):
     """JF(lambda) = integral over Theta of 2^(-lambda (c - P)) sqrt(det J).
 
     Raises RangeError when JF over- or underflows a float.
     """
-    lam = _check_lambda(lam)
-    return _table(channel).tilt(lam).jf(_check_power(P, "jeffreys_factor"))
+    return _table(channel).tilt(_real(lam, "jeffreys_factor: lambda", 0.0, closed=True)).jf(P)
 
 
 def tilted_prior(channel, lam, P=0.0):
     """The tilted Jeffreys prior at lam (the tilt does not depend on P)."""
-    return _table(channel).tilt(_check_lambda(lam))
+    return _table(channel).tilt(_real(lam, "tilted_prior: lambda", 0.0, closed=True))
 
 
 def average_cost(channel, lam):
     """Tilted mean cost M(lambda), from the node sums of the tabulated weight."""
-    return _table(channel).tilt(_check_lambda(lam)).m
+    return _table(channel).tilt(_real(lam, "average_cost: lambda", 0.0, closed=True)).m
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,8 +299,7 @@ class JeffreysSolution:
 
     def capacity_fn(self, n_r):
         """(d/2) log2(n_r / 2 pi e) + log2 JF(lambda*), for a finite n_r >= 1."""
-        if not 1 <= n_r < math.inf:
-            raise DomainError(f"capacity_fn: n_r must be finite and >= 1, got {n_r!r}")
+        n_r = _real(n_r, "capacity_fn: n_r", 1.0, closed=True)
         d = self.prior.table.channel.param_space.dim
         return 0.5 * d * math.log2(n_r / (2.0 * math.pi * math.e)) + self.log2_jf
 
@@ -357,9 +343,7 @@ def solve_lambda_star(channel, P):
     evaluating M.  Raises UnboundedTiltError iff the smallest cost on the
     space is >= P.
     """
-    P = _check_power(P, "solve_lambda_star")
-    if not P > 0:
-        raise DomainError("solve_lambda_star: P must be positive")
+    P = _real(P, "solve_lambda_star: P", 0.0)
     table = _table(channel)
     t0 = table.tilt(0.0)
     # ties at M(0) = P resolve to lambda* = 0; the slack absorbs quadrature

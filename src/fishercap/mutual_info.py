@@ -34,7 +34,8 @@ import numpy as np
 
 from .channels import output_pmf_finite
 from .errors import BudgetError, ConvergenceError, DomainError, ValidationError
-from .quad import _check_grid_size, _midpoints, integrate_interval
+from .errors import _count, _probabilities
+from .quad import _midpoints, integrate_interval
 from .specfun import SQRT_2PI, log_gamma
 
 _EVAL_BUDGET = 10 ** 8  # log-pmf evaluations one MI or BA call may enumerate
@@ -54,11 +55,9 @@ class DiscreteInput:
     def __post_init__(self):
         name = type(self).__name__
         pts = np.asarray(self.points, dtype=float)
-        pr = np.asarray(self.probs, dtype=float)
-        if pts.shape[0] != pr.shape[0] or pts.shape[0] == 0:
+        pr = _probabilities(self.probs, f"{name}: probs", 1e-12)
+        if pts.shape[:1] != pr.shape:
             raise ValidationError(f"{name}: points and probs must align")
-        if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-12:
-            raise ValidationError(f"{name}: probs must be a probability vector")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", pr)
 
@@ -161,8 +160,9 @@ def _log_pmf_matrix(pmf):
     pmf = np.asarray(pmf, dtype=float)
     if pmf.ndim != 2:
         raise ValidationError("expected a (num_inputs, L) pmf matrix")
-    if np.any(pmf < -1e-12) or np.any(np.abs(pmf.sum(axis=1) - 1.0) > 1e-9):
-        raise ValidationError("pmf rows must be probability vectors")
+    # entries >= -1e-12 absorb rounding; a NaN entry fails both tests, an infinite one the row sum
+    if not (np.all(pmf >= -1e-12) and np.all(np.abs(pmf.sum(axis=1) - 1.0) <= 1e-9)):
+        raise ValidationError("pmf rows must be finite probability vectors")
     with np.errstate(divide="ignore"):
         logs = np.log(np.clip(pmf, 0.0, None))
     return np.where(pmf > 0.0, logs, _LOG_ZERO)
@@ -185,13 +185,10 @@ def mi_from_pmf_matrix(pmf, weights, n_r):
     with flat memory; exact up to floating point.
     """
     pmf = np.asarray(pmf, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.shape[0] != pmf.shape[0]:
+    w = _probabilities(weights, "mi_from_pmf_matrix: weights", 1e-9)
+    if w.shape[0] != pmf.shape[0]:
         raise ValidationError("weights must align with the pmf rows")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValidationError("weights must be a probability vector")
-    if n_r < 1:
-        raise DomainError("n_r must be >= 1")
+    n_r = _count(n_r, "mi_from_pmf_matrix: n_r", 1)
     parts = pmf.shape[1]
     if parts == 1:
         return 0.0  # a single-outcome alphabet carries no information
@@ -223,8 +220,7 @@ def mi_finite_output(channel, input_dist, n_r):
 
 def discretize_prior(prior, grid_size):
     """Midpoint discretization of a tilted prior as a DiscreteInput."""
-    _check_grid_size(grid_size, "discretize_prior: grid_size")
-    pts = _midpoints(prior.lo, prior.hi, grid_size)
+    pts = _midpoints(prior.lo, prior.hi, _count(grid_size, "discretize_prior: grid_size", 1))
     w = np.asarray(prior.density(pts), dtype=float)
     if np.any(w < 0):
         raise DomainError("discretize_prior: negative density")
@@ -251,8 +247,7 @@ def blahut_arimoto(channel, points, n_r, tol=1e-9, full_output=False):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size == 0:
         raise ValidationError("blahut_arimoto: points must be a nonempty 1-D array")
-    if not n_r >= 1:
-        raise DomainError("blahut_arimoto: n_r must be >= 1")
+    n_r = _count(n_r, "blahut_arimoto: n_r", 1)
     pmf = _pmf_for_points(channel, pts)
     parts = pmf.shape[1]
     _check_budget(n_r, parts, pts.size)
@@ -309,8 +304,7 @@ def mi_gaussian_sufficient(input_dist, n_r):
     pts = np.asarray(input_dist.points, dtype=float)
     if pts.ndim != 1:
         raise ValidationError("mi_gaussian_sufficient: scalar inputs only")
-    if n_r < 1:
-        raise DomainError("mi_gaussian_sufficient: n_r must be >= 1")
+    n_r = _count(n_r, "mi_gaussian_sufficient: n_r", 1)
     w = np.asarray(input_dist.probs, dtype=float)
     if pts.size == 1:
         return 0.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CHANNEL_BUILDERS, _from_record, _interval_channel
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _count, _real
 
 _MAX_TERMS = 10 ** 6  # terms of the numerical sum in fisher_rate_limit
 
@@ -38,21 +38,15 @@ class Autocovariance:
 
 
 def white_noise_autocovariance(variance=1.0):
-    v = float(variance)
-    if not v > 0:
-        raise DomainError("white_noise_autocovariance: variance must be positive")
+    v = _real(variance, "white_noise_autocovariance: variance", 0.0)
     return Autocovariance(gamma=lambda k: v if k == 0 else 0.0, series_sum=v,
                           record={"kind": "white", "variance": v})
 
 
 def ar1_autocovariance(rho, variance=1.0):
     """Geometric autocovariance gamma(k) = variance * rho^|k|."""
-    rho = float(rho)
-    v = float(variance)
-    if not -1.0 < rho < 1.0:
-        raise DomainError("ar1_autocovariance: need |rho| < 1")
-    if not v > 0:
-        raise DomainError("ar1_autocovariance: variance must be positive")
+    rho = _real(rho, "ar1_autocovariance: rho", -1.0, 1.0)
+    v = _real(variance, "ar1_autocovariance: variance", 0.0)
     return Autocovariance(
         gamma=lambda k: v * rho ** abs(k),
         series_sum=v * (1.0 + rho) / (1.0 - rho),
@@ -71,9 +65,7 @@ def fisher_rate_finite(acov, n):
     from the reflection coefficients kappa_k; Sigma_n is positive definite
     iff every e_k > 0.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError("fisher_rate_finite: n must be >= 1")
+    n = _count(n, "fisher_rate_finite: n", 1)
     gamma = np.array([acov.gamma(k) for k in range(n)], dtype=float)
     phi = np.zeros(n)  # phi[:k] = phi_k1..phi_kk
     err = gamma[0]
@@ -124,7 +116,7 @@ def correlated_awgn_channel(peak, acov):
     offset tracks the correlation.  ``params`` carry ``acov.record``, so
     ``channel_from_json(channel.params)`` rebuilds the channel.
     """
-    A = float(peak)
+    A = _real(peak, "correlated_awgn_channel: peak", 0.0, error=ValidationError)
     rate = fisher_rate_limit(acov)
     return _interval_channel("correlated_awgn", A, -A, lambda t: np.full_like(t, rate),
                              {"acov": acov.record})

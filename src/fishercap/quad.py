@@ -19,12 +19,11 @@ meets the tolerance.
 """
 
 import heapq
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, _count, _real
 
 NODES, WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -36,10 +35,10 @@ class QuadRule:
     max_subdivisions: int = 2 ** 14
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("QuadRule tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("QuadRule.max_subdivisions must be >= 1")
+        object.__setattr__(self, "abs_tol", _real(self.abs_tol, "QuadRule: abs_tol", 0.0))
+        object.__setattr__(self, "rel_tol", _real(self.rel_tol, "QuadRule: rel_tol", 0.0))
+        object.__setattr__(self, "max_subdivisions",
+                           _count(self.max_subdivisions, "QuadRule: max_subdivisions", 1))
 
 
 DEFAULT_RULE = QuadRule()
@@ -90,10 +89,8 @@ def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
     (a, b).  Raises ToleranceError (carrying the best estimate) if the
     tolerance is not met within ``rule.max_subdivisions`` bisections.
     """
-    a = float(a)
-    b = float(b)
-    if not (np.isfinite(a) and np.isfinite(b)) or not a < b:
-        raise DomainError(f"quad: bad interval [{a}, {b}]")
+    a = _real(a, "quad: a")
+    b = _real(b, "quad: b", a)
     edges = sorted({a, b, *(float(t) for t in breakpoints if a < t < b)})
 
     def tol(value):
@@ -153,10 +150,8 @@ def integrate_interval(f, a, b, rule=DEFAULT_RULE):
     Raises ToleranceError (carrying the best estimate) if the tolerance
     is not met within ``rule.max_subdivisions`` bisections.
     """
-    a = float(a)
-    b = float(b)
-    if not (np.isfinite(a) and np.isfinite(b)) or a > b:
-        raise DomainError(f"integrate_interval: bad interval [{a}, {b}]")
+    a = _real(a, "integrate_interval: a")
+    b = _real(b, "integrate_interval: b", a, closed=True)
     if a == b:
         return 0.0, 0.0
     leaves = quad(f, a, b, rule)
@@ -169,9 +164,7 @@ def integrate_semiinf(f, a, rule=DEFAULT_RULE):
     The integrand must decay at least exponentially and evaluate
     finitely (typically to 0.0) for very large arguments.
     """
-    a = float(a)
-    if not np.isfinite(a):
-        raise DomainError("integrate_semiinf: lower limit must be finite")
+    a = _real(a, "integrate_semiinf: a")
 
     def g(u):
         onem = 1.0 - u
@@ -181,12 +174,6 @@ def integrate_semiinf(f, a, rule=DEFAULT_RULE):
     return integrate_interval(g, 0.0, 1.0, rule)
 
 
-def _check_grid_size(n, what):
-    # a midpoint grid needs an integer size: _midpoints(lo, hi, 2.5) puts its last point on hi
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"{what} must be an integer >= 1, got {n!r}")
-
-
 def _midpoints(lo, hi, n):
-    """The n midpoints of the equal cells of [lo, hi], the nodes of the midpoint rule."""
+    """The n midpoints of the equal cells of [lo, hi]; n is a count (2.5 would put one on hi)."""
     return lo + (hi - lo) * (np.arange(n) + 0.5) / n

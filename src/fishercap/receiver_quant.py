@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _pmf_fisher
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _count, _real
 from .mutual_info import TypeIndex
-from .quad import _check_grid_size, _midpoints
+from .quad import _midpoints
 
 _SLOPE_FLOOR = 1e-15  # fit_loglog_slope drops e_L values below this (underflowed)
 _EL_CHUNK = 64  # e_L grid points per quantized_fisher call: a (64, L+1) cell block bounds memory
@@ -39,8 +39,8 @@ class Quantizer1D:
     L: int
 
     def __post_init__(self):
-        if not 0 < self.r < math.inf or self.L < 1:
-            raise ValidationError("Quantizer1D: need a finite r > 0 and L >= 1")
+        object.__setattr__(self, "r", _real(self.r, "Quantizer1D: r", 0.0, error=ValidationError))
+        object.__setattr__(self, "L", _count(self.L, "Quantizer1D: L", 1, ValidationError))
 
     @property
     def edges(self):
@@ -54,11 +54,7 @@ class Quantizer1D:
 
 def build_quantizer(r, L):
     """Uniform quantizer: L interior bins of width 2r/L plus the overflow bin."""
-    r = float(r)
-    L = int(L)
-    if not 0 < r < math.inf or L < 1:
-        raise DomainError("build_quantizer: need a finite r > 0 and L >= 1")
-    return Quantizer1D(r=r, L=L)
+    return Quantizer1D(r=_real(r, "build_quantizer: r", 0.0), L=_count(L, "build_quantizer: L", 1))
 
 
 def _merge_tails(cells):
@@ -91,9 +87,8 @@ def capacity_loss_eL(channel, q, grid_size=1025):
     Returns +inf when the binned Fisher information vanishes somewhere
     on the grid (infinite loss), never raises for that case.
     """
-    _check_grid_size(grid_size, "capacity_loss_eL: grid_size")
     lo, hi = channel.param_space.profile_bounds
-    grid = _midpoints(lo, hi, grid_size)
+    grid = _midpoints(lo, hi, _count(grid_size, "capacity_loss_eL: grid_size", 1))
     j_full = np.asarray(channel.fisher(grid), dtype=float)
     j_bin = np.concatenate([quantized_fisher(channel, q, grid[i:i + _EL_CHUNK])
                             for i in range(0, grid.size, _EL_CHUNK)])
@@ -194,7 +189,7 @@ def scaling_study(channel, r_schedule, L_list):
     ``r_schedule`` maps L to the overflow radius; for Gaussian tails
     r(L) = 3 + sqrt(ln L) balances overflow mass against bin width.
     """
-    L = [int(x) for x in L_list]
+    L = [_count(x, "scaling_study: L", 1) for x in L_list]
     if len(L) < 4:
         raise ValidationError("scaling_study: need at least 4 bin counts")
     ratios = [L[i + 1] / L[i] for i in range(len(L) - 1)]
@@ -202,7 +197,7 @@ def scaling_study(channel, r_schedule, L_list):
         raise ValidationError("scaling_study: L_list must be geometric")
     es = []
     for l in L:
-        q = build_quantizer(float(r_schedule(l)), l)
+        q = build_quantizer(r_schedule(l), l)
         es.append(capacity_loss_eL(channel, q))
     slope = fit_loglog_slope(L, es)
     return ScalingResult(tuple(L), tuple(es), slope)

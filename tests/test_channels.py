@@ -471,6 +471,30 @@ def test_non_finite_parameters_fail_at_construction(record):
         ch.channel_from_json(record)
 
 
+# Parameters of the wrong type: a number must be a JSON number, never a string or a bool
+# (float() used to read the string "2" and true as reals).
+NON_REAL_RECORDS = [
+    '{"kind": "awgn", "A": "2"}',
+    '{"kind": "awgn", "A": true}',
+    '{"kind": "noncoherent", "A": 1, "sigma2": "0.5"}',
+]
+
+
+@pytest.mark.parametrize("record", NON_REAL_RECORDS)
+def test_non_real_parameters_fail_at_construction(record):
+    with pytest.raises(ValidationError):
+        ch.channel_from_json(record)
+
+
+def test_integer_valued_float_counts():
+    # a JSON count may be written 2.0; it builds the same channel as 2
+    channel = ch.channel_from_json({"kind": "mimo_imperfect_csi", "A": 1.0, "nt": 2.0, "sigma2": 0.1})
+    assert channel.params["nt"] == 2 and isinstance(channel.params["nt"], int)
+    assert channel.param_space.dim == 4
+    same = ch.mimo_imperfect_csi_channel(1.0, 2, 0.1)
+    assert channel.sqrt_det_fisher(0.5) == same.sqrt_det_fisher(0.5)
+
+
 def test_truncated_support_far_from_the_peak():
     # z = P(|y| < B | theta = A) underflows at A=40, B=1: rejected when built
     with pytest.raises(ValidationError, match="A=40.0, B=1.0"):

@@ -1,0 +1,84 @@
+"""Invalid scalar and vector inputs raise DomainError or ValidationError, never a wrong answer."""
+
+import math
+
+import numpy as np
+import pytest
+
+import fishercap as fc
+from fishercap import channels as ch
+from fishercap.errors import DomainError, ValidationError, _count, _probabilities, _real
+
+
+def _onebit():
+    return fc.quantized_awgn_channel(2.0, [0.0])
+
+
+def _two_points():
+    return fc.DiscreteInput(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+
+
+# Each call used to return a value (a NaN, a truncated count, a string read as a number)
+# or raise a bare TypeError or an exit-2 RangeError.
+INVALID_CALLS = {
+    "clip_inf": lambda: ch.fisher_clipped_awgn(0.5, math.inf),
+    "peak_string": lambda: fc.awgn_channel("2"),
+    "build_quantizer_L_2.5": lambda: fc.build_quantizer(1.0, 2.5),
+    "quantizer_L_2.5": lambda: fc.Quantizer1D(1.0, 2.5),
+    "fisher_rate_n_2.5": lambda: fc.fisher_rate_finite(fc.ar1_autocovariance(0.5), 2.5),
+    "mi_n_r_2.5": lambda: fc.mi_finite_output(_onebit(), _two_points(), 2.5),
+    "mi_n_r_bool": lambda: fc.mi_finite_output(_onebit(), _two_points(), True),
+    "mi_nan_weight": lambda: fc.mi_from_pmf_matrix([[0.5, 0.5], [0.1, 0.9]], [math.nan, 1.0], 3),
+    "mi_nan_pmf_entry": lambda: fc.mi_from_pmf_matrix([[math.nan, 0.5], [0.1, 0.9]], [0.5, 0.5], 3),
+    "pam_P_nan": lambda: fc.pam_constellation(fc.awgn_channel(1.0), math.nan, 4),
+    "mimo_nt_2.5": lambda: ch.mimo_sqrt_det_fisher(0.3, 2.5, 0.1),
+    "fit_degree_2.5": lambda: fc.fit_poly_density(fc.awgn_channel(1.0), 0.5, 2.5),
+    "discrete_input_nan_prob": lambda: fc.DiscreteInput(np.array([0.0, 1.0]), np.array([math.nan, 1.0])),
+    "jf_P_nan": lambda: fc.tilted_prior(fc.awgn_channel(1.0), 0.0).jf(math.nan),
+    "quad_rule_abs_tol_inf": lambda: fc.QuadRule(abs_tol=math.inf),
+}
+
+
+@pytest.mark.parametrize("call", INVALID_CALLS.values(), ids=INVALID_CALLS.keys())
+def test_invalid_inputs_raise(call):
+    with pytest.raises((DomainError, ValidationError)):
+        call()
+
+
+def test_real_accepts_numbers_and_refuses_strings_and_bools():
+    assert _real(np.float32(0.5), "f: x") == 0.5
+    assert _real(np.int64(3), "f: x", 0.0) == 3.0
+    assert _real(0.0, "f: lambda", 0.0, closed=True) == 0.0
+    for bad in ("1", b"1", True, np.True_, None, [1.0]):
+        with pytest.raises(ValidationError, match="^f: need a real x"):
+            _real(bad, "f: x")
+    for bad in (0.0, 1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^f: need a finite x > 0 and < 1"):
+            _real(bad, "f: x", 0.0, 1.0)
+    with pytest.raises(ValidationError):
+        _real(-1.0, "f: x", 0.0, error=ValidationError)
+
+
+def test_count_accepts_integer_values_only():
+    assert _count(np.int64(3), "f: n", 1) == 3
+    assert _count(2.0, "f: n", 1) == 2 and isinstance(_count(2.0, "f: n", 1), int)
+    assert _count(0, "f: n", 0) == 0
+    for bad in (True, "3", None, np.float64(3.0) + 0j):
+        with pytest.raises(ValidationError):
+            _count(bad, "f: n", 1)
+    for bad in (2.5, math.nan, math.inf, 0):
+        with pytest.raises(DomainError, match="^f: need an integer n >= 1"):
+            _count(bad, "f: n", 1)
+
+
+def test_probabilities_need_finite_entries_summing_to_one():
+    assert _probabilities([0.25, 0.75], "f: w", 1e-12).tolist() == [0.25, 0.75]
+    assert _probabilities(np.array([1], dtype=np.int64), "f: w", 1e-12).dtype == float
+    for bad in ([math.nan, 1.0], [math.inf, 1.0], [-0.5, 1.5], [0.5, 0.6], [], [[1.0]], ["a"],
+                ["0.5", "0.5"], [True], None, [[0.5], [0.25, 0.25]]):
+        with pytest.raises(ValidationError, match="^f: w must be a probability vector"):
+            _probabilities(bad, "f: w", 1e-12)
+
+
+def test_midpoint_grid_takes_an_integer_valued_float():
+    assert fc.midpoint_grid(4.0).tolist() == fc.midpoint_grid(4).tolist()
