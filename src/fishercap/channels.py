@@ -23,12 +23,13 @@ A ``ChannelSpec`` bundles the callables the rest of the library needs:
   masses through ``cell_mass_dtheta(theta, cuts)``.
 
 Each check lives in one place.  A constructor checks the channel's
-parameters, and each public formula function (``fisher_clipped_awgn``
-and the rest) its own, through the helper of ``errors`` for each kind:
-``_real`` for A, B and sigma2, ``_count`` for n_t, ``_probabilities``
-for weights.  The spec's ``fisher``, ``sqrt_det_fisher`` and
-``output_pmf`` reject a theta that is not finite or lies outside the
-parameter space, and return a float for a scalar theta.  The formula
+parameters and each public formula function its own, with the
+``errors`` helper of each kind (``_real``, ``_count``,
+``_probabilities``, and ``_reals`` for arrays such as thresholds).
+Every spec callable that takes theta, ``cell_mass_dtheta`` and
+``output_logdensity_dtheta`` included, rejects one that is not finite
+or lies outside the parameter space; ``fisher``, ``sqrt_det_fisher``
+and ``output_pmf`` return a float for a scalar theta.  The formula
 functions check theta only against its natural domain: finite, and
 nonnegative for magnitudes, intensities and radii.  ``fisher_awgn``
 alone takes the peak, because the peak defines its formula.
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, _count, _probabilities, _real
+from .errors import DomainError, ValidationError, _count, _probabilities, _real, _reals
 from .quad import QuadRule, integrate_semiinf
 from .specfun import _bessel_i01e, _cell_mass, _gauss_tails, _phi_raw, _q_pair, gauss_mass
 
@@ -109,12 +110,10 @@ class DitherSet:
     weights: tuple
 
     def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
+        p = _reals(self.points, "DitherSet: points", error=ValidationError)
         w = _probabilities(self.weights, "DitherSet: weights", 1e-12)
         if p.shape != w.shape:
             raise ValidationError("DitherSet: points/weights must be matching 1-D sequences")
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("DitherSet: points must be finite")
         if np.unique(p).size != p.size:
             raise ValidationError("DitherSet: points must be distinct")
         object.__setattr__(self, "points", tuple(float(x) for x in p))
@@ -158,12 +157,7 @@ class ChannelSpec:
 
 
 def _check_profile(theta, lo, hi, what):
-    t = np.asarray(theta, dtype=float)
-    if not (np.isfinite(t) & (t >= lo - 1e-12) & (t <= hi + 1e-12)).all():  # one reduction
-        if not np.all(np.isfinite(t)):
-            raise DomainError(f"{what}: theta must be finite")
-        raise DomainError(f"{what}: theta outside parameter space [{lo}, {hi}]")
-    return t
+    return _reals(theta, f"{what}: theta", lo - 1e-12, hi + 1e-12)
 
 
 def _on_space(fn, lo, hi, what):
@@ -207,11 +201,9 @@ def fisher_clipped_awgn(theta, clip):
 
 
 def _validate_thresholds(thresholds):
-    t = np.asarray(thresholds, dtype=float)
-    if t.ndim != 1 or t.size < 1:
-        raise ValidationError("thresholds must be a nonempty 1-D sequence")
-    if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
-        raise ValidationError("thresholds must be finite and strictly increasing")
+    t = _reals(thresholds, "thresholds", error=ValidationError)
+    if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0):
+        raise ValidationError("thresholds must be a nonempty, strictly increasing 1-D sequence")
     return t
 
 
@@ -222,6 +214,12 @@ def _gauss_cells(edges):
     return _cell_mass(edges), phi[..., :-1] - phi[..., 1:]
 
 
+def _adc_cells(theta, thresholds):
+    # quantized_pmf_dtheta at a checked theta array
+    t = _validate_thresholds(thresholds)
+    return _gauss_cells(np.concatenate(([-np.inf], t, [np.inf])) - theta[..., None])
+
+
 def quantized_pmf_dtheta(theta, thresholds):
     """Level probabilities and their theta-derivatives for an L-level ADC.
 
@@ -229,9 +227,7 @@ def quantized_pmf_dtheta(theta, thresholds):
     theta, with t_0 = -inf and t_L = +inf.  Returns arrays of shape
     ``theta.shape + (L,)``.
     """
-    t = _validate_thresholds(thresholds)
-    th = np.asarray(theta, dtype=float)
-    return _gauss_cells(np.concatenate(([-np.inf], t, [np.inf])) - th[..., None])
+    return _adc_cells(_check_profile(theta, -np.inf, np.inf, "quantized_pmf_dtheta"), thresholds)
 
 
 def _pmf_fisher(p, dp):
@@ -249,8 +245,7 @@ def fisher_quantized_awgn(theta, thresholds):
     with phi(+-inf) = 0, Q(-inf) = 1, Q(inf) = 0.  Cells whose mass
     underflows contribute nothing.
     """
-    th = _check_profile(theta, -np.inf, np.inf, "fisher_quantized_awgn")
-    j = _pmf_fisher(*quantized_pmf_dtheta(th, thresholds))
+    j = _pmf_fisher(*quantized_pmf_dtheta(theta, thresholds))
     return float(j) if np.ndim(theta) == 0 else j
 
 
@@ -325,7 +320,7 @@ def mimo_fisher_matrix(theta, nt, sigma2):
     """
     nt = _count(nt, "mimo_fisher_matrix: nt", 1)
     sigma2 = _real(sigma2, "mimo_fisher_matrix: sigma2", 0.0, 1.0)
-    th = np.asarray(theta, dtype=float)
+    th = _reals(theta, "mimo_fisher_matrix: theta")
     d = 2 * nt
     if th.shape != (d,):
         raise DomainError(f"mimo_fisher_matrix: theta must have shape ({d},)")
@@ -344,12 +339,10 @@ def fisher_noncoherent(theta, sigma2):
 
 
 def _validate_discrete(dist, name):
-    values = np.asarray(dist[0], dtype=float)
     probs = _probabilities(dist[1], f"{name}: probs", 1e-12)
+    values = _reals(dist[0], f"{name}: support", 0.0)
     if values.shape != probs.shape:
         raise ValidationError(f"{name}: expected (values, probs) 1-D pair")
-    if not np.all(np.isfinite(values) & (values >= 0)):
-        raise DomainError(f"{name}: support must be finite and nonnegative")
     return values, probs
 
 
@@ -403,13 +396,20 @@ def output_pmf_finite(channel, theta):
 def _interval_channel(kind, A, lo, fisher, params, **outputs):
     """The spec on [lo, A] whose params are kind, A and ``params``; default cost and sqrt(J).
 
-    Wraps ``fisher`` and any ``sqrt_det_fisher`` or ``output_pmf`` in
-    ``outputs`` so that they take theta in [lo, A] only.  The constructor
-    has checked the peak A.
+    Wraps ``fisher`` and every callable in ``outputs`` so that each takes
+    theta in [lo, A] only.  The constructor has checked the peak A.
     """
     for name in ("sqrt_det_fisher", "output_pmf"):
         if name in outputs:
             outputs[name] = _on_space(outputs[name], lo, A, f"{kind}.{name}")
+    if "cell_mass_dtheta" in outputs:
+        cells = outputs["cell_mass_dtheta"]
+        outputs["cell_mass_dtheta"] = lambda theta, cuts: cells(
+            _check_profile(theta, lo, A, f"{kind}.cell_mass_dtheta"), cuts)
+    if "output_logdensity_dtheta" in outputs:
+        logdensity = outputs["output_logdensity_dtheta"]
+        outputs["output_logdensity_dtheta"] = lambda y, theta: logdensity(
+            y, _check_profile(theta, lo, A, f"{kind}.output_logdensity_dtheta"))
     return ChannelSpec(kind=kind, param_space=ParameterSpace.interval(lo, A),
                        fisher=_on_space(fisher, lo, A, f"{kind}.fisher"),
                        params={"kind": kind, "A": A, **params}, **outputs)
@@ -426,7 +426,7 @@ def awgn_channel(peak):
     return _interval_channel(
         "awgn", A, -A, lambda t: fisher_awgn(t, A), {},
         output_logdensity_dtheta=logdensity_dtheta,
-        cell_mass_dtheta=quantized_pmf_dtheta,
+        cell_mass_dtheta=_adc_cells,
     )
 
 
@@ -463,9 +463,8 @@ def truncated_awgn_channel(peak, support_radius):
     A = _real(peak, "truncated_awgn_channel: peak", 0.0, error=ValidationError)
     B = _real(support_radius, "truncated_awgn_channel: B", 0.0, error=ValidationError)
 
-    def _z_dz(theta):
+    def _z_dz(t):
         # P(|y| < B | theta) and its theta-derivative
-        t = np.asarray(theta, dtype=float)
         return gauss_mass(-B - t, B - t), _phi_raw(-B - t) - _phi_raw(B - t)
 
     def fisher(t):
@@ -478,16 +477,15 @@ def truncated_awgn_channel(peak, support_radius):
     def cell_mass_dtheta(theta, cuts):
         # the AWGN cells with every edge clipped to [-B, B], normalized by P(|y| < B);
         # the derivative divides by z twice in turn, never by z * z, which underflows first
-        t = np.asarray(theta, dtype=float)[..., None]
+        t = theta[..., None]
         c = np.clip(_validate_thresholds(cuts), -B, B)
         m, dm = _gauss_cells(np.concatenate(([-B], c, [B])) - t)
         z, dz = _z_dz(t)
         return m / z, dm / z - (m / z) * (dz / z)
 
     def logdensity_dtheta(y, theta):
-        yy = np.asarray(y, dtype=float)
-        if np.any(np.abs(yy) >= B):
-            raise DomainError("truncated_awgn: outputs lie strictly inside (-B, B)")
+        yy = _reals(y, "truncated_awgn.output_logdensity_dtheta: y",
+                    math.nextafter(-B, 0.0), math.nextafter(B, 0.0))  # strictly inside (-B, B)
         r = yy - theta
         z, dz = _z_dz(theta)
         return (-0.5 * np.log(2.0 * np.pi) - 0.5 * r * r - np.log(z), r - dz / z)
@@ -513,7 +511,7 @@ def quantized_awgn_channel(peak, thresholds):
         "quantized_awgn", A, -A, lambda x: fisher_quantized_awgn(x, t),
         {"thresholds": [float(x) for x in t]},
         alphabet_size=t.size + 1,
-        output_pmf=lambda th: quantized_pmf_dtheta(th, t)[0],
+        output_pmf=lambda th: _adc_cells(th, t)[0],
     )
 
 
@@ -522,9 +520,7 @@ def energy_detection_channel(peak):
 
     def logdensity_dtheta(y, theta):
         # y here is the scaled energy statistic 2|output|^2
-        yy = np.asarray(y, dtype=float)
-        if np.any(yy < 0):
-            raise DomainError("energy_detection: the energy statistic is nonnegative")
+        yy = _reals(y, "energy_detection.output_logdensity_dtheta: y", 0.0)
         density, score = _energy_density_score(yy, theta)
         with np.errstate(divide="ignore"):
             logp = np.log(density)  # -inf far in the tail

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PositivityError, ValidationError, _count, _real
+from .errors import ConvergenceError, DomainError, PositivityError, ValidationError
+from .errors import _count, _real, _reals
 from .jeffreys import LN2, invert_monotone, prior_cdf_inverse, solve_lambda_star
 from .mutual_info import DiscreteInput
 from .quad import _midpoints
@@ -52,16 +53,15 @@ class Constellation(DiscreteInput):
     peak_power: float
 
 
-def _power_per_point(points):
-    pts = np.asarray(points, dtype=float)
+def _power_per_point(pts):
     return pts * pts if pts.ndim == 1 else (pts * pts).sum(axis=1)
 
 
-def _scaled_constellation(raw_points, P, probs=None):
+def _scaled_constellation(raw_points, P):
     P = _real(P, "constellation: P", 0.0)
     raw = np.asarray(raw_points, dtype=float)
     m = raw.shape[0]
-    probs = np.full(m, 1.0 / m) if probs is None else np.asarray(probs, dtype=float)
+    probs = np.full(m, 1.0 / m)
     mean_pow = float(probs @ _power_per_point(raw))
     c_p = 1.0 if mean_pow <= P or mean_pow == 0.0 else math.sqrt(P / mean_pow)
     pts = c_p * raw
@@ -100,7 +100,7 @@ class PolyDensity:
     support: tuple
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        c = _reals(self.coeffs, "PolyDensity: coeffs", error=ValidationError)
         lo, hi = self.support
         if not lo < hi:
             raise ValidationError("PolyDensity: support must satisfy lo < hi")
@@ -126,9 +126,7 @@ def _moment_integrals(degree, lo, hi):
 def poly_cdf(p, theta):
     """Closed-form cdf F(theta) = sum_i xi_i (theta^(i+1) - lo^(i+1)) / (i+1)."""
     lo, hi = p.support
-    t = np.asarray(theta, dtype=float)
-    if not np.all((t >= lo - 1e-12) & (t <= hi + 1e-12)):  # NaN fails too
-        raise DomainError(f"poly_cdf: theta must lie in [{lo}, {hi}]")
+    t = _reals(theta, "poly_cdf: theta", lo - 1e-12, hi + 1e-12)
     i = np.arange(p.coeffs.size)
     terms = (t[..., None] ** (i + 1) - lo ** (i + 1)) / (i + 1)
     out = np.clip(terms @ p.coeffs, 0.0, 1.0)
@@ -137,9 +135,7 @@ def poly_cdf(p, theta):
 
 def poly_cdf_inverse(p, u):
     """Solve F(theta) = u by safeguarded Newton on the closed-form cdf."""
-    u = float(u)
-    if not 0.0 <= u <= 1.0:
-        raise DomainError("poly_cdf_inverse: u must lie in [0, 1]")
+    u = _real(u, "poly_cdf_inverse: u", 0.0, 1.0, closed=True)
     lo, hi = p.support
     if u == 0.0:
         return lo
@@ -389,7 +385,7 @@ def radial_constellation_isotropic(channel, P, M_r, directions):
     ps = channel.param_space
     if ps.shape != "ball":
         raise DomainError("radial_constellation_isotropic: channel is not isotropic")
-    dirs = np.asarray(directions, dtype=float)
+    dirs = _reals(directions, "radial_constellation_isotropic: directions", error=ValidationError)
     if dirs.ndim != 2 or dirs.shape[0] == 0 or dirs.shape[1] != ps.dim:
         raise ValidationError(f"directions must be a nonempty (k, {ps.dim}) array")
     norms = np.linalg.norm(dirs, axis=1)

@@ -431,9 +431,7 @@ def mismatch_rate(channel, w, P, n_r):
 
 def prior_cdf(prior, theta):
     """F(theta), the cdf of the profile density on [lo, hi]."""
-    t = float(theta)
-    if not prior.lo - 1e-12 <= t <= prior.hi + 1e-12:  # NaN fails too
-        raise DomainError(f"prior_cdf: theta={t!r} is not in [{prior.lo}, {prior.hi}]")
+    t = _real(theta, "prior_cdf: theta", prior.lo - 1e-12, prior.hi + 1e-12, closed=True)
     t = min(max(t, prior.lo), prior.hi)
     if t == prior.lo:
         return 0.0
@@ -442,9 +440,7 @@ def prior_cdf(prior, theta):
 
 def prior_cdf_inverse(prior, u):
     """Solve F(theta) = u: panel search, then safeguarded Newton in the panel."""
-    u = float(u)
-    if not 0.0 <= u <= 1.0:
-        raise DomainError("prior_cdf_inverse: u must lie in [0, 1]")
+    u = _real(u, "prior_cdf_inverse: u", 0.0, 1.0, closed=True)
     if u == 0.0:
         return prior.lo
     if u == 1.0:

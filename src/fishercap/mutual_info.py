@@ -34,7 +34,7 @@ import numpy as np
 
 from .channels import output_pmf_finite
 from .errors import BudgetError, ConvergenceError, DomainError, ValidationError
-from .errors import _count, _probabilities
+from .errors import _count, _probabilities, _reals
 from .quad import _midpoints, integrate_interval
 from .specfun import SQRT_2PI, log_gamma
 
@@ -54,7 +54,7 @@ class DiscreteInput:
 
     def __post_init__(self):
         name = type(self).__name__
-        pts = np.asarray(self.points, dtype=float)
+        pts = _reals(self.points, f"{name}: points", error=ValidationError)
         pr = _probabilities(self.probs, f"{name}: probs", 1e-12)
         if pts.shape[:1] != pr.shape:
             raise ValidationError(f"{name}: points and probs must align")
@@ -77,10 +77,6 @@ class TypeIndex:
     @property
     def n_r(self):
         return sum(self.counts)
-
-    def frequencies(self):
-        c = np.asarray(self.counts, dtype=float)
-        return c / c.sum()
 
 
 def _add_part(v, v_sum, starts, r0, r1):
@@ -157,11 +153,10 @@ def _logsumexp(x):
 
 
 def _log_pmf_matrix(pmf):
-    pmf = np.asarray(pmf, dtype=float)
+    pmf = _reals(pmf, "pmf", -1e-12, error=ValidationError)  # -1e-12 absorbs rounding
     if pmf.ndim != 2:
         raise ValidationError("expected a (num_inputs, L) pmf matrix")
-    # entries >= -1e-12 absorb rounding; a NaN entry fails both tests, an infinite one the row sum
-    if not (np.all(pmf >= -1e-12) and np.all(np.abs(pmf.sum(axis=1) - 1.0) <= 1e-9)):
+    if not np.all(np.abs(pmf.sum(axis=1) - 1.0) <= 1e-9):
         raise ValidationError("pmf rows must be finite probability vectors")
     with np.errstate(divide="ignore"):
         logs = np.log(np.clip(pmf, 0.0, None))
@@ -184,16 +179,15 @@ def mi_from_pmf_matrix(pmf, weights, n_r):
     Sums over every multinomial type of n_r draws, streamed in blocks
     with flat memory; exact up to floating point.
     """
-    pmf = np.asarray(pmf, dtype=float)
+    logp = _log_pmf_matrix(pmf)
     w = _probabilities(weights, "mi_from_pmf_matrix: weights", 1e-9)
-    if w.shape[0] != pmf.shape[0]:
+    if w.shape[0] != logp.shape[0]:
         raise ValidationError("weights must align with the pmf rows")
     n_r = _count(n_r, "mi_from_pmf_matrix: n_r", 1)
-    parts = pmf.shape[1]
+    parts = logp.shape[1]
     if parts == 1:
         return 0.0  # a single-outcome alphabet carries no information
-    _check_budget(n_r, parts, pmf.shape[0])
-    logp = _log_pmf_matrix(pmf)
+    _check_budget(n_r, parts, logp.shape[0])
     logw = np.where(w > 0.0, np.log(np.clip(w, 1e-300, None)), _LOG_ZERO)
 
     nats = 0.0
@@ -206,10 +200,9 @@ def mi_from_pmf_matrix(pmf, weights, n_r):
 
 
 def _pmf_for_points(channel, points):
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1:
+    if points.ndim != 1:
         raise ValidationError("finite-output channels here take scalar inputs")
-    return np.asarray(output_pmf_finite(channel, pts), dtype=float)
+    return output_pmf_finite(channel, points)
 
 
 def mi_finite_output(channel, input_dist, n_r):
@@ -244,7 +237,7 @@ def blahut_arimoto(channel, points, n_r, tol=1e-9, full_output=False):
     Returns ``(DiscreteInput, bits)``; with ``full_output`` also a dict
     carrying the per-iteration bound gaps.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _reals(points, "blahut_arimoto: points")
     if pts.ndim != 1 or pts.size == 0:
         raise ValidationError("blahut_arimoto: points must be a nonempty 1-D array")
     n_r = _count(n_r, "blahut_arimoto: n_r", 1)
@@ -301,11 +294,10 @@ def mi_gaussian_sufficient(input_dist, n_r):
     1/n_r and is sufficient, so I(theta; ybar) is a one-dimensional
     mixture-entropy integral.
     """
-    pts = np.asarray(input_dist.points, dtype=float)
+    pts, w = input_dist.points, input_dist.probs
     if pts.ndim != 1:
         raise ValidationError("mi_gaussian_sufficient: scalar inputs only")
     n_r = _count(n_r, "mi_gaussian_sufficient: n_r", 1)
-    w = np.asarray(input_dist.probs, dtype=float)
     if pts.size == 1:
         return 0.0
     sigma = 1.0 / math.sqrt(n_r)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _pmf_fisher
-from .errors import DomainError, ValidationError, _count, _real
+from .errors import DomainError, ValidationError, _count, _real, _reals
 from .mutual_info import TypeIndex
 from .quad import _midpoints
 
@@ -45,7 +45,7 @@ class Quantizer1D:
     @property
     def edges(self):
         """The L + 1 bin edges from -r to r, the cut points of the binned receiver."""
-        return tuple(float(x) for x in np.linspace(-self.r, self.r, self.L + 1))
+        return tuple(np.linspace(-self.r, self.r, self.L + 1).tolist())
 
     @property
     def num_cells(self):
@@ -71,7 +71,8 @@ def bin_probs_and_dtheta(channel, q, theta):
     """
     if channel.cell_mass_dtheta is None:
         raise TypeError(f"receiver_quant: channel {channel.kind!r} has no closed-form cell masses")
-    p, dp = channel.cell_mass_dtheta(theta, q.edges)
+    edges = np.linspace(-q.r, q.r, q.L + 1)  # q.edges as an array: a tuple would be type-scanned
+    p, dp = channel.cell_mass_dtheta(theta, edges)
     return _merge_tails(p), _merge_tails(dp)
 
 
@@ -100,7 +101,7 @@ def capacity_loss_eL(channel, q, grid_size=1025):
 
 def type_from_samples(q, samples):
     """Bin a sample vector into the L+1 cells of the quantizer."""
-    y = np.asarray(samples, dtype=float)
+    y = _reals(samples, "type_from_samples: samples")
     if y.ndim != 1 or y.size == 0:
         raise ValidationError("type_from_samples: samples must be a nonempty 1-D array")
     edges = np.asarray(q.edges)
@@ -117,10 +118,8 @@ def exact_loglik(channel, samples, theta):
     """Sum of per-antenna log densities at theta; cost grows with n_r."""
     if channel.output_logdensity_dtheta is None:
         raise TypeError(f"exact_loglik: channel {channel.kind!r} has no scalar log-density")
-    y = np.asarray(samples, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise DomainError("exact_loglik: samples must be finite")
-    logp, _ = channel.output_logdensity_dtheta(y, float(theta))
+    y = _reals(samples, "exact_loglik: samples")
+    logp, _ = channel.output_logdensity_dtheta(y, _real(theta, "exact_loglik: theta"))
     return float(np.sum(logp))
 
 
@@ -152,8 +151,8 @@ def ml_detect(channel, q, type_index, constellation):
     toward the smaller index, and if every candidate scores -inf,
     index 0 is returned.
     """
-    points = np.asarray(getattr(constellation, "points", constellation), dtype=float)
-    if points.ndim != 1 or points.size == 0:
+    points = getattr(constellation, "points", constellation)  # the channel checks each point
+    if np.ndim(points) != 1 or np.size(points) == 0:
         raise ValidationError("ml_detect: constellation must hold scalar points")
     return int(np.argmax(approx_loglik(channel, q, type_index, points)))
 

@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _reals
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 _SQRT2 = float(np.sqrt(2.0))
@@ -198,13 +198,6 @@ def _e1(x):
     return np.where(small, series, np.exp(-xl) / (xl + 1.0 + f))
 
 
-def _as_array(x, name):
-    a = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{name}: input must be finite")
-    return a
-
-
 def _maybe_scalar(x, *values):
     if np.isscalar(x) or np.ndim(x) == 0:
         out = tuple(float(v) for v in values)
@@ -219,7 +212,7 @@ def gauss_phi_q(x):
     ``0.5 * erfcx(|x|/sqrt(2)) * exp(-x^2/2)`` and reflected for negative
     arguments, which stays accurate far beyond where ``1 - cdf`` dies.
     """
-    a = _as_array(x, "gauss_phi_q")
+    a = _reals(x, "gauss_phi_q: x")
     phi = np.exp(-0.5 * a * a) / SQRT_2PI
     return _maybe_scalar(x, phi, _q_pair(a)[0])
 
@@ -263,17 +256,18 @@ def _gauss_tails(a):
 
 def gauss_hazard(x):
     """phi(x)/Q(x), stable for arbitrarily large x via erfcx."""
-    a = _as_array(x, "gauss_hazard")
+    a = _reals(x, "gauss_hazard: x")
     return _maybe_scalar(x, _gauss_tails(a)[2])
 
 
 def gauss_mass(a, b):
-    """P(a < Z <= b) for standard Gaussian Z; edges may be +-inf.
+    """P(a < Z <= b) for standard Gaussian Z; edges may be +-inf, never NaN.
 
     Uses the complement on whichever side is in the deep tail, so thin
     cells far from the origin keep relative accuracy.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.broadcast_arrays(_reals(a, "gauss_mass: a", finite=False),
+                               _reals(b, "gauss_mass: b", finite=False))
     q, qn = _q_pair(np.stack([a, b]))  # one tail pass over both edges
     return _mass(a, b, (q[0], qn[0]), (q[1], qn[1]))
 
@@ -301,24 +295,18 @@ def bessel_i01_scaled(x):
     monotone in x, which is what the score of the energy-detection
     channel consumes.
     """
-    a = _as_array(x, "bessel_i01_scaled")
-    if np.any(a < 0):
-        raise DomainError("bessel_i01_scaled: requires x >= 0")
+    a = _reals(x, "bessel_i01_scaled: x", 0.0)
     return _maybe_scalar(x, *_bessel_i01e(a))
 
 
 def exp_integral_e1(x):
     """Exponential integral E1(x) = integral_x^inf e^-t / t dt, x > 0."""
-    a = _as_array(x, "exp_integral_e1")
-    if np.any(a <= 0):
-        raise DomainError("exp_integral_e1: requires x > 0")
+    a = _reals(x, "exp_integral_e1: x", math.ulp(0.0))
     return _maybe_scalar(x, _e1(a))
 
 
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
-    a = _as_array(x, "log_gamma")
-    if np.any(a <= 0):
-        raise DomainError("log_gamma: requires x > 0")
+    a = _reals(x, "log_gamma: x", math.ulp(0.0))
     return _maybe_scalar(x, _LGAMMA(a))
 

@@ -7,7 +7,7 @@ import pytest
 
 import fishercap as fc
 from fishercap import channels as ch
-from fishercap.errors import DomainError, ValidationError, _count, _probabilities, _real
+from fishercap.errors import DomainError, ValidationError, _count, _probabilities, _real, _reals
 
 
 def _onebit():
@@ -16,6 +16,14 @@ def _onebit():
 
 def _two_points():
     return fc.DiscreteInput(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+
+
+def _prior():
+    return fc.tilted_prior(fc.awgn_channel(1.0), 0.0)
+
+
+def _poly():
+    return fc.PolyDensity(np.array([0.5]), (-1.0, 1.0))
 
 
 # Each call used to return a value (a NaN, a truncated count, a string read as a number)
@@ -36,6 +44,30 @@ INVALID_CALLS = {
     "discrete_input_nan_prob": lambda: fc.DiscreteInput(np.array([0.0, 1.0]), np.array([math.nan, 1.0])),
     "jf_P_nan": lambda: fc.tilted_prior(fc.awgn_channel(1.0), 0.0).jf(math.nan),
     "quad_rule_abs_tol_inf": lambda: fc.QuadRule(abs_tol=math.inf),
+    "thresholds_string": lambda: fc.channel_from_json(
+        {"kind": "quantized_awgn", "A": 1, "thresholds": ["0"]}),
+    "thresholds_bool": lambda: fc.channel_from_json(
+        {"kind": "quantized_awgn", "A": 1, "thresholds": [True, 1.5]}),
+    "dither_points_string": lambda: fc.channel_from_json(
+        {"kind": "dithered_onebit", "A": 1, "points": ["0", "1"]}),
+    "poisson_support_string": lambda: fc.channel_from_json(
+        {"kind": "poisson", "A": 1, "h": {"values": ["1"], "probs": [1.0]},
+         "mu": {"values": [1.0], "probs": [1.0]}}),
+    "prior_cdf_inverse_string": lambda: fc.prior_cdf_inverse(_prior(), "0.5"),
+    "prior_cdf_bool": lambda: fc.prior_cdf(_prior(), True),
+    "poly_cdf_inverse_string": lambda: fc.poly_cdf_inverse(_poly(), "0.25"),
+    "quantized_fisher_theta_nan": lambda: fc.quantized_fisher(
+        fc.awgn_channel(1.0), fc.build_quantizer(4.0, 8), math.nan),
+    "type_from_samples_nan": lambda: fc.type_from_samples(
+        fc.build_quantizer(4.0, 8), [math.nan, 0.1]),
+    "mimo_fisher_matrix_nan": lambda: ch.mimo_fisher_matrix([math.nan, 0.0], 1, 0.1),
+    "discrete_input_nan_point": lambda: fc.DiscreteInput([math.nan, 1.0], [0.5, 0.5]),
+    "exact_loglik_theta_nan": lambda: fc.exact_loglik(fc.awgn_channel(1.0), [0.1], math.nan),
+    "gauss_mass_nan": lambda: fc.gauss_mass(math.nan, 1.0),
+    "quantized_pmf_dtheta_nan": lambda: fc.quantized_pmf_dtheta(math.nan, [0.0]),
+    "poly_density_nan_coeff": lambda: fc.PolyDensity(np.array([math.nan]), (-1.0, 1.0)),
+    "radial_direction_nan": lambda: fc.radial_constellation_isotropic(
+        fc.mimo_imperfect_csi_channel(1.0, 1, 0.1), 0.5, 2, [[math.nan, 0.0]]),
 }
 
 
@@ -57,6 +89,48 @@ def test_real_accepts_numbers_and_refuses_strings_and_bools():
             _real(bad, "f: x", 0.0, 1.0)
     with pytest.raises(ValidationError):
         _real(-1.0, "f: x", 0.0, error=ValidationError)
+
+
+def test_real_closed_bounds_admit_both_ends():
+    assert _real(1.0, "f: u", 0.0, 1.0, closed=True) == 1.0
+    assert _real(0.0, "f: u", 0.0, 1.0, closed=True) == 0.0
+    with pytest.raises(DomainError, match="^f: need a finite u >= 0 and <= 1"):
+        _real(1.5, "f: u", 0.0, 1.0, closed=True)
+
+
+def test_reals_returns_float_arrays_of_any_shape():
+    a = np.arange(3)
+    assert _reals(a, "f: x").dtype == float and _reals(a, "f: x").tolist() == [0.0, 1.0, 2.0]
+    assert _reals([[1, 2.5], (3, np.float32(4))], "f: x").tolist() == [[1.0, 2.5], [3.0, 4.0]]
+    assert _reals(0.5, "f: x").shape == ()
+    assert _reals([0.0, 1.0], "f: x", 0.0, 1.0).tolist() == [0.0, 1.0]  # closed at both ends
+    assert _reals([-math.inf, math.inf], "f: x", finite=False).tolist() == [-math.inf, math.inf]
+    for bad in ("1", b"1", True, np.array([True]), np.array(["1"]), None, [1.0, None],
+                [True, 1.5], [[1.0], [np.True_]], ("0", 1.0), [[1.0], [1.0, 2.0]]):
+        with pytest.raises(ValidationError, match="^f: need real x"):
+            _reals(bad, "f: x")
+    for bad, first in (([0.5, -0.5, -1.0], "-0.5"), (np.array([math.nan, 0.5]), "nan"),
+                       ([[0.5], [1.5]], "1.5"), (math.inf, "inf")):  # the first bad entry
+        with pytest.raises(DomainError, match=rf"^f: need finite x in \[0, 1\], got {first}$"):
+            _reals(bad, "f: x", 0.0, 1.0)
+    with pytest.raises(DomainError, match="^f: need non-NaN x, got nan$"):
+        _reals([math.inf, math.nan], "f: x", finite=False)
+    with pytest.raises(ValidationError):
+        _reals([-1.0], "f: x", 0.0, error=ValidationError)
+
+
+def test_points_and_edges_take_numpy_floats_and_closed_ends():
+    prior = _prior()
+    assert fc.prior_cdf_inverse(prior, 1) == prior.hi and fc.prior_cdf_inverse(prior, 0) == prior.lo
+    assert fc.prior_cdf(prior, np.float64(prior.hi)) == 1.0
+    assert fc.poly_cdf_inverse(_poly(), np.float32(1.0)) == 1.0
+    pts = np.array([-0.5, 0.5], dtype=np.float32)
+    assert fc.DiscreteInput(pts, [0.5, 0.5]).points.tolist() == [-0.5, 0.5]
+    onebit = fc.quantized_awgn_channel(1.0, np.array([0.0], dtype=np.float32))
+    assert onebit.output_pmf(np.float64(0.0)).tolist() == [0.5, 0.5]
+    assert fc.ml_detect(fc.awgn_channel(1.0), fc.build_quantizer(4.0, 8),
+                        fc.TypeIndex((0, 0, 0, 0, 0, 5, 0, 0, 0)), [np.float64(-0.5), 0.5]) == 1
+    assert fc.gauss_mass(-math.inf, [0.0, math.inf]).tolist() == [0.5, 1.0]
 
 
 def test_count_accepts_integer_values_only():

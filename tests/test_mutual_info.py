@@ -123,7 +123,6 @@ def test_ba_needs_an_antenna(onebit, n_r):
 def test_type_index_validation():
     t = fc.TypeIndex((3, 0, 2))
     assert t.n_r == 5
-    assert np.allclose(t.frequencies(), [0.6, 0.0, 0.4])
     with pytest.raises(ValidationError):
         fc.TypeIndex((1, -2))
     with pytest.raises(ValidationError):
