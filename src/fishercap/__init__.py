@@ -88,7 +88,7 @@ from .noniid import (
     fisher_rate_limit,
     white_noise_autocovariance,
 )
-from .quad import QuadRule, integrate_interval, integrate_semiinf
+from .quad import QuadRule, integrate_interval
 from .receiver_quant import (
     Quantizer1D,
     ScalingResult,

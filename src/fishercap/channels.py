@@ -22,6 +22,11 @@ A ``ChannelSpec`` bundles the callables the rest of the library needs:
   channels may expose ``output_logdensity_dtheta`` and closed-form cell
   masses through ``cell_mass_dtheta(theta, cuts)``.
 
+Every callable is pointwise: a batch of theta gets the bits of each
+theta alone.  Energy detection's J, the one without a closed form, is a
+fixed Gauss-Legendre rule in the centred amplitude, with no nested
+quadrature.
+
 Each check lives in one place.  A constructor checks the channel's
 parameters and each public formula function its own, with the
 ``errors`` helper of each kind (``_real``, ``_count``,
@@ -56,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError, _count, _probabilities, _real, _reals
-from .quad import QuadRule, integrate_semiinf
+from .quad import NODES, WEIGHTS
 from .specfun import _bessel_i01e, _cell_mass, _gauss_tails, _phi_raw, _q_pair, gauss_mass
 
 
@@ -249,9 +254,6 @@ def fisher_quantized_awgn(theta, thresholds):
     return float(j) if np.ndim(theta) == 0 else j
 
 
-_ENERGY_RULE = QuadRule(abs_tol=1e-13, rel_tol=1e-11)
-
-
 def _energy_density_score(y, theta):
     # Density of y~ = 2|x+z|^2 given theta = |x| and its score, from one
     # scaled-Bessel evaluation at s = theta sqrt(2 y~):
@@ -265,28 +267,41 @@ def _energy_density_score(y, theta):
     return 0.5 * np.exp(expo) * i0, -2.0 * theta + root * ratio
 
 
+# Energy detection's rule: 12 equal 15-node Gauss-Legendre panels on [0, 1], mapped onto
+# z in [max(-sqrt(2) theta, -Z), Z].  Against mpmath (theta from 1e-4 to 100) it is within
+# 1e-14 relative from Z = 9 or 6 panels on; Z = 8.5 or 4 panels miss 1e-12.
+_ENERGY_Z, _ENERGY_PANELS = 10.0, 12
+_ENERGY_CHUNK = 1024  # theta per pass: each temporary holds at most 1024 x 180 floats
+_ENERGY_NODES = ((np.arange(_ENERGY_PANELS)[:, None] + 0.5 + 0.5 * NODES) / _ENERGY_PANELS).ravel()
+_ENERGY_WEIGHTS = np.tile(0.5 * WEIGHTS / _ENERGY_PANELS, _ENERGY_PANELS)
+
+
 def fisher_energy_detection(theta):
     """Fisher information of the magnitude-only complex Gaussian channel.
 
-    Given theta = |x|, the statistic 2|y|^2 is noncentral chi-square with
-    2 degrees of freedom; J(theta) is the second moment of the score
-    -2 theta + sqrt(2 y~) I1/I0(theta sqrt(2 y~)), computed with scaled
-    Bessels and one semi-infinite quadrature over the whole batch of
-    theta values, each to abs 1e-13 or rel 1e-11.
+    Given theta = |x|, the statistic 2|y|^2 = r^2 is noncentral
+    chi-square with 2 degrees of freedom; J(theta) is the second moment
+    of the score -2 theta + sqrt(2) r I1/I0(s), s = sqrt(2) theta r: in
+    the centred amplitude z = r - sqrt(2) theta, the integral of
+    score^2 exp(-z^2/2) i0e(s) r over z >= -sqrt(2) theta, by the fixed
+    rule above on [max(-sqrt(2) theta, -Z), Z].  Each value depends on
+    its own theta alone; J tends to 2.
     """
     th = _check_profile(theta, 0.0, np.inf, "fisher_energy_detection")
     flat = np.ravel(th)
-    out = np.zeros(flat.shape)
-    live = flat > 0.0  # the score is identically zero at theta = 0
-    if np.any(live):
-        t = flat[live][:, None]
-
-        def integrand(y):
-            density, sc = _energy_density_score(y, t)
-            return sc * sc * density
-
-        out[live], _ = integrate_semiinf(integrand, 0.0, _ENERGY_RULE)
-    return float(out[0]) if np.ndim(theta) == 0 else out.reshape(th.shape)
+    j = np.empty(flat.size)
+    for k in range(0, flat.size, _ENERGY_CHUNK):
+        t = flat[k:k + _ENERGY_CHUNK, None]
+        lo = np.maximum(-math.sqrt(2.0) * t, -_ENERGY_Z)
+        span = _ENERGY_Z - lo
+        z = lo + span * _ENERGY_NODES
+        r = z + math.sqrt(2.0) * t
+        s = math.sqrt(2.0) * t * r
+        i0, i1 = _bessel_i01e(s)
+        score = -2.0 * t + math.sqrt(2.0) * r * np.where(s > 0.0, i1 / i0, 0.0)
+        terms = score * score * np.exp(-0.5 * z * z) * i0 * r * _ENERGY_WEIGHTS
+        j[k:k + _ENERGY_CHUNK] = terms.sum(axis=-1) * span[:, 0]
+    return float(j[0]) if np.ndim(theta) == 0 else j.reshape(th.shape)
 
 
 def mimo_sqrt_det_fisher(r, nt, sigma2):

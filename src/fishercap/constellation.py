@@ -101,9 +101,10 @@ class PolyDensity:
 
     def __post_init__(self):
         c = _reals(self.coeffs, "PolyDensity: coeffs", error=ValidationError)
-        lo, hi = self.support
-        if not lo < hi:
-            raise ValidationError("PolyDensity: support must satisfy lo < hi")
+        support = _reals(self.support, "PolyDensity: support", error=ValidationError)
+        if support.shape != (2,) or not support[0] < support[1]:
+            raise ValidationError("PolyDensity: support must be two reals lo < hi")
+        lo, hi = float(support[0]), float(support[1])
         grid = np.linspace(lo, hi, _GRID_POINTS)
         vals = np.polynomial.polynomial.polyval(grid, c)
         if np.any(vals <= 0):
@@ -112,7 +113,7 @@ class PolyDensity:
         if abs(c @ alphas - 1.0) > 1e-9:
             raise ValidationError("PolyDensity: coefficients do not integrate to 1")
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "support", (float(lo), float(hi)))
+        object.__setattr__(self, "support", (lo, hi))
 
     def pdf(self, theta):
         return np.polynomial.polynomial.polyval(np.asarray(theta, dtype=float), self.coeffs)

@@ -12,12 +12,14 @@ cost on the space, taken at theta_0, the point of the space nearest 0
 weight never underflows at its peak.
 
 A profile table per channel evaluates c and sqrt(det J) once at each
-15-point Gauss-Legendre node it visits and keeps the values.  For a
-tilt lambda, ``quad`` selects the converged panels afresh from the root
-partition over those cached values, so every result depends only on
-(channel, lambda), never on earlier calls; the panels meet the prior's
-tolerance (abs 1e-14, rel 1e-12).  The root partition is cut at
-theta_0 and graded toward it until the tilt across the innermost panels
+15-point Gauss-Legendre node it visits and keeps the values per panel;
+it calls the channel once per ``quad`` step, on the panels it has not
+seen.  For a tilt lambda, ``quad`` selects the converged panels afresh
+from the root partition over those cached values, so every result
+depends only on (channel, lambda), never on earlier calls or on which
+panels shared a channel call; the panels meet the prior's tolerance
+(abs 1e-14, rel 1e-12).  The root partition is cut at theta_0 and
+graded toward it until the tilt across the innermost panels
 is at most ``_GRADE_BITS`` bits, so the tilted peak is resolved however
 narrow it is.  From node sums alone the table gives:
 
@@ -138,7 +140,7 @@ class _ProfileTable:
         self.channel = channel
         self.theta0 = min(max(0.0, self.lo), self.hi)
         self.c_min = float(channel.cost(self.theta0))
-        self._nodes = {}  # node array bytes -> (cost - c_min, sqrt det J with sphere factor)
+        self._nodes = {}  # panel node bytes -> (cost - c_min, sqrt det J with sphere factor)
 
     def _root_det(self, t):
         root_det = self._surface * np.asarray(self.channel.sqrt_det_fisher(t), dtype=float)
@@ -150,12 +152,17 @@ class _ProfileTable:
         return np.exp2(-lam * (self.channel.cost(t) - self.c_min)) * self._root_det(t)
 
     def _values(self, x):
-        key = x.tobytes()
-        v = self._nodes.get(key)
-        if v is None:
-            dc = np.asarray(self.channel.cost(x), dtype=float) - self.c_min
-            v = self._nodes[key] = (dc, self._root_det(x))
-        return v
+        """c - c_min and sqrt det J at the nodes x of whole panels; one channel call on misses."""
+        keys = [p.tobytes() for p in x.reshape(-1, 15)]
+        miss = {k: p for k, p in zip(keys, x.reshape(-1, 15)) if k not in self._nodes}
+        if miss:
+            t = np.concatenate(list(miss.values()))
+            dc = np.asarray(self.channel.cost(t), dtype=float) - self.c_min
+            root_det = self._root_det(t)
+            for i, k in enumerate(miss):
+                self._nodes[k] = (dc[15 * i:15 * i + 15], root_det[15 * i:15 * i + 15])
+        dc, root_det = zip(*(self._nodes[k] for k in keys))
+        return np.concatenate(dc), np.concatenate(root_det)
 
     def _breakpoints(self, lam):
         """theta_0, and cuts graded toward it until the innermost tilt is small."""
@@ -200,7 +207,7 @@ class TiltedPrior:
                 f"jeffreys: normalization is {self.z!r} at lambda={lam!r}; "
                 f"Fisher information vanishes on {table.channel.kind!r}"
             )
-        dc = np.stack([table._values(x)[0] for x in leaves.x])
+        dc = table._values(leaves.x)[0].reshape(leaves.x.shape)
         mass = leaves.half[:, None] * WEIGHTS * leaves.values  # per node
         mean_dc = float((mass * dc).sum()) / self.z
         self.m = table.c_min + mean_dc

@@ -11,11 +11,14 @@ nodes and integrand values, so callers can build on them;
 endpoints, so integrable endpoint singularities such as 1/sqrt(theta)
 are handled by refinement alone.
 
-Integrands must be vectorized and side-effect free: they receive an
-ndarray of n nodes and return either n values or a (k, n) array of k
-integrands sharing one partition.  A (k, n) integrand adapts on its
-worst row, measured against each row's own tolerance, and every row
-meets the tolerance.
+Each step is one integrand call: one for all initial segments (each a
+coarse panel and its two halves), then one per bisection (its four half
+panels).  Integrands must be vectorized, side-effect free and pointwise
+(a node's value may not depend on the other nodes of the call): they
+receive an ndarray of n nodes and return either n values or a (k, n)
+array of k integrands sharing one partition.  A (k, n) integrand adapts
+on its worst row, measured against each row's own tolerance, and every
+row meets the tolerance.
 """
 
 import heapq
@@ -71,23 +74,31 @@ class Leaves:
         return float(total) if total.ndim == 0 else total
 
 
-def _panel(f, a, b):
+def _panels(f, a, b):
+    """(nodes, values, sum) of each panel [a_i, b_i]; one f call, each sum rounded as alone."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * NODES
-    y = np.asarray(f(x), dtype=float)
-    if y.shape[-1:] != x.shape or y.ndim > 2:
+    x = (0.5 * (a + b))[:, None] + half[:, None] * NODES
+    y = np.asarray(f(x.ravel()), dtype=float)
+    if y.shape[-1:] != (x.size,) or y.ndim > 2:
         raise DomainError("quad: integrand must map an (n,) array to an (n,) or (k, n) array")
-    if not np.all(np.isfinite(y)):
-        raise DomainError(f"quad: integrand non-finite inside [{a!r}, {b!r}]")
-    return x, y, half * (y @ WEIGHTS)
+    # (k, m * 15) -> (m, k, 15); each panel's values contiguous
+    y = np.ascontiguousarray(np.moveaxis(y.reshape(y.shape[:-1] + x.shape), -2, 0))
+    bad = ~np.isfinite(y.reshape(len(a), -1)).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"quad: integrand non-finite inside [{float(a[i])!r}, {float(b[i])!r}]")
+    return [(x[i], y[i], half[i] * (y[i] @ WEIGHTS)) for i in range(len(a))]
 
 
 def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
     """Adaptive Gauss-Legendre over [a, b] (a < b); returns the converged ``Leaves``.
 
     The initial segments run between the breakpoints that fall inside
-    (a, b).  Raises ToleranceError (carrying the best estimate) if the
-    tolerance is not met within ``rule.max_subdivisions`` bisections.
+    (a, b); f is called once per step and must be pointwise (see the
+    module docstring).  Raises ToleranceError (carrying the best
+    estimate) if the tolerance is not met within
+    ``rule.max_subdivisions`` bisections.
     """
     a = _real(a, "quad: a")
     b = _real(b, "quad: b", a)
@@ -96,19 +107,21 @@ def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
     def tol(value):
         return np.maximum(rule.abs_tol, rule.rel_tol * np.abs(value))
 
-    def segment(lo, hi, coarse):
-        mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid)
-        right = _panel(f, mid, hi)
+    def segment(lo, hi, coarse, left, right):
         fine = left[2] + right[2]
-        return [0.0, lo, hi, mid, left, right, fine, np.abs(coarse - fine)]
+        return [0.0, lo, hi, 0.5 * (lo + hi), left, right, fine, np.abs(coarse - fine)]
 
     def push(seg, value):
         # worst row first, each in units of its own tolerance
         seg[0] = -float(np.max(seg[7] / tol(value)))
         heapq.heappush(heap, seg)
 
-    roots = [segment(lo, hi, _panel(f, lo, hi)[2]) for lo, hi in zip(edges, edges[1:])]
+    # per root segment: the coarse panel, then its left and right halves
+    spans = [(lo, hi, 0.5 * (lo + hi)) for lo, hi in zip(edges, edges[1:])]
+    cuts = [c for lo, hi, mid in spans for c in ((lo, hi), (lo, mid), (mid, hi))]
+    p = _panels(f, *zip(*cuts))
+    roots = [segment(lo, hi, p[3 * i][2], p[3 * i + 1], p[3 * i + 2])
+             for i, (lo, hi, _) in enumerate(spans)]
     value = sum(s[6] for s in roots)
     err = sum(s[7] for s in roots)
     heap = []
@@ -124,8 +137,10 @@ def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
                 err_est=err,
             )
         _, lo, hi, mid, left, right, fine, seg_err = heapq.heappop(heap)
-        s1 = segment(lo, mid, left[2])
-        s2 = segment(mid, hi, right[2])
+        q1, q2 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        p = _panels(f, (lo, q1, mid, q2), (q1, mid, q2, hi))
+        s1 = segment(lo, mid, left[2], p[0], p[1])
+        s2 = segment(mid, hi, right[2], p[2], p[3])
         value = value + (s1[6] + s2[6]) - fine
         err = err + (s1[7] + s2[7]) - seg_err
         push(s1, value)
@@ -156,22 +171,6 @@ def integrate_interval(f, a, b, rule=DEFAULT_RULE):
         return 0.0, 0.0
     leaves = quad(f, a, b, rule)
     return leaves.value, leaves.err
-
-
-def integrate_semiinf(f, a, rule=DEFAULT_RULE):
-    """Integrate f over [a, inf) via the substitution t = a + u/(1-u).
-
-    The integrand must decay at least exponentially and evaluate
-    finitely (typically to 0.0) for very large arguments.
-    """
-    a = _real(a, "integrate_semiinf: a")
-
-    def g(u):
-        onem = 1.0 - u
-        t = a + u / onem
-        return np.asarray(f(t), dtype=float) / (onem * onem)
-
-    return integrate_interval(g, 0.0, 1.0, rule)
 
 
 def _midpoints(lo, hi, n):

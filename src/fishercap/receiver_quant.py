@@ -158,9 +158,11 @@ def ml_detect(channel, q, type_index, constellation):
 
 
 def fit_loglog_slope(L_values, e_values):
-    """Least-squares slope of ln e against ln L, dropping underflowed points."""
-    L = np.asarray(L_values, dtype=float)
-    e = np.asarray(e_values, dtype=float)
+    """Least-squares slope of ln e against ln L (each L >= 1), dropping underflowed points."""
+    L = _reals(L_values, "fit_loglog_slope: L_values", 1.0)
+    e = _reals(e_values, "fit_loglog_slope: e_values")
+    if L.ndim != 1 or L.shape != e.shape:
+        raise DomainError("fit_loglog_slope: L_values and e_values must be matching 1-D sequences")
     keep = e >= _SLOPE_FLOOR
     if not np.all(keep):
         warnings.warn(

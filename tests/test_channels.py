@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -539,25 +540,78 @@ def test_channel_json_errors():
 
 def test_energy_detection_logdensity_normalized():
     channel = ch.energy_detection_channel(1.0)
-    from fishercap.quad import integrate_semiinf
+    from fishercap.quad import integrate_interval
 
+    # the density of y~ = 2|x+z|^2 is below exp(-(sqrt(y~) - sqrt(2) theta)^2 / 2) past
+    # y~ = 400, so [0, 400] holds all of its mass to far below the tolerance
     for theta in [0.3, 0.9]:
         logp_fn = lambda y: np.exp(channel.output_logdensity_dtheta(y, theta)[0])
-        total, _ = integrate_semiinf(logp_fn, 0.0)
+        total, _ = integrate_interval(logp_fn, 0.0, 400.0)
         assert total == pytest.approx(1.0, abs=1e-9)
     # score integrates to zero against the density (regularity)
     def weighted_score(y):
         logp, dlog = channel.output_logdensity_dtheta(y, 0.5)
         return np.exp(logp) * dlog
-    mean_score, _ = integrate_semiinf(weighted_score, 0.0)
+    mean_score, _ = integrate_interval(weighted_score, 0.0, 400.0)
     assert abs(mean_score) < 1e-9
+
+
+def _fisher_oracle():
+    path = os.path.join(os.path.dirname(__file__), "data", "fisher_oracle.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_energy_detection_matches_mpmath():
+    # theta from 1e-4 to 100, through the deep range where J tends to 2
+    rows = _fisher_oracle()["energy_detection"]
+    theta = np.array([x for x, _ in rows])
+    want = np.array([float(v) for _, v in rows])
+    np.testing.assert_allclose(ch.fisher_energy_detection(theta), want, rtol=1e-12, atol=0.0)
+
+
+def test_fisher_reference_reproduces_committed_table():
+    pytest.importorskip("mpmath")
+    import reference_fisher as ref
+
+    committed = _fisher_oracle()["energy_detection"]
+    sample = [row for row in committed if row[0] in (1e-4, 0.5)]  # two rows of about 0.5 s each
+    assert len(sample) == 2
+    fresh = ref.generate_tables({"energy_detection": [x for x, _ in sample]})["energy_detection"]
+    for (x0, v0), (x1, v1) in zip(sample, fresh):
+        assert x0 == x1
+        assert float(v0) == pytest.approx(float(v1), rel=1e-25)
+
+
+@pytest.mark.parametrize("A, lam_star, log2_jf", [(30.0, 0.007387, 4.794139),
+                                                  (60.0, 0.007574, 4.797549)])
+def test_energy_detection_large_peak_solves(A, lam_star, log2_jf):
+    # J is near 2 beyond theta = 19, so the tilt at P = 100 sees the whole space
+    s = fc.solve_lambda_star(ch.energy_detection_channel(A), 100.0)
+    assert s.lambda_star == pytest.approx(lam_star, abs=5e-7)
+    assert s.log2_jf == pytest.approx(log2_jf, abs=5e-7)
+
+
+def test_energy_detection_long_batch_in_bounded_memory():
+    import tracemalloc
+
+    theta = np.linspace(0.0, 30.0, 20000)  # several passes of the rule
+    tracemalloc.start()
+    try:
+        batch = ch.fisher_energy_detection(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6  # a single pass over 20000 theta would hold several 29 MB arrays
+    for i in (0, 1023, 1024, 2047, 2048, 19999):
+        assert batch[i] == ch.fisher_energy_detection(theta[i])
 
 
 def test_energy_detection_batch_matches_pointwise():
     theta = np.array([0.0, 1e-3, 0.4, 1.0, 2.5, 4.0])
     batch = ch.fisher_energy_detection(theta)
     single = np.array([ch.fisher_energy_detection(t) for t in theta])
-    # each row meets the rule's tolerance (abs 1e-13, rel 1e-11) on its own
+    # each value depends on its own theta alone
     np.testing.assert_allclose(batch, single, rtol=2e-11, atol=2e-13)
     assert batch[0] == 0.0
     channel = ch.energy_detection_channel(4.0)

@@ -68,6 +68,9 @@ INVALID_CALLS = {
     "poly_density_nan_coeff": lambda: fc.PolyDensity(np.array([math.nan]), (-1.0, 1.0)),
     "radial_direction_nan": lambda: fc.radial_constellation_isotropic(
         fc.mimo_imperfect_csi_channel(1.0, 1, 0.1), 0.5, 2, [[math.nan, 0.0]]),
+    "loglog_slope_L_nan": lambda: fc.fit_loglog_slope([math.nan, 2, 4, 8], [1, .5, .25, .1]),
+    "loglog_slope_L_below_1": lambda: fc.fit_loglog_slope([-1, 2, 4, 8], [1, .5, .25, .1]),
+    "poly_density_support_string": lambda: fc.PolyDensity(np.array([0.5]), ("-1", "1")),
 }
 
 

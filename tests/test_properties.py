@@ -6,6 +6,11 @@ Over the channel zoo:
 * log2 JF(lambda) is convex (it is a log-partition function);
 * the inverse cdf undoes the cdf;
 * the prior density integrates to one;
+* a channel's ``cost``, ``sqrt_det_fisher`` and (on interval spaces)
+  ``fisher`` are pointwise: on a batch of theta they give the same bits
+  as on each theta alone and on the batch reversed, which the profile
+  table relies on when it evaluates the panels of one quadrature step
+  in one call;
 * a result depends only on (channel, lambda): JF at one tilt is
   bit-identical whether or not other tilts were evaluated first;
 * the prior a tilt solve returns is the prior tilted afresh at its
@@ -120,6 +125,25 @@ def test_prior_integrates_to_one(kind, data, bits):
     prior = fc.tilted_prior(channel, bits / _cost_span(channel))
     total, _ = fc.integrate_interval(prior.density, prior.lo, prior.hi)
     assert abs(total - 1.0) <= 1e-9
+
+
+@per_kind
+@SETTINGS
+@given(data=st.data(), fracs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
+def test_channel_callables_are_pointwise(kind, data, fracs):
+    channel = fc.channel_from_json(data.draw(KINDS[kind]))
+    lo, hi = channel.param_space.profile_bounds
+    theta = lo + (hi - lo) * np.array(fracs)
+    names = ["cost", "sqrt_det_fisher"]
+    if channel.param_space.shape == "interval":  # a ball's fisher takes one d-vector
+        names.append("fisher")
+    for name in names:
+        fn = getattr(channel, name)
+        batch = np.asarray(fn(theta), dtype=float)
+        alone = np.concatenate([np.asarray(fn(theta[i:i + 1]), dtype=float)
+                                for i in range(theta.size)])
+        assert batch.tobytes() == alone.tobytes(), name
+        assert batch.tobytes() == np.asarray(fn(theta[::-1]), dtype=float)[::-1].tobytes(), name
 
 
 @per_kind

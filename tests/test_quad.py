@@ -5,7 +5,7 @@ import pytest
 
 from fishercap import specfun
 from fishercap.errors import DomainError, ToleranceError
-from fishercap.quad import QuadRule, integrate_interval, integrate_semiinf, quad
+from fishercap.quad import NODES, WEIGHTS, QuadRule, integrate_interval, quad
 
 
 def test_constant_integrand():
@@ -27,18 +27,6 @@ def test_inverse_sqrt_endpoint_singularity():
     value, _ = integrate_interval(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0,
                                   QuadRule(abs_tol=1e-10, rel_tol=1e-9))
     assert value == pytest.approx(2.0, abs=1e-8)
-
-
-def test_semiinf_exponentials():
-    v, _ = integrate_semiinf(lambda t: np.exp(-t), 0.0)
-    assert v == pytest.approx(1.0, rel=1e-11)
-    v, _ = integrate_semiinf(lambda t: t * np.exp(-t), 0.0)
-    assert v == pytest.approx(1.0, rel=1e-11)
-
-
-def test_semiinf_matches_e1():
-    v, _ = integrate_semiinf(lambda t: np.exp(-t) / t, 1.0)
-    assert v == pytest.approx(specfun.exp_integral_e1(1.0), rel=1e-10)
 
 
 def test_linearity_on_random_smooth_functions():
@@ -127,3 +115,24 @@ def test_quad_vector_integrand_meets_every_row_tolerance():
     assert values.shape == (3,) and err.shape == (3,)
     assert np.all(err <= np.maximum(1e-14, 1e-12 * np.abs(values)))
     np.testing.assert_allclose(values, want, rtol=1e-12)
+
+
+def test_quad_calls_the_integrand_once_per_step():
+    scales = np.array([1.0, 30.0])[:, None]
+    for f, a, b, cuts in ((lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, ()),
+                          (lambda x: np.exp(-scales * x * x) * np.cos(4.0 * x), -1.0, 2.5, (0.3,))):
+        sizes = []
+        leaves = quad(lambda x: sizes.append(x.size) or f(x), a, b, QuadRule(), cuts)
+        # one call for the roots (each a coarse panel and its two halves), one per bisection
+        roots = 1 + len(cuts)
+        bisections = leaves.a.size // 2 - roots
+        assert bisections > 0
+        assert sizes == [3 * 15 * roots] + [4 * 15] * bisections
+        # the same arrays as an evaluation of the same partition one panel at a time
+        half = 0.5 * (leaves.b - leaves.a)
+        for i in range(leaves.a.size):
+            x = 0.5 * (leaves.a[i] + leaves.b[i]) + half[i] * NODES
+            y = f(x)
+            assert leaves.x[i].tobytes() == x.tobytes()
+            assert leaves.values[i].tobytes() == y.tobytes()
+            assert leaves.sums[i].tobytes() == (half[i] * (y @ WEIGHTS)).tobytes()
