@@ -8,7 +8,13 @@ compositions of n_r into L parts.  With S_i(t) = sum_l t_l log p(l | x_i),
     log p(t | x_i) = log multinomial(t) + S_i(t),
 
 and one kernel, ``_type_blocks``, streams (log multinomial, S) over
-blocks of compositions that numpy builds.  Both consumers start there:
+blocks of compositions that numpy builds, most of them by copying
+contiguous slices of the shorter vectors.  Each block lives in buffers
+allocated once per call, and the consumers write every step into
+buffers as well: the block loop allocates no (M x block) array, and
+each step is the numpy operation a plain array expression would run,
+in the same order, so the bits do not depend on the buffers.  Both
+consumers start there:
 
 * ``mi_from_pmf_matrix`` sums w_i p(t|i) [log p(t|i) - log p(t)] block
   by block.  The log-multinomial cancels inside the bracket, so it only
@@ -41,6 +47,7 @@ from .specfun import SQRT_2PI, log_gamma
 _EVAL_BUDGET = 10 ** 8  # log-pmf evaluations one MI or BA call may enumerate
 _LOG_ZERO = -1e6  # stand-in for log 0; k * _LOG_ZERO stays finite, exp() is exactly 0
 _BLOCK_TYPES = 1 << 12  # types per streamed block (M x 4096 doubles stay cache-sized)
+_SLICE_TOTALS = 32  # one slice copy costs about as much as gathering 140 columns, 32 of them a full block
 _BA_MAX_ITER = 10 ** 4
 _SPAN_SIGMAS = 40.0  # the sample-mean MI integrates this many sigmas beyond the extreme points
 
@@ -95,19 +102,36 @@ def _add_part(v, v_sum, starts, r0, r1):
     return np.vstack([v[:, i], s - v_sum[i]]), s
 
 
+def _num_types(n, parts):
+    return math.comb(n + parts - 1, parts - 1)
+
+
+def _rows(buf, rows, cols):
+    """The first rows * cols entries of a flat buffer as a contiguous (rows, cols) array."""
+    return buf[:rows * cols].reshape(rows, cols)
+
+
 def _starts(j, n):
-    return np.array([math.comb(s + j, j + 1) for s in range(n + 2)], dtype=np.int64)
+    # C(s + j, j + 1) for s = 0..n+1: partial sums of C(s + j, j), which are j-fold partial sums of ones
+    counts = np.ones(n + 1, dtype=np.int64)
+    for _ in range(j):
+        counts = np.cumsum(counts)
+    return np.concatenate(([0], np.cumsum(counts)))
 
 
-def _composition_chunks(n, parts, chunk=_BLOCK_TYPES):
+def _composition_chunks(n, parts, chunk):
     """Every composition of n into `parts` parts exactly once, one per column.
 
-    Blocks have shape (parts, <= chunk).  A composition is (n - s, tail),
-    with tail one of the (parts - 1)-part vectors of sum s <= n.  Those
-    are built one part at a time by ``_add_part``: the vectors of the
-    first parts - 2 parts whole (C(n + parts - 2, parts - 2) of them, a
-    share (parts - 1)/(n + parts - 1) of the total), the last extension
-    block by block.
+    Blocks have shape (parts, <= chunk) and are views of one buffer, so
+    each is valid until the next is drawn.  A composition is
+    (n - s, tail), with tail one of the (parts - 1)-part vectors of sum
+    s <= n.  Those are built one part at a time by ``_add_part``: the
+    vectors of the first parts - 2 parts whole (C(n + parts - 2, parts - 2)
+    of them, a share (parts - 1)/(n + parts - 1) of the total), the last
+    extension block by block.  A block that spans at most
+    ``_SLICE_TOTALS`` totals copies each total's columns as one slice of
+    v; a block that spans more (every block for parts = 2, the first
+    ones for parts = 3) gathers them column by column.
     """
     if parts == 1:
         yield np.full((1, 1), n, dtype=np.int64)
@@ -116,27 +140,44 @@ def _composition_chunks(n, parts, chunk=_BLOCK_TYPES):
     for j in range(parts - 2):
         v, v_sum = _add_part(v, v_sum, _starts(j, n), 0, math.comb(n + j + 1, j + 1))
     starts = _starts(parts - 2, n)
-    total = math.comb(n + parts - 1, parts - 1)
+    total = _num_types(n, parts)
+    buf = np.empty(parts * min(chunk, total), dtype=np.int64)
     for r0 in range(0, total, chunk):
-        tail, s = _add_part(v, v_sum, starts, r0, min(r0 + chunk, total))
-        yield np.vstack([n - s, tail])
+        r1 = min(r0 + chunk, total)
+        block = _rows(buf, parts, r1 - r0)
+        s_first, s_last = np.searchsorted(starts, (r0, r1 - 1), side="right") - 1
+        if s_last - s_first < _SLICE_TOTALS:
+            for s in range(s_first, s_last + 1):
+                lo, hi = max(r0, starts[s]), min(r1, starts[s + 1])
+                cols, tail = slice(lo - r0, hi - r0), slice(lo - starts[s], hi - starts[s])
+                block[0, cols] = n - s
+                block[1:-1, cols] = v[:, tail]
+                np.subtract(s, v_sum[tail], out=block[-1, cols])
+        else:
+            block[1:], s = _add_part(v, v_sum, starts, r0, r1)
+            np.subtract(n, s, out=block[0])
+        yield block
 
 
 def _type_blocks(logp, n_r):
     """Per block of types: (log multinomial coefficient, S = logp @ counts).
 
     S has one row per input and one column per type; in that layout the
-    reductions over inputs run along contiguous rows.
+    reductions over inputs run along contiguous rows.  Both arrays are
+    contiguous views of buffers allocated once per call: each block
+    overwrites the last, and the caller may overwrite them in turn.
     """
     lg = log_gamma(np.arange(n_r + 1) + 1.0)
-    for counts in _composition_chunks(n_r, logp.shape[1]):
-        yield lg[n_r] - lg[counts].sum(axis=0), logp @ counts
-
-
-def _column_exp(x):
-    """Column maxima m and E = exp(x - m): log sum_i exp(x_it) = m_t + log sum_i E_it."""
-    m = x.max(axis=0)
-    return m, np.exp(x - m)
+    m, parts = logp.shape
+    width = min(_BLOCK_TYPES, _num_types(n_r, parts))
+    ll_buf, lg_buf, log_multi_buf = np.empty(m * width), np.empty(parts * width), np.empty(width)
+    for counts in _composition_chunks(n_r, parts, _BLOCK_TYPES):
+        n_t = counts.shape[1]
+        log_multi = log_multi_buf[:n_t]
+        # counts lie in [0, n_r]; mode="raise" would gather through a temporary
+        lg.take(counts, out=_rows(lg_buf, parts, n_t), mode="clip").sum(axis=0, out=log_multi)
+        np.subtract(lg[n_r], log_multi, out=log_multi)
+        yield log_multi, np.matmul(logp, counts, out=_rows(ll_buf, m, n_t))
 
 
 def _logsumexp(x):
@@ -164,7 +205,7 @@ def _log_pmf_matrix(pmf):
 
 
 def _check_budget(n_r, parts, num_inputs):
-    n_types = math.comb(n_r + parts - 1, parts - 1)
+    n_types = _num_types(n_r, parts)
     if n_types * num_inputs > _EVAL_BUDGET:
         raise BudgetError(
             f"mutual_info: {n_types} types x {num_inputs} inputs exceeds the "
@@ -190,12 +231,22 @@ def mi_from_pmf_matrix(pmf, weights, n_r):
     _check_budget(n_r, parts, logp.shape[0])
     logw = np.where(w > 0.0, np.log(np.clip(w, 1e-300, None)), _LOG_ZERO)
 
+    # each step of the block formula writes into buffers allocated once per call
+    m = logp.shape[0]
+    width = min(_BLOCK_TYPES, _num_types(n_r, parts))
+    e_buf, a_buf, per_type_buf = np.empty(m * width), np.empty(width), np.empty(width)
     nats = 0.0
     for log_multi, ll in _type_blocks(logp, n_r):
+        n_t = ll.shape[1]
+        e, a, per_type = _rows(e_buf, m, n_t), a_buf[:n_t], per_type_buf[:n_t]
         # a = max_i log(w_i p(t|i)) - log multinomial, so w_i p(t|i) = exp(log multinomial + a) E_it
-        a, e = _column_exp(ll + logw[:, None])
-        bracket = ll - (a + np.log(e.sum(axis=0)))  # log p(t|i) - log p(t)
-        nats += float((e * bracket).sum(axis=0) @ np.exp(log_multi + a))
+        np.add(ll, logw[:, None], out=e)
+        e.max(axis=0, out=a)
+        np.exp(np.subtract(e, a, out=e), out=e)
+        log_mix = np.add(a, np.log(e.sum(axis=0, out=per_type), out=per_type), out=per_type)
+        bracket = np.subtract(ll, log_mix, out=ll)  # log p(t|i) - log p(t)
+        np.multiply(e, bracket, out=bracket).sum(axis=0, out=per_type)
+        nats += float(per_type @ np.exp(np.add(log_multi, a, out=a), out=a))
     return max(nats, 0.0) / math.log(2.0)
 
 
@@ -249,26 +300,29 @@ def blahut_arimoto(channel, points, n_r, tol=1e-9, full_output=False):
     # One (M x types) matrix E = exp(S - rm) holds all the likelihoods:
     # p(t|i) = g_t E_it with g = exp(log multinomial + rm).
     m = pts.size
-    e = np.empty((m, math.comb(n_r + parts - 1, parts - 1)))
+    e = np.empty((m, _num_types(n_r, parts)))
     rm = np.empty(e.shape[1])
     g = np.empty(e.shape[1])
     c = np.zeros(m)  # C_i = sum_t p(t|i) S_it
     col = 0
     for log_multi, ll in _type_blocks(logp, n_r):
         cols = slice(col, col + ll.shape[1])
-        rm[cols], e[:, cols] = _column_exp(ll)
-        g[cols] = np.exp(log_multi + rm[cols])
-        c += (e[:, cols] * ll) @ g[cols]
+        ll.max(axis=0, out=rm[cols])
+        np.exp(np.subtract(ll, rm[cols], out=e[:, cols]), out=e[:, cols])
+        np.exp(np.add(log_multi, rm[cols], out=g[cols]), out=g[cols])
+        c += np.multiply(e[:, cols], ll, out=ll) @ g[cols]
         col = cols.stop
 
     log_r = np.full(m, -math.log(m))
+    log_mix = np.empty(e.shape[1])  # log p_r(t) - log multinomial
+    g_log_mix = np.empty(e.shape[1])
     gaps = []
     nats_tol = tol * math.log(2.0)
     c_low = 0.0
     for _ in range(_BA_MAX_ITER):
         r = np.exp(log_r)
-        log_mix = rm + np.log(r @ e)  # log p_r(t) - log multinomial
-        d_x = c - e @ (g * log_mix)  # D(p(.|x_i) || p_r) in nats
+        np.add(rm, np.log(np.matmul(r, e, out=log_mix), out=log_mix), out=log_mix)
+        d_x = c - e @ np.multiply(g, log_mix, out=g_log_mix)  # D(p(.|x_i) || p_r) in nats
         c_low = float(r @ d_x)
         c_up = float(d_x.max())
         gaps.append((c_up - c_low) / math.log(2.0))

@@ -301,7 +301,8 @@ def pmf_and_weights(draw):
 @SETTINGS
 @given(n=st.integers(0, 25), parts=st.integers(1, 5), chunk=st.integers(1, 60))
 def test_compositions_listed_once(n, parts, chunk):
-    blocks = list(mutual_info._composition_chunks(n, parts, chunk))
+    # each block is a view of one buffer, valid until the next is drawn
+    blocks = [b.copy() for b in mutual_info._composition_chunks(n, parts, chunk)]
     assert all(b.shape[0] == parts and 0 < b.shape[1] <= chunk for b in blocks)
     types = np.concatenate(blocks, axis=1)
     assert types.shape[1] == math.comb(n + parts - 1, parts - 1)
