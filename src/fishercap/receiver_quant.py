@@ -39,7 +39,8 @@ class Quantizer1D:
     L: int
 
     def __post_init__(self):
-        _set_checked(self, self.r, self.L, "Quantizer1D", ValidationError)
+        object.__setattr__(self, "r", _real(self.r, "Quantizer1D: r", 0.0, error=ValidationError))
+        object.__setattr__(self, "L", _count(self.L, "Quantizer1D: L", 1, ValidationError))
 
     @property
     def edges(self):
@@ -51,17 +52,9 @@ class Quantizer1D:
         return self.L + 1
 
 
-def _set_checked(q, r, L, who, error):
-    # r > 0 and L >= 1 checked once, out of range raising `error`
-    object.__setattr__(q, "r", _real(r, f"{who}: r", 0.0, error=error))
-    object.__setattr__(q, "L", _count(L, f"{who}: L", 1, error))
-    return q
-
-
 def build_quantizer(r, L):
     """Uniform quantizer: L interior bins of width 2r/L plus the overflow bin."""
-    # Quantizer1D(r, L) would check r and L again, raising ValidationError where this raises DomainError
-    return _set_checked(object.__new__(Quantizer1D), r, L, "build_quantizer", DomainError)
+    return Quantizer1D(r=_real(r, "build_quantizer: r", 0.0), L=_count(L, "build_quantizer: L", 1))
 
 
 def _merge_tails(cells):

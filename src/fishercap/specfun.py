@@ -47,7 +47,6 @@ _SQRT2 = float(np.sqrt(2.0))
 
 _CELLS = 1024  # equal cells of y = scale / (scale + x) on [0, 1]
 _DEGREE = 5    # polynomial degree on each cell
-_BLOCK_GATHER = 4096  # one take of all six rows beats six row takes up to about this many elements
 # fit nodes on a cell, in its local coordinate u in [0, 1]: Chebyshev-Lobatto, the first at u = 0
 _NODES = 0.5 - 0.5 * np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE)
 _ERFCX_SCALE = 4.0
@@ -80,19 +79,11 @@ def _cell_table(g, scale):
 
 def _cell_poly(table, scale, x):
     # the cell polynomials of ``table`` at y = scale / (scale + x), shape
-    # table.shape[1:-1] + x.shape, by Horner
+    # table.shape[1:-1] + x.shape: one coefficient row gathered per Horner step,
+    # so the temporaries stay the size of x (times the stacked functions)
     s = (scale * _CELLS) / (scale + x)
     k = s.astype(np.intp)  # NaN casts out of range; mode="clip" keeps the gather in bounds
     u = s - k
-    if k.size <= _BLOCK_GATHER:  # one take gathers every coefficient row
-        block = table.take(k, axis=-1, mode="clip")
-        p = block[-1] * u
-        for row in block[-2:0:-1]:
-            p += row
-            p *= u
-        p += block[0]
-        return p
-    # one row per Horner step, so the temporaries stay the size of x (times the stacked functions)
     p = table[-1].take(k, axis=-1, mode="clip")
     for row in table[-2::-1]:
         p *= u

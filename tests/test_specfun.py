@@ -188,17 +188,6 @@ def test_bessel_pair_matches_scipy():
     assert np.all(i1s[~live] == 0.0)
 
 
-def test_cell_poly_small_and_large_gathers_agree_bit_for_bit():
-    # up to _BLOCK_GATHER elements one take gathers every coefficient row, above it one row per step
-    n = specfun._BLOCK_GATHER
-    x = np.random.default_rng(3).exponential(3.0, 2 * n + 7)
-    x[:4] = 0.0, 1e-300, 22.0, 1e6
-    for f in (specfun._erfcx, specfun._bessel_i01e):
-        whole = np.asarray(f(x))
-        pieces = np.concatenate([np.asarray(f(x[i:i + n])) for i in range(0, x.size, n)], axis=-1)
-        assert whole.tobytes() == pieces.tobytes()
-
-
 def test_e1_and_log_gamma_match_scipy_and_oracle():
     x = np.geomspace(0.01, 30.0, 20001)
     assert _max_rel(specfun.exp_integral_e1(x), special.exp1(x)) <= 1e-14
