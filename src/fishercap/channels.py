@@ -126,9 +126,10 @@ class DitherSet:
 
     @classmethod
     def uniform(cls, points):
-        points = list(points)
-        n = len(points)
-        return cls(points=tuple(points), weights=tuple([1.0 / n] * n))
+        points = tuple(points)
+        if not points:
+            raise ValidationError("DitherSet: need at least one point")
+        return cls(points=points, weights=(1.0 / len(points),) * len(points))
 
     def arrays(self):
         return np.asarray(self.points), np.asarray(self.weights)

@@ -29,6 +29,7 @@ from .errors import (
     ToleranceError,
     UnboundedTiltError,
     ValidationError,
+    _count,
     _real,
 )
 from .quad import _midpoints
@@ -99,7 +100,8 @@ def _parse_int_list(text):
 
 # ---------------------------------------------------------------------------
 # command bodies: each takes the parsed arguments, with ``args.channel``
-# replaced by its JSON record, and the channel built from that record
+# replaced by its JSON record and --grid, --P and --r checked, and the
+# channel built from that record
 # ---------------------------------------------------------------------------
 
 def _cmd_fisher(args, channel):
@@ -118,12 +120,11 @@ def _cmd_fisher(args, channel):
 
 
 def _cmd_jf(args, channel):
-    P = _finite("--P", args.P)
     lo, hi, n = _parse_grid(args.lambda_grid)
     rows = []
     for lam in np.linspace(lo, hi, n):
         prior = _jef.tilted_prior(channel, lam)
-        rows.append((float(lam), float(prior.jf(P)), float(prior.m)))
+        rows.append((float(lam), float(prior.jf(args.P)), float(prior.m)))
     return _csv(
         ["lambda (per power unit)", "jeffreys_factor (dimensionless)", "avg_cost (power units)"],
         rows,
@@ -131,8 +132,7 @@ def _cmd_jf(args, channel):
 
 
 def _cmd_prior(args, channel):
-    P = _finite("--P", args.P)
-    prior = _jef.solve_lambda_star(channel, P).prior
+    prior = _jef.solve_lambda_star(channel, args.P).prior
     grid = _midpoints(prior.lo, prior.hi, args.grid)
     dens = np.asarray(prior.density(grid), dtype=float)
     return _csv(
@@ -142,11 +142,10 @@ def _cmd_prior(args, channel):
 
 
 def _cmd_lambda_star(args, channel):
-    P = _finite("--P", args.P)
-    s = _jef.solve_lambda_star(channel, P)
+    s = _jef.solve_lambda_star(channel, args.P)
     return _json_text({
         "channel": args.channel,
-        "P": P,
+        "P": args.P,
         "lambda_star": s.lambda_star,
         "jf": s.jf,
         "avg_cost_at_star": s.m_at_star,
@@ -154,11 +153,10 @@ def _cmd_lambda_star(args, channel):
 
 
 def _cmd_capacity(args, channel):
-    P = _finite("--P", args.P)
-    s = _jef.solve_lambda_star(channel, P)
+    s = _jef.solve_lambda_star(channel, args.P)
     return _json_text({
         "channel": args.channel,
-        "P": P,
+        "P": args.P,
         "n_r": args.nr,
         "lambda_star": s.lambda_star,
         "jf": s.jf,
@@ -167,26 +165,24 @@ def _cmd_capacity(args, channel):
 
 
 def _cmd_constellation(args, channel):
-    P = _finite("--P", args.P)
     if args.mode == "jeffreys":
-        c = _con.jeffreys_constellation(channel, P, args.M)
+        c = _con.jeffreys_constellation(channel, args.P, args.M)
     elif args.mode == "pam":
-        c = _con.pam_constellation(channel, P, args.M)
+        c = _con.pam_constellation(channel, args.P, args.M)
     else:  # "poly"
-        s = _jef.solve_lambda_star(channel, P)
+        s = _jef.solve_lambda_star(channel, args.P)
         poly = _con.fit_poly_density(channel, s.lambda_star, args.degree)
-        c = _con.approx_jeffreys_constellation(poly, P, args.M)
+        c = _con.approx_jeffreys_constellation(poly, args.P, args.M)
     return _con.constellation_to_csv(c)
 
 
 def _cmd_fit_poly(args, channel):
-    P = _finite("--P", args.P)
-    s = _jef.solve_lambda_star(channel, P)
+    s = _jef.solve_lambda_star(channel, args.P)
     poly, info = _con.fit_poly_density(channel, s.lambda_star, args.degree,
                                        max_newton=args.max_newton, full_output=True)
     return _json_text({
         "channel": args.channel,
-        "P": P,
+        "P": args.P,
         "degree": args.degree,
         "lambda_star": s.lambda_star,
         "coeffs": [float(c) for c in poly.coeffs],
@@ -215,21 +211,20 @@ def _read_points_csv(path):
 
 
 def _cmd_mi(args, channel):
-    P = _finite("--P", args.P)
     if (args.points_csv is None) == (args.prior_grid is None):
         raise ValidationError("mi: give exactly one of --points-csv or --prior-grid")
-    if args.prior_grid is not None and P is None:
+    if args.prior_grid is not None and args.P is None:
         raise ValidationError("mi: --prior-grid needs --P to solve the tilt")
     if args.points_csv is not None:
         dist = _read_points_csv(args.points_csv)
         source = {"points_csv": args.points_csv}
     else:
-        s = _jef.solve_lambda_star(channel, P)
+        s = _jef.solve_lambda_star(channel, args.P)
         dist = _mi.discretize_prior(s.prior, args.prior_grid)
         source = {"prior_grid": args.prior_grid, "lambda_star": s.lambda_star}
     out = {
         "channel": args.channel,
-        "P": P,
+        "P": args.P,
         "n_r": args.nr,
         "mi_bits": _mi.mi_finite_output(channel, dist, args.nr),
         **source,
@@ -242,8 +237,7 @@ def _cmd_mi(args, channel):
 
 
 def _cmd_quant_loss(args, channel):
-    r = _finite("--r", args.r)
-    schedule = _rq.default_radius_schedule if r is None else (lambda L: r)
+    schedule = _rq.default_radius_schedule if args.r is None else (lambda L: args.r)
     result = _rq.scaling_study(channel, schedule, _parse_int_list(args.L_list))
     rows = [(L, float(e), float(result.slope)) for L, e in zip(result.L_values, result.e_values)]
     return _csv(["L (interior bins)", "e_L (integrated log Fisher ratio)", "slope (log-log fit)"], rows)
@@ -325,6 +319,12 @@ def main(argv=None):
         if args.command != "fisher-rate":
             args.channel = _load_json_arg(args.channel)
             channel = _ch.channel_from_json(args.channel)
+        # each numeric option is checked here, once: --grid a count >= 1, --P and --r finite
+        if hasattr(args, "grid"):
+            args.grid = _count(args.grid, "--grid", 1, ValidationError)
+        for name in ("P", "r"):
+            if hasattr(args, name):
+                setattr(args, name, _finite(f"--{name}", getattr(args, name)))
         text = args.body(args, channel)
     except _NUMERICAL_ERRORS as e:
         print(f"fishercap {args.command}: numerical failure: {e}", file=sys.stderr)

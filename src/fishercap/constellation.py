@@ -49,8 +49,13 @@ def midpoint_grid(m):
 class Constellation(DiscreteInput):
     """A designed input set: points (M,) or (M, d) and probs, with its average and peak power."""
 
-    avg_power: float
-    peak_power: float
+    @property
+    def avg_power(self):
+        return float(self.probs @ _power_per_point(self.points))
+
+    @property
+    def peak_power(self):
+        return float(_power_per_point(self.points).max())
 
 
 def _power_per_point(pts):
@@ -64,9 +69,7 @@ def _scaled_constellation(raw_points, P):
     probs = np.full(m, 1.0 / m)
     mean_pow = float(probs @ _power_per_point(raw))
     c_p = 1.0 if mean_pow <= P or mean_pow == 0.0 else math.sqrt(P / mean_pow)
-    pts = c_p * raw
-    per = _power_per_point(pts)
-    return Constellation(pts, probs, float(probs @ per), float(per.max()))
+    return Constellation(c_p * raw, probs)
 
 
 def jeffreys_constellation(channel, P, M):

@@ -13,12 +13,9 @@ are handled by refinement alone.
 
 Each step is one integrand call: one for all initial segments (each a
 coarse panel and its two halves), then one per bisection (its four half
-panels).  Integrands must be vectorized, side-effect free and pointwise
-(a node's value may not depend on the other nodes of the call): they
-receive an ndarray of n nodes and return either n values or a (k, n)
-array of k integrands sharing one partition.  A (k, n) integrand adapts
-on its worst row, measured against each row's own tolerance, and every
-row meets the tolerance.
+panels).  The integrand is one scalar function, vectorized, side-effect
+free and pointwise (a node's value may not depend on the other nodes of
+the call): it receives an ndarray of n nodes and returns n values.
 """
 
 import heapq
@@ -26,22 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError, _count, _real
+from .errors import DomainError, ToleranceError, _real
 
 NODES, WEIGHTS = np.polynomial.legendre.leggauss(15)
+_MAX_SUBDIVISIONS = 2 ** 14  # quad raises ToleranceError after this many bisections
 
 
 @dataclass(frozen=True)
 class QuadRule:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2 ** 14
 
     def __post_init__(self):
         object.__setattr__(self, "abs_tol", _real(self.abs_tol, "QuadRule: abs_tol", 0.0))
         object.__setattr__(self, "rel_tol", _real(self.rel_tol, "QuadRule: rel_tol", 0.0))
-        object.__setattr__(self, "max_subdivisions",
-                           _count(self.max_subdivisions, "QuadRule: max_subdivisions", 1))
 
 
 DEFAULT_RULE = QuadRule()
@@ -51,10 +46,10 @@ DEFAULT_RULE = QuadRule()
 class Leaves:
     """Converged panels of one ``quad`` call, sorted left to right.
 
-    ``a``, ``b`` and ``half`` have shape (m,); ``x`` holds the nodes,
-    shape (m, 15); ``values`` the integrand there, shape (m, 15) or
-    (m, k, 15); ``sums`` the panel integrals, shape (m,) or (m, k).
-    ``err`` is the summed error estimate.
+    ``a``, ``b`` and ``half`` have shape (m,); ``x`` holds the nodes and
+    ``values`` the integrand there, both shape (m, 15); ``sums`` holds
+    the panel integrals, shape (m,).  ``err`` is the summed error
+    estimate.
     """
 
     a: np.ndarray
@@ -62,7 +57,7 @@ class Leaves:
     x: np.ndarray
     values: np.ndarray
     sums: np.ndarray
-    err: object
+    err: float
 
     @property
     def half(self):
@@ -70,8 +65,7 @@ class Leaves:
 
     @property
     def value(self):
-        total = self.sums.sum(axis=0)
-        return float(total) if total.ndim == 0 else total
+        return float(self.sums.sum())
 
 
 def _panels(f, a, b):
@@ -79,12 +73,11 @@ def _panels(f, a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * NODES
-    y = np.asarray(f(x.ravel()), dtype=float)
-    if y.shape[-1:] != (x.size,) or y.ndim > 2:
-        raise DomainError("quad: integrand must map an (n,) array to an (n,) or (k, n) array")
-    # (k, m * 15) -> (m, k, 15); each panel's values contiguous
-    y = np.ascontiguousarray(np.moveaxis(y.reshape(y.shape[:-1] + x.shape), -2, 0))
-    bad = ~np.isfinite(y.reshape(len(a), -1)).all(axis=1)
+    y = np.ascontiguousarray(f(x.ravel()), dtype=float)
+    if y.shape != (x.size,):
+        raise DomainError("quad: integrand must map an (n,) array to an (n,) array")
+    y = y.reshape(x.shape)
+    bad = ~np.isfinite(y).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         raise DomainError(f"quad: integrand non-finite inside [{float(a[i])!r}, {float(b[i])!r}]")
@@ -97,23 +90,23 @@ def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
     The initial segments run between the breakpoints that fall inside
     (a, b); f is called once per step and must be pointwise (see the
     module docstring).  Raises ToleranceError (carrying the best
-    estimate) if the tolerance is not met within
-    ``rule.max_subdivisions`` bisections.
+    estimate) if the tolerance is not met within ``_MAX_SUBDIVISIONS``
+    bisections.
     """
     a = _real(a, "quad: a")
     b = _real(b, "quad: b", a)
     edges = sorted({a, b, *(float(t) for t in breakpoints if a < t < b)})
 
     def tol(value):
-        return np.maximum(rule.abs_tol, rule.rel_tol * np.abs(value))
+        return max(rule.abs_tol, rule.rel_tol * abs(value))
 
     def segment(lo, hi, coarse, left, right):
         fine = left[2] + right[2]
-        return [0.0, lo, hi, 0.5 * (lo + hi), left, right, fine, np.abs(coarse - fine)]
+        return [0.0, lo, hi, 0.5 * (lo + hi), left, right, fine, abs(coarse - fine)]
 
     def push(seg, value):
-        # worst row first, each in units of its own tolerance
-        seg[0] = -float(np.max(seg[7] / tol(value)))
+        # largest error first
+        seg[0] = -float(seg[7] / tol(value))
         heapq.heappush(heap, seg)
 
     # per root segment: the coarse panel, then its left and right halves
@@ -128,13 +121,12 @@ def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
     for s in roots:
         push(s, value)
     nsub = len(roots)
-    while np.any(err > tol(value)):
-        if nsub >= rule.max_subdivisions:
+    while err > tol(value):
+        if nsub >= _MAX_SUBDIVISIONS:
             raise ToleranceError(
-                f"quad: tolerance not met after {nsub} subdivisions "
-                f"(err_est={np.max(err):.3e})",
-                best=value,
-                err_est=err,
+                f"quad: tolerance not met after {nsub} subdivisions (err_est={err:.3e})",
+                best=float(value),
+                err_est=float(err),
             )
         _, lo, hi, mid, left, right, fine, seg_err = heapq.heappop(heap)
         q1, q2 = 0.5 * (lo + mid), 0.5 * (mid + hi)
@@ -154,16 +146,16 @@ def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
         b=np.array([p[1] for p in panels]),
         x=np.stack([p[2][0] for p in panels]),
         values=np.stack([p[2][1] for p in panels]),
-        sums=np.stack([p[2][2] for p in panels]),
-        err=sum(s[7] for s in heap),
+        sums=np.array([p[2][2] for p in panels]),
+        err=float(sum(s[7] for s in heap)),
     )
 
 
 def integrate_interval(f, a, b, rule=DEFAULT_RULE):
-    """Integrate f over [a, b]; returns ``(value, err_est)``, the sums over ``quad``'s leaves.
+    """Integrate the scalar f over [a, b]; returns the floats ``(value, err_est)`` of ``quad``'s leaves.
 
     Raises ToleranceError (carrying the best estimate) if the tolerance
-    is not met within ``rule.max_subdivisions`` bisections.
+    is not met within ``_MAX_SUBDIVISIONS`` bisections.
     """
     a = _real(a, "integrate_interval: a")
     b = _real(b, "integrate_interval: b", a, closed=True)

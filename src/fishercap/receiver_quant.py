@@ -158,7 +158,7 @@ def ml_detect(channel, q, type_index, constellation):
 
 
 def fit_loglog_slope(L_values, e_values):
-    """Least-squares slope of ln e against ln L (each L >= 1), dropping underflowed points."""
+    """Least-squares slope of ln e against ln L (each L >= 1, two distinct), dropping underflowed points."""
     L = _reals(L_values, "fit_loglog_slope: L_values", 1.0)
     e = _reals(e_values, "fit_loglog_slope: e_values")
     if L.ndim != 1 or L.shape != e.shape:
@@ -171,8 +171,8 @@ def fit_loglog_slope(L_values, e_values):
             stacklevel=2,
         )
     L, e = L[keep], e[keep]
-    if L.size < 2:
-        raise DomainError("fit_loglog_slope: fewer than two usable points")
+    if np.unique(L).size < 2:
+        raise DomainError("fit_loglog_slope: fewer than two distinct usable L values")
     slope, _ = np.polyfit(np.log(L), np.log(e), 1)
     return float(slope)
 
@@ -194,8 +194,8 @@ def scaling_study(channel, r_schedule, L_list):
     if len(L) < 4:
         raise ValidationError("scaling_study: need at least 4 bin counts")
     ratios = [L[i + 1] / L[i] for i in range(len(L) - 1)]
-    if any(abs(r - ratios[0]) > 1e-9 for r in ratios):
-        raise ValidationError("scaling_study: L_list must be geometric")
+    if any(abs(r - ratios[0]) > 1e-9 for r in ratios) or ratios[0] == 1.0:
+        raise ValidationError("scaling_study: L_list must be geometric with a ratio other than 1")
     es = []
     for l in L:
         q = build_quantizer(r_schedule(l), l)

@@ -254,6 +254,10 @@ def test_dither_validation():
         ch.DitherSet(points=(0.0, 0.0), weights=(0.5, 0.5))
     with pytest.raises(ValidationError):
         ch.DitherSet(points=(0.0, 1.0), weights=(0.7, 0.7))
+    with pytest.raises(ValidationError, match="at least one point"):
+        ch.DitherSet.uniform([])
+    with pytest.raises(ValidationError, match="at least one point"):
+        ch.channel_from_json({"kind": "dithered_onebit", "A": 1, "points": []})
 
 
 # --- finite-output pmfs ----------------------------------------------------

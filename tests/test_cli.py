@@ -187,8 +187,14 @@ _POISSON_BAD_H = {"kind": "poisson", "A": 1.0, "h": [1], "mu": {"values": [0.5],
      "--L-list", "8,16,32,64"],
     ["mi", "--channel", '{"kind": "awgn", "A": 1.0}', "--nr", "4", "--P", "0.5",
      "--prior-grid", "9"],
+    ["fisher", "--channel", '{"kind": "dithered_onebit", "A": 1, "points": []}'],
+    ["fisher", "--channel", '{"kind": "awgn", "A": 1}', "--grid", "0"],
+    ["fisher", "--channel", '{"kind": "awgn", "A": 1}', "--grid", "-3"],
+    ["prior", "--channel", '{"kind": "awgn", "A": 1}', "--P", "0.1", "--grid", "0"],
+    ["quant-loss", "--channel", '{"kind": "awgn", "A": 1}', "--L-list", "8,8,8,8"],
 ], ids=["null-field", "list-field", "poisson-h-list", "list-kind", "acov-list-field",
-        "acov-file-not-object", "quant-loss-adc", "mi-awgn"])
+        "acov-file-not-object", "quant-loss-adc", "mi-awgn", "dither-no-points",
+        "fisher-grid-0", "fisher-grid-negative", "prior-grid-0", "quant-loss-one-L"])
 def test_malformed_input_is_invalid_not_traceback(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "acov_list.json").write_text("[1]")
@@ -196,6 +202,12 @@ def test_malformed_input_is_invalid_not_traceback(argv, tmp_path, monkeypatch, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid input" in captured.err and "Traceback" not in captured.err
+
+
+def test_fisher_grid_of_one_is_the_centre(capsys):
+    assert main(["fisher", "--channel", '{"kind": "awgn", "A": 1}', "--grid", "1"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert rows == [f"0,{float(fc.awgn_channel(1.0).fisher(0.0)):.17g}"]
 
 
 def test_exit_code_numerical_failure(awgn_json, capsys):

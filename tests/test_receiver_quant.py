@@ -291,6 +291,15 @@ def test_scaling_study_validation(awgn):
         fc.scaling_study(awgn, fc.default_radius_schedule, [8, 16, 32])
     with pytest.raises(ValidationError):
         fc.scaling_study(awgn, fc.default_radius_schedule, [8, 16, 32, 48])
+    with pytest.raises(ValidationError, match="ratio other than 1"):
+        fc.scaling_study(awgn, fc.default_radius_schedule, [8, 8, 8, 8])
+
+
+def test_slope_needs_two_distinct_L():
+    with pytest.raises(DomainError, match="two distinct"):
+        fc.fit_loglog_slope([8, 8, 8, 8], [0.2, 0.2, 0.2, 0.2])
+    # two distinct L are enough for a line
+    assert fc.fit_loglog_slope([8, 8, 16], [0.2, 0.2, 0.05]) == pytest.approx(-2.0, rel=1e-12)
 
 
 def test_quantizer_is_r_and_L():
