@@ -17,21 +17,10 @@ from .channels import (
     clipped_awgn_channel,
     dithered_onebit_channel,
     energy_detection_channel,
-    fisher_awgn,
-    fisher_clipped_awgn,
-    fisher_dithered_1bit,
-    fisher_energy_detection,
-    fisher_noncoherent,
-    fisher_poisson,
-    fisher_quantized_awgn,
-    mimo_fisher_matrix,
     mimo_imperfect_csi_channel,
-    mimo_sqrt_det_fisher,
     noncoherent_channel,
-    output_pmf_finite,
     poisson_channel,
     quantized_awgn_channel,
-    quantized_pmf_dtheta,
     truncated_awgn_channel,
 )
 from .constellation import (

@@ -27,25 +27,26 @@ theta alone.  Energy detection's J, the one without a closed form, is a
 fixed Gauss-Legendre rule in the centred amplitude, with no nested
 quadrature.
 
-Each check lives in one place.  A constructor checks the channel's
-parameters and each public formula function its own, with the
-``errors`` helper of each kind (``_real``, ``_count``,
-``_probabilities``, and ``_reals`` for arrays such as thresholds).
-Every spec callable that takes theta, ``cell_mass_dtheta`` and
-``output_logdensity_dtheta`` included, rejects one that is not finite
-or lies outside the parameter space; ``fisher``, ``sqrt_det_fisher``
-and ``output_pmf`` return a float for a scalar theta.  The formula
-functions check theta only against its natural domain: finite, and
-nonnegative for magnitudes, intensities and radii.  ``fisher_awgn``
-alone takes the peak, because the peak defines its formula.
+A channel is evaluated through its spec only, and each check lives in
+one place.  The constructor checks the channel's parameters, once, with
+the ``errors`` helper of each kind (``_real``, ``_count``,
+``_probabilities``, and ``_reals`` for arrays such as thresholds), and
+states the channel's formula in its docstring.  Every spec callable
+that takes theta, ``cell_mass_dtheta`` and ``output_logdensity_dtheta``
+included, checks it once: it rejects a theta that is not finite or lies
+outside the parameter space; ``fisher``, ``sqrt_det_fisher`` and
+``output_pmf`` return a float for a scalar theta.  Behind each callable
+is a private kernel that takes the checked theta array and the checked
+parameters and checks neither.  The one other per-call check is of the
+cuts a caller passes to ``cell_mass_dtheta``.
 
 The cell model is the L-level ADC's: sorted cut points c_1 < ... < c_K
 split the output line into the cells (-inf, c_1], ..., (c_K, inf), and
 ``cell_mass_dtheta`` returns their masses and theta-derivatives, shape
 ``theta.shape + (K+1,)``, from one tail pass over the cuts.  AWGN's is
-``quantized_pmf_dtheta`` itself; truncated AWGN clips the cuts to +-B
-and normalizes.  The binned receiver of ``receiver_quant`` is this ADC
-with its cuts at the bin edges.
+the ADC's with its thresholds at the cuts; truncated AWGN clips the
+cuts to +-B and normalizes.  The binned receiver of ``receiver_quant``
+is this ADC with its cuts at the bin edges.
 
 Channels can also be built from JSON records, e.g.
 ``{"kind": "quantized_awgn", "A": 1.0, "thresholds": [-1, 0, 1]}``;
@@ -175,15 +176,11 @@ def _on_space(fn, lo, hi, what):
 
 
 # ---------------------------------------------------------------------------
-# Fisher information formulas
+# Fisher information kernels
 # ---------------------------------------------------------------------------
-
-def fisher_awgn(theta, peak):
-    """Unit-variance additive Gaussian noise: J(theta) = 1 on [-A, A]."""
-    t = _check_profile(theta, -peak, peak, "fisher_awgn")
-    out = np.ones_like(t)
-    return float(out) if np.ndim(theta) == 0 else out
-
+# A kernel takes theta as the float array its spec callable has checked against
+# the parameter space, and parameters its constructor has checked; it checks
+# neither.  Each channel's formula is stated in its constructor's docstring.
 
 def _clip_term(s):
     # Q(s) + s phi(s) - phi(s)^2 / Q(s) elementwise, decaying to 0 as s -> inf;
@@ -192,18 +189,9 @@ def _clip_term(s):
     return q + s * phi - phi * hazard
 
 
-def fisher_clipped_awgn(theta, clip):
-    """Fisher information with output clipping at +-B.
-
-    J(theta) = 1 - sum over s in {B+theta, B-theta} of
-    (Q(s) + s phi(s) - phi(s)^2/Q(s)); the loss term vanishes as the
-    clip level recedes.
-    """
-    clip = _real(clip, "fisher_clipped_awgn: clip", 0.0)
-    t = _check_profile(theta, -np.inf, np.inf, "fisher_clipped_awgn")
-    loss = _clip_term(np.stack([clip + t, clip - t]))
-    j = 1.0 - loss[0] - loss[1]
-    return float(j) if np.ndim(theta) == 0 else j
+def _fisher_clipped(t, B):
+    loss = _clip_term(np.stack([B + t, B - t]))
+    return 1.0 - loss[0] - loss[1]
 
 
 def _validate_thresholds(thresholds):
@@ -213,6 +201,11 @@ def _validate_thresholds(thresholds):
     return t
 
 
+def _adc_edges(thresholds):
+    # the ADC's cell edges -inf, t_1, ..., t_K, inf, thresholds checked
+    return np.concatenate(([-np.inf], _validate_thresholds(thresholds), [np.inf]))
+
+
 def _gauss_cells(edges):
     # unit-Gaussian masses of the cells between consecutive (theta-shifted)
     # edges and their theta-derivatives, one tail pass over the edges
@@ -220,39 +213,17 @@ def _gauss_cells(edges):
     return _cell_mass(edges), phi[..., :-1] - phi[..., 1:]
 
 
-def _adc_cells(theta, thresholds):
-    # quantized_pmf_dtheta at a checked theta array
-    t = _validate_thresholds(thresholds)
-    return _gauss_cells(np.concatenate(([-np.inf], t, [np.inf])) - theta[..., None])
-
-
-def quantized_pmf_dtheta(theta, thresholds):
-    """Level probabilities and their theta-derivatives for an L-level ADC.
-
-    p(level l | theta) is the Gaussian mass of cell (t_{l-1}, t_l] around
-    theta, with t_0 = -inf and t_L = +inf.  Returns arrays of shape
-    ``theta.shape + (L,)``.
-    """
-    return _adc_cells(_check_profile(theta, -np.inf, np.inf, "quantized_pmf_dtheta"), thresholds)
-
-
 def _pmf_fisher(p, dp):
-    # sum over the last axis of dp^2 / p; cells whose mass underflows contribute nothing
+    # sum over the last axis of dp^2 / p; cells whose mass underflows contribute nothing,
+    # and where dp^2 falls below the normal range (J itself may not) the term is dp (dp / p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, dp * dp / np.where(p > 0.0, p, 1.0), 0.0)
+        sq = dp * dp
+        terms = np.where(p > 0.0, sq / np.where(p > 0.0, p, 1.0), 0.0)
+        low = np.flatnonzero(sq < sys.float_info.min)
+        if low.size:
+            d, m = dp.flat[low], p.flat[low]
+            terms.flat[low] = np.where(m > 0.0, d * (d / m), 0.0)
     return terms.sum(axis=-1)
-
-
-def fisher_quantized_awgn(theta, thresholds):
-    """Fisher information of the L-level quantized Gaussian channel.
-
-    J(theta) = sum_l [phi(theta-t_{l-1}) - phi(theta-t_l)]^2
-                     / [Q(theta-t_l) - Q(theta-t_{l-1})],
-    with phi(+-inf) = 0, Q(-inf) = 1, Q(inf) = 0.  Cells whose mass
-    underflows contribute nothing.
-    """
-    j = _pmf_fisher(*quantized_pmf_dtheta(theta, thresholds))
-    return float(j) if np.ndim(theta) == 0 else j
 
 
 def _energy_density_score(y, theta):
@@ -277,18 +248,7 @@ _ENERGY_NODES = ((np.arange(_ENERGY_PANELS)[:, None] + 0.5 + 0.5 * NODES) / _ENE
 _ENERGY_WEIGHTS = np.tile(0.5 * WEIGHTS / _ENERGY_PANELS, _ENERGY_PANELS)
 
 
-def fisher_energy_detection(theta):
-    """Fisher information of the magnitude-only complex Gaussian channel.
-
-    Given theta = |x|, the statistic 2|y|^2 = r^2 is noncentral
-    chi-square with 2 degrees of freedom; J(theta) is the second moment
-    of the score -2 theta + sqrt(2) r I1/I0(s), s = sqrt(2) theta r: in
-    the centred amplitude z = r - sqrt(2) theta, the integral of
-    score^2 exp(-z^2/2) i0e(s) r over z >= -sqrt(2) theta, by the fixed
-    rule above on [max(-sqrt(2) theta, -Z), Z].  Each value depends on
-    its own theta alone; J tends to 2.
-    """
-    th = _check_profile(theta, 0.0, np.inf, "fisher_energy_detection")
+def _fisher_energy(th):
     flat = np.ravel(th)
     j = np.empty(flat.size)
     for k in range(0, flat.size, _ENERGY_CHUNK):
@@ -302,56 +262,30 @@ def fisher_energy_detection(theta):
         score = -2.0 * t + math.sqrt(2.0) * r * np.where(s > 0.0, i1 / i0, 0.0)
         terms = score * score * np.exp(-0.5 * z * z) * i0 * r * _ENERGY_WEIGHTS
         j[k:k + _ENERGY_CHUNK] = terms.sum(axis=-1) * span[:, 0]
-    return float(j[0]) if np.ndim(theta) == 0 else j.reshape(th.shape)
+    return j.reshape(th.shape)
 
 
-def mimo_sqrt_det_fisher(r, nt, sigma2):
-    """sqrt(det J) as a function of the input radius, isotropic estimate error.
-
-    For channel-estimate rows with uncorrelated real/imaginary parts of
-    variance (1 - sigma2)/2 per component, the lifted covariance is
-    (1 - sigma2) I and
-
-        sqrt(det J(r)) = (2(1-sigma2)/(1+sigma2 r^2))^nt
-                         * sqrt(1 + (2 sigma2^2/(1-sigma2)) r^2/(1+sigma2 r^2)).
-    """
-    nt = _count(nt, "mimo_sqrt_det_fisher: nt", 1)
-    sigma2 = _real(sigma2, "mimo_sqrt_det_fisher: sigma2", 0.0, 1.0)
-    rr = _check_profile(r, 0.0, np.inf, "mimo_sqrt_det_fisher")
-    denom = 1.0 + sigma2 * rr * rr
-    base = (2.0 * (1.0 - sigma2) / denom) ** nt
-    bump = np.sqrt(1.0 + (2.0 * sigma2 ** 2 / (1.0 - sigma2)) * rr * rr / denom)
-    out = base * bump
-    return float(out) if np.ndim(r) == 0 else out
+def _mimo_sqrt_det(r, nt, s2):
+    denom = 1.0 + s2 * r * r
+    base = (2.0 * (1.0 - s2) / denom) ** nt
+    bump = np.sqrt(1.0 + (2.0 * s2 ** 2 / (1.0 - s2)) * r * r / denom)
+    return base * bump
 
 
-def mimo_fisher_matrix(theta, nt, sigma2):
-    """Dense Fisher matrix of the imperfect-CSI fading channel.
-
-    theta stacks real and imaginary input parts (length 2 nt).  With
-    the isotropic lifted estimate covariance Gamma = (1 - sigma2) I,
-
-        J = 2/(1+sigma2 |theta|^2) Gamma
-            + 4 sigma2^2/(1+sigma2 |theta|^2)^2 theta theta^T.
-    """
-    nt = _count(nt, "mimo_fisher_matrix: nt", 1)
-    sigma2 = _real(sigma2, "mimo_fisher_matrix: sigma2", 0.0, 1.0)
-    th = _reals(theta, "mimo_fisher_matrix: theta")
-    d = 2 * nt
-    if th.shape != (d,):
-        raise DomainError(f"mimo_fisher_matrix: theta must have shape ({d},)")
-    gamma = (1.0 - sigma2) * np.eye(d)
-    s = 1.0 + sigma2 * float(th @ th)
-    return (2.0 / s) * gamma + (4.0 * sigma2 ** 2 / s ** 2) * np.outer(th, th)
+def _mimo_fisher_matrix(th, s2):
+    gamma = (1.0 - s2) * np.eye(th.size)
+    s = 1.0 + s2 * float(th @ th)
+    return (2.0 / s) * gamma + (4.0 * s2 ** 2 / s ** 2) * np.outer(th, th)
 
 
-def fisher_noncoherent(theta, sigma2):
-    """Fisher information of the noncoherent channel, J = 4 s^2 t^2/(1+s t^2)^2."""
-    sigma2 = _real(sigma2, "fisher_noncoherent: sigma2", 0.0)
-    t = _check_profile(theta, 0.0, np.inf, "fisher_noncoherent")
-    denom = 1.0 + sigma2 * t * t
-    j = 4.0 * sigma2 ** 2 * t * t / (denom * denom)
-    return float(j) if np.ndim(theta) == 0 else j
+def _fisher_noncoherent(t, s2):
+    # 4 s^2 t^2 / d^2 with d = 1 + s t^2, s^2 squared in numpy (inf where a Python float
+    # raises OverflowError); as (2 s t / d)^2 where s^2 or d^2 overflows
+    d = 1.0 + s2 * t * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        dd = d * d
+        j = 4.0 * np.float64(s2) ** 2 * t * t / dd
+        return np.where(np.isfinite(j) & np.isfinite(dd), j, (2.0 * s2 * t / d) ** 2)
 
 
 def _validate_discrete(dist, name):
@@ -362,47 +296,17 @@ def _validate_discrete(dist, name):
     return values, probs
 
 
-def fisher_poisson(theta, h_dist, mu_dist):
-    """Optical intensity channel with receiver-known fading and background.
-
-    J(theta) = E_{h,mu}[h^2 / (h theta + mu)] over the finite supports of
-    the fading gain h and background intensity mu.
-    """
-    hv, hp = _validate_discrete(h_dist, "fisher_poisson h_dist")
-    mv, mp = _validate_discrete(mu_dist, "fisher_poisson mu_dist")
-    th = _check_profile(theta, 0.0, np.inf, "fisher_poisson")
-    denom = hv[:, None, None] * th[None, None, ...] + mv[None, :, None]
+def _fisher_poisson(t, hv, hp, mv, mp):
+    denom = hv[:, None, None] * t[None, None, ...] + mv[None, :, None]
     if np.any(denom <= 0):
-        raise DomainError("fisher_poisson: h*theta + mu must be positive on the support")
+        raise DomainError("poisson.fisher: h*theta + mu must be positive on the support")
     w = (hp[:, None] * mp[None, :])[..., None]
-    j = (w * hv[:, None, None] ** 2 / denom).sum(axis=(0, 1))
-    j = j.reshape(th.shape)
-    return float(j) if np.ndim(theta) == 0 else j
+    return (w * hv[:, None, None] ** 2 / denom).sum(axis=(0, 1)).reshape(t.shape)
 
 
-def fisher_dithered_1bit(theta, dither):
-    """1-bit ADC with receiver-known dither shifts.
-
-    J(theta) = E_s[phi^2(theta-s) / (Q(theta-s)(1 - Q(theta-s)))],
-    evaluated as the product of the two Gaussian hazards so that deep
-    tails never underflow.
-    """
-    if not isinstance(dither, DitherSet):
-        raise ValidationError("fisher_dithered_1bit: dither must be a DitherSet")
-    t = _check_profile(theta, -np.inf, np.inf, "fisher_dithered_1bit")
-    pts, w = dither.arrays()
-    u = t[..., None] - pts
-    _, _, h_up, h_down = _gauss_tails(u)  # phi/Q at u and at -u, one tail pass
-    terms = h_up * h_down
-    j = (terms * w).sum(axis=-1)
-    return float(j) if np.ndim(theta) == 0 else j
-
-
-def output_pmf_finite(channel, theta):
-    """Output pmf of a finite-output channel at parameter theta."""
-    if channel.output_pmf is None:
-        raise TypeError(f"output_pmf_finite: channel {channel.kind!r} is not finite-output")
-    return channel.output_pmf(theta)
+def _fisher_dithered(t, pts, w):
+    _, _, h_up, h_down = _gauss_tails(t[..., None] - pts)  # phi/Q at u and at -u, one tail pass
+    return (h_up * h_down * w).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +336,10 @@ def _interval_channel(kind, A, lo, fisher, params, **outputs):
 
 
 def awgn_channel(peak):
-    """Real AWGN with unit noise variance, input on [-A, A]."""
+    """Real AWGN with unit noise variance, input on [-A, A]: J(theta) = 1.
+
+    ``cell_mass_dtheta`` is the ADC's at the given cuts, which it checks.
+    """
     A = _real(peak, "awgn_channel: peak", 0.0, error=ValidationError)
 
     def logdensity_dtheta(y, theta):
@@ -440,14 +347,19 @@ def awgn_channel(peak):
         return -0.5 * np.log(2.0 * np.pi) - 0.5 * r * r, r
 
     return _interval_channel(
-        "awgn", A, -A, lambda t: fisher_awgn(t, A), {},
+        "awgn", A, -A, np.ones_like, {},
         output_logdensity_dtheta=logdensity_dtheta,
-        cell_mass_dtheta=_adc_cells,
+        cell_mass_dtheta=lambda theta, cuts: _gauss_cells(_adc_edges(cuts) - theta[..., None]),
     )
 
 
 def clipped_awgn_channel(peak, clip):
-    """AWGN whose output saturates at +-B (atoms at the rails)."""
+    """AWGN whose output saturates at +-B (atoms at the rails).
+
+    J(theta) = 1 - sum over s in {B+theta, B-theta} of
+    (Q(s) + s phi(s) - phi(s)^2/Q(s)); the loss term vanishes as the
+    clip level recedes.
+    """
     A = _real(peak, "clipped_awgn_channel: peak", 0.0, error=ValidationError)
     B = _real(clip, "clipped_awgn_channel: B", 0.0, error=ValidationError)
 
@@ -463,7 +375,7 @@ def clipped_awgn_channel(peak, clip):
         return logp, dlog
 
     return _interval_channel(
-        "clipped_awgn", A, -A, lambda t: fisher_clipped_awgn(t, B), {"B": B},
+        "clipped_awgn", A, -A, lambda t: _fisher_clipped(t, B), {"B": B},
         output_logdensity_dtheta=logdensity_dtheta,
     )
 
@@ -472,9 +384,10 @@ def truncated_awgn_channel(peak, support_radius):
     """AWGN conditioned on |y| < B: a bounded-support output family.
 
     Serves as the bounded-tail case for quantized-receiver scaling
-    studies.  J(theta) is the variance of the truncated Gaussian.
-    Needs z = P(|y| < B | theta) to be a normal float on all of
-    [-A, A]; z is smallest at theta = +-A.
+    studies.  J(theta) is the variance of the truncated Gaussian,
+    1 + (a phi(a) - b phi(b))/z - ((phi(a) - phi(b))/z)^2 with
+    a = -B - theta, b = B - theta and z = P(|y| < B | theta).  Needs z
+    to be a normal float on all of [-A, A]; z is smallest at theta = +-A.
     """
     A = _real(peak, "truncated_awgn_channel: peak", 0.0, error=ValidationError)
     B = _real(support_radius, "truncated_awgn_channel: B", 0.0, error=ValidationError)
@@ -519,20 +432,42 @@ def truncated_awgn_channel(peak, support_radius):
 
 
 def quantized_awgn_channel(peak, thresholds):
-    """AWGN followed by an L-level ADC with the given thresholds."""
+    """AWGN followed by an L-level ADC with the given thresholds.
+
+    Level l has the Gaussian mass p_l of the cell (t_{l-1}, t_l] around
+    theta, with t_0 = -inf and t_L = +inf, and
+
+        J(theta) = sum_l [phi(theta-t_{l-1}) - phi(theta-t_l)]^2
+                         / [Q(theta-t_l) - Q(theta-t_{l-1})],
+
+    with phi(+-inf) = 0, Q(-inf) = 1, Q(inf) = 0.  Cells whose mass
+    underflows contribute nothing.  The cell edges are built once, here.
+    """
     A = _real(peak, "quantized_awgn_channel: peak", 0.0, error=ValidationError)
-    t = _validate_thresholds(thresholds)
+    edges = _adc_edges(thresholds)
+
+    def cells(t):
+        return _gauss_cells(edges - t[..., None])
 
     return _interval_channel(
-        "quantized_awgn", A, -A, lambda x: fisher_quantized_awgn(x, t),
-        {"thresholds": [float(x) for x in t]},
-        alphabet_size=t.size + 1,
-        output_pmf=lambda th: _adc_cells(th, t)[0],
+        "quantized_awgn", A, -A, lambda t: _pmf_fisher(*cells(t)),
+        {"thresholds": edges[1:-1].tolist()},
+        alphabet_size=edges.size - 1,
+        output_pmf=lambda t: cells(t)[0],
     )
 
 
 def energy_detection_channel(peak):
-    """Complex AWGN observed through the magnitude only; theta = |x| in [0, A]."""
+    """Complex AWGN observed through the magnitude only; theta = |x| in [0, A].
+
+    Given theta = |x|, the statistic 2|y|^2 = r^2 is noncentral
+    chi-square with 2 degrees of freedom; J(theta) is the second moment
+    of the score -2 theta + sqrt(2) r I1/I0(s), s = sqrt(2) theta r: in
+    the centred amplitude z = r - sqrt(2) theta, the integral of
+    score^2 exp(-z^2/2) i0e(s) r over z >= -sqrt(2) theta, by a fixed
+    Gauss-Legendre rule on [max(-sqrt(2) theta, -Z), Z].  Each value
+    depends on its own theta alone; J tends to 2.
+    """
 
     def logdensity_dtheta(y, theta):
         # y here is the scaled energy statistic 2|output|^2
@@ -544,7 +479,7 @@ def energy_detection_channel(peak):
 
     A = _real(peak, "energy_detection_channel: peak", 0.0, error=ValidationError)
     return _interval_channel(
-        "energy_detection", A, 0.0, lambda t: fisher_energy_detection(t), {},
+        "energy_detection", A, 0.0, _fisher_energy, {},
         output_logdensity_dtheta=logdensity_dtheta,
     )
 
@@ -552,48 +487,73 @@ def energy_detection_channel(peak):
 def mimo_imperfect_csi_channel(peak, nt, sigma2):
     """Fading channel with isotropic channel-estimate error of variance sigma2.
 
-    Parameter space is the radius-A ball in R^(2 nt); cost and
-    sqrt(det J) depend on the radius only.
+    Parameter space is the radius-A ball in R^(2 nt); theta stacks the
+    real and imaginary input parts.  For channel-estimate rows with
+    uncorrelated real/imaginary parts of variance (1 - sigma2)/2 per
+    component, the lifted estimate covariance is Gamma = (1 - sigma2) I and
+
+        J(theta) = 2/(1+sigma2 |theta|^2) Gamma
+                   + 4 sigma2^2/(1+sigma2 |theta|^2)^2 theta theta^T,
+
+    so cost and sqrt(det J) depend on the radius r = |theta| only:
+
+        sqrt(det J(r)) = (2(1-sigma2)/(1+sigma2 r^2))^nt
+                         * sqrt(1 + (2 sigma2^2/(1-sigma2)) r^2/(1+sigma2 r^2)).
+
+    ``fisher`` takes the full 2 nt-vector and checks its values, its
+    shape and its norm.
     """
     A = _real(peak, "mimo_imperfect_csi_channel: peak", 0.0, error=ValidationError)
     nt = _count(nt, "mimo_imperfect_csi_channel: nt", 1, ValidationError)
     sigma2 = _real(sigma2, "mimo_imperfect_csi_channel: sigma2", 0.0, 1.0)
 
-    def fisher(th):
+    def fisher(theta):
+        th = _reals(theta, "mimo_imperfect_csi.fisher: theta")
+        if th.shape != (2 * nt,):
+            raise DomainError(f"mimo_imperfect_csi.fisher: theta must have shape ({2 * nt},)")
         _check_profile(np.linalg.norm(th), 0.0, A, "mimo_imperfect_csi.fisher")
-        return mimo_fisher_matrix(th, nt, sigma2)
+        return _mimo_fisher_matrix(th, sigma2)
 
     return ChannelSpec(
         kind="mimo_imperfect_csi",
         param_space=ParameterSpace.ball(dim=2 * nt, radius=A),
         fisher=fisher,
-        sqrt_det_fisher=_on_space(lambda r: mimo_sqrt_det_fisher(r, nt, sigma2), 0.0, A,
+        sqrt_det_fisher=_on_space(lambda r: _mimo_sqrt_det(r, nt, sigma2), 0.0, A,
                                   "mimo_imperfect_csi.sqrt_det_fisher"),
         params={"kind": "mimo_imperfect_csi", "A": A, "nt": nt, "sigma2": sigma2},
     )
 
 
 def noncoherent_channel(peak, sigma2):
-    """Fading with no channel estimate; output depends on |x| = theta only."""
+    """Fading with no channel estimate; output depends on |x| = theta only.
+
+    J(theta) = 4 s^2 t^2/(1+s t^2)^2 with s = sigma2 and t = theta, so
+    sqrt(J) = 2 s t/(1+s t^2); J is formed as (2 s t/(1+s t^2))^2 where
+    s^2 or the squared denominator overflows.
+    """
     A = _real(peak, "noncoherent_channel: peak", 0.0, error=ValidationError)
     sigma2 = _real(sigma2, "noncoherent_channel: sigma2", 0.0)
 
     return _interval_channel(
-        "noncoherent", A, 0.0, lambda t: fisher_noncoherent(t, sigma2), {"sigma2": sigma2},
+        "noncoherent", A, 0.0, lambda t: _fisher_noncoherent(t, sigma2), {"sigma2": sigma2},
         sqrt_det_fisher=lambda t: 2.0 * sigma2 * t / (1.0 + sigma2 * t * t),
     )
 
 
 def poisson_channel(peak, h_dist, mu_dist):
-    """Optical intensity channel; theta in [0, A] is the transmitted intensity."""
+    """Optical intensity channel; theta in [0, A] is the transmitted intensity.
+
+    J(theta) = E_{h,mu}[h^2 / (h theta + mu)] over the finite supports of
+    the fading gain h and the background intensity mu, both known to the
+    receiver; ``fisher`` refuses a theta where h theta + mu = 0 on the
+    support.
+    """
     A = _real(peak, "poisson_channel: peak", 0.0, error=ValidationError)
     hv, hp = _validate_discrete(h_dist, "poisson_channel h_dist")
     mv, mp = _validate_discrete(mu_dist, "poisson_channel mu_dist")
-    h = (hv, hp)
-    mu = (mv, mp)
 
     return _interval_channel(
-        "poisson", A, 0.0, lambda t: fisher_poisson(t, h, mu),
+        "poisson", A, 0.0, lambda t: _fisher_poisson(t, hv, hp, mv, mp),
         {"h": {"values": hv.tolist(), "probs": hp.tolist()},
          "mu": {"values": mv.tolist(), "probs": mp.tolist()}},
     )
@@ -603,7 +563,12 @@ def dithered_onebit_channel(peak, dither):
     """1-bit ADC with dithering; outputs are the pairs (s_i, sign).
 
     Outcome order: (s_0, +1), (s_0, -1), (s_1, +1), ... with
-    p(y, s | theta) = p(s) Q((s - theta) y).
+    p(y, s | theta) = p(s) Q((s - theta) y), and
+
+        J(theta) = E_s[phi^2(theta-s) / (Q(theta-s)(1 - Q(theta-s)))],
+
+    evaluated as the product of the two Gaussian hazards so that deep
+    tails never underflow.
     """
     A = _real(peak, "dithered_onebit_channel: peak", 0.0, error=ValidationError)
     if not isinstance(dither, DitherSet):
@@ -617,7 +582,7 @@ def dithered_onebit_channel(peak, dither):
         return stacked.reshape(th.shape + (2 * pts.size,))
 
     return _interval_channel(
-        "dithered_onebit", A, -A, lambda t: fisher_dithered_1bit(t, dither),
+        "dithered_onebit", A, -A, lambda t: _fisher_dithered(t, pts, w),
         {"points": pts.tolist(), "weights": w.tolist()},
         alphabet_size=2 * pts.size,
         output_pmf=pmf,

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import output_pmf_finite
 from .errors import BudgetError, ConvergenceError, DomainError, ValidationError
 from .errors import _count, _probabilities, _reals
 from .quad import _midpoints, integrate_interval
@@ -253,7 +252,9 @@ def mi_from_pmf_matrix(pmf, weights, n_r):
 def _pmf_for_points(channel, points):
     if points.ndim != 1:
         raise ValidationError("finite-output channels here take scalar inputs")
-    return output_pmf_finite(channel, points)
+    if channel.output_pmf is None:
+        raise TypeError(f"mutual_info: channel {channel.kind!r} is not finite-output")
+    return channel.output_pmf(points)
 
 
 def mi_finite_output(channel, input_dist, n_r):

@@ -79,10 +79,10 @@ def test_criterion_03_tilted_cost_strictly_decreasing():
 
 def test_criterion_04_fisher_golden_values():
     with criterion("criterion-04 fisher-golden-values"):
-        assert abs(fc.fisher_quantized_awgn(0.0, [0.0]) - 2.0 / math.pi) <= 1e-9
-        assert abs(fc.fisher_energy_detection(0.0)) <= 1e-10
-        assert abs(fc.fisher_noncoherent(1.0, 1.0) - 1.0) <= 1e-12
-        assert abs(fc.fisher_clipped_awgn(0.0, 10.0) - 1.0) <= 1e-6
+        assert abs(fc.quantized_awgn_channel(1.0, [0.0]).fisher(0.0) - 2.0 / math.pi) <= 1e-9
+        assert abs(fc.energy_detection_channel(1.0).fisher(0.0)) <= 1e-10
+        assert abs(fc.noncoherent_channel(1.0, 1.0).fisher(1.0) - 1.0) <= 1e-12
+        assert abs(fc.clipped_awgn_channel(1.0, 10.0).fisher(0.0) - 1.0) <= 1e-6
         finite = [
             fc.quantized_awgn_channel(1.0, [0.0]),
             fc.quantized_awgn_channel(1.0, [-1.0, 0.0, 1.0]),

@@ -83,7 +83,7 @@ def test_prior_and_fisher_commands(onebit_json, tmp_path):
     assert main(["fisher", "--channel", onebit_json, "--grid", "33",
                  "--output", str(out2)]) == 0
     _, rows2 = _read_csv(out2)
-    want = fc.fisher_quantized_awgn(rows2[:, 0], [0.0])
+    want = fc.quantized_awgn_channel(2.0, [0.0]).fisher(rows2[:, 0])
     assert np.allclose(rows2[:, 1], want, rtol=1e-12)
 
 

@@ -29,7 +29,7 @@ def _poly():
 # Each call used to return a value (a NaN, a truncated count, a string read as a number)
 # or raise a bare TypeError or an exit-2 RangeError.
 INVALID_CALLS = {
-    "clip_inf": lambda: ch.fisher_clipped_awgn(0.5, math.inf),
+    "clip_inf": lambda: ch.clipped_awgn_channel(1.0, math.inf),
     "peak_string": lambda: fc.awgn_channel("2"),
     "build_quantizer_L_2.5": lambda: fc.build_quantizer(1.0, 2.5),
     "quantizer_L_2.5": lambda: fc.Quantizer1D(1.0, 2.5),
@@ -39,7 +39,7 @@ INVALID_CALLS = {
     "mi_nan_weight": lambda: fc.mi_from_pmf_matrix([[0.5, 0.5], [0.1, 0.9]], [math.nan, 1.0], 3),
     "mi_nan_pmf_entry": lambda: fc.mi_from_pmf_matrix([[math.nan, 0.5], [0.1, 0.9]], [0.5, 0.5], 3),
     "pam_P_nan": lambda: fc.pam_constellation(fc.awgn_channel(1.0), math.nan, 4),
-    "mimo_nt_2.5": lambda: ch.mimo_sqrt_det_fisher(0.3, 2.5, 0.1),
+    "mimo_nt_2.5": lambda: ch.mimo_imperfect_csi_channel(1.0, 2.5, 0.1),
     "fit_degree_2.5": lambda: fc.fit_poly_density(fc.awgn_channel(1.0), 0.5, 2.5),
     "discrete_input_nan_prob": lambda: fc.DiscreteInput(np.array([0.0, 1.0]), np.array([math.nan, 1.0])),
     "jf_P_nan": lambda: fc.tilted_prior(fc.awgn_channel(1.0), 0.0).jf(math.nan),
@@ -60,11 +60,11 @@ INVALID_CALLS = {
         fc.awgn_channel(1.0), fc.build_quantizer(4.0, 8), math.nan),
     "type_from_samples_nan": lambda: fc.type_from_samples(
         fc.build_quantizer(4.0, 8), [math.nan, 0.1]),
-    "mimo_fisher_matrix_nan": lambda: ch.mimo_fisher_matrix([math.nan, 0.0], 1, 0.1),
+    "mimo_fisher_matrix_nan": lambda: ch.mimo_imperfect_csi_channel(1.0, 1, 0.1).fisher([math.nan, 0.0]),
     "discrete_input_nan_point": lambda: fc.DiscreteInput([math.nan, 1.0], [0.5, 0.5]),
     "exact_loglik_theta_nan": lambda: fc.exact_loglik(fc.awgn_channel(1.0), [0.1], math.nan),
     "gauss_mass_nan": lambda: fc.gauss_mass(math.nan, 1.0),
-    "quantized_pmf_dtheta_nan": lambda: fc.quantized_pmf_dtheta(math.nan, [0.0]),
+    "quantized_pmf_dtheta_nan": lambda: fc.awgn_channel(1.0).cell_mass_dtheta(math.nan, [0.0]),
     "poly_density_nan_coeff": lambda: fc.PolyDensity(np.array([math.nan]), (-1.0, 1.0)),
     "radial_direction_nan": lambda: fc.radial_constellation_isotropic(
         fc.mimo_imperfect_csi_channel(1.0, 1, 0.1), 0.5, 2, [[math.nan, 0.0]]),
