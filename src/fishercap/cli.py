@@ -247,9 +247,10 @@ def _cmd_fisher_rate(args, channel):
     n_list = _parse_int_list(args.n_list)
     acov = _ni.autocovariance_from_json(_load_json_arg(args.acov))
     limit = _ni.fisher_rate_limit(acov)
-    rows = []
-    for n in n_list:
-        rows.append((n, float(_ni.fisher_rate_finite(acov, n)), float(limit)))
+    n_list = [_count(n, "fisher_rate_finite: n", 1) for n in n_list]
+    # one recursion up to the largest n serves the whole ladder
+    terms = _ni._levinson_terms(acov, max(n_list, default=1))
+    rows = [(n, _ni._rate(terms, n), float(limit)) for n in n_list]
     return _csv(["n (outputs)", "fisher_rate (per noise power)", "limit (per noise power)"], rows)
 
 

@@ -12,16 +12,18 @@ cost on the space, taken at theta_0, the point of the space nearest 0
 weight never underflows at its peak.
 
 A profile table per channel evaluates c and sqrt(det J) once at each
-15-point Gauss-Legendre node it visits and keeps the values per panel;
-it calls the channel once per ``quad`` step, on the panels it has not
-seen.  For a tilt lambda, ``quad`` selects the converged panels afresh
-from the root partition over those cached values, so every result
-depends only on (channel, lambda), never on earlier calls or on which
-panels shared a channel call; the panels meet the prior's tolerance
-(abs 1e-14, rel 1e-12).  The root partition is cut at theta_0 and
-graded toward it until the tilt across the innermost panels
-is at most ``_GRADE_BITS`` bits, so the tilted peak is resolved however
-narrow it is.  From node sums alone the table gives:
+15-point Gauss-Legendre node it visits and stores them as one row per
+panel, keyed by the panel's node bytes; it calls the channel once per
+``quad`` step, on the panels it lacks.  For a tilt lambda, ``quad``
+selects the converged panels afresh from the root partition over those
+stored rows, so every result depends only on (channel, lambda), never
+on earlier calls or on which panels shared a channel call; the panels
+meet the prior's tolerance (abs 1e-14, rel 1e-12).  The root partition
+is cut at theta_0 and at theta_0 + (end - theta_0)/2^k, k = 1, 2, ...,
+until the tilt across the innermost panels is at most ``_GRADE_BITS``
+bits, so the tilted peak is resolved however narrow it is; the costs at
+these cuts sit on one ladder per end, extended as tilts need deeper
+cuts.  From node sums alone the table gives:
 
 * log2 JF(lambda) = lambda (P - c_min) + log2 Z, with Z the integral of
   w_lambda, so JF itself is formed only when it fits a float;
@@ -34,9 +36,15 @@ narrow it is.  From node sums alone the table gives:
 
 The tilt lambda* is the smallest lambda whose prior meets the power
 budget.  M is strictly decreasing; lambda* is defined as the point a
-bisection on M returns under its stopping rule, and bracketed Newton on
-M(lambda) = P locates the root first, so M is evaluated only at the few
-bisection midpoints near it.  A finite tilt exists iff c_min < P.  The
+bisection on M returns under its stopping rule (its first midpoint with
+|M - P| < 1e-10 P).  Newton on M(lambda) = P locates the root first and
+stops at its first tilt with |M - P| <= 1e-10 P / 16, which puts the
+root within about near/64, for ``near`` = 4e-10 P / (ln2 Var), four
+tolerance widths.  The bisection tilts only the midpoints within near of
+Newton's root: these include every midpoint within near/4 of the true
+root, the only ones that can meet its test, and every other midpoint
+lies on the same side of both roots.  So lambda*, JF and the prior are
+those of the plain bisection.  A finite tilt exists iff c_min < P.  The
 large-array capacity is then
 
     C(P) = (d/2) log2(n_r / (2 pi e)) + log2 JF(lambda*),
@@ -79,6 +87,7 @@ _TABLE_CACHE_SIZE = 8
 _GRADE_BITS = 8.0
 _MAX_DOUBLINGS = 200
 _M_TOL_REL, _BRACKET_TOL = 1e-10, 1e-12  # the tilt bisection's stopping rule
+_PANEL_KEY = np.dtype((np.void, 15 * 8))  # a panel's 15 nodes as one bytes key
 _MISMATCH_GRID = 1025  # midpoints on which mismatch_rate checks the prior's positivity
 
 # Row k, column j: (2k+1)/2 * w_j * P_k(x_j); maps the 15 node values of
@@ -128,7 +137,7 @@ def invert_monotone(F_dF, target, lo, hi, x):
 
 
 class _ProfileTable:
-    """Cached node values of cost and sqrt(det J) for one channel."""
+    """Cost and sqrt(det J) at the nodes of each panel visited, one row per panel, for one channel."""
 
     def __init__(self, channel):
         ps = channel.param_space
@@ -140,7 +149,11 @@ class _ProfileTable:
         self.channel = channel
         self.theta0 = min(max(0.0, self.lo), self.hi)
         self.c_min = float(channel.cost(self.theta0))
-        self._nodes = {}  # panel node bytes -> (cost - c_min, sqrt det J with sphere factor)
+        self._rows = {}  # panel node bytes -> row of _values
+        # row r: cost - c_min, then sqrt det J with the sphere factor, at the 15 nodes of a panel
+        self._values = np.empty((64, 2, 15))
+        # per end, the rungs (h, theta_0 + h, cost - c_min there) for h = end - theta_0, halved
+        self._ladders = [[self._rung(end - self.theta0)] for end in (self.lo, self.hi)]
 
     def _root_det(self, t):
         root_det = self._surface * np.asarray(self.channel.sqrt_det_fisher(t), dtype=float)
@@ -151,40 +164,52 @@ class _ProfileTable:
         t = np.asarray(t, dtype=float)
         return np.exp2(-lam * (self.channel.cost(t) - self.c_min)) * self._root_det(t)
 
-    def _values(self, x):
-        """c - c_min and sqrt det J at the nodes x of whole panels; one channel call on misses."""
-        keys = [p.tobytes() for p in x.reshape(-1, 15)]
-        miss = {k: p for k, p in zip(keys, x.reshape(-1, 15)) if k not in self._nodes}
-        if miss:
-            t = np.concatenate(list(miss.values()))
-            dc = np.asarray(self.channel.cost(t), dtype=float) - self.c_min
-            root_det = self._root_det(t)
-            for i, k in enumerate(miss):
-                self._nodes[k] = (dc[15 * i:15 * i + 15], root_det[15 * i:15 * i + 15])
-        dc, root_det = zip(*(self._nodes[k] for k in keys))
-        return np.concatenate(dc), np.concatenate(root_det)
+    def _panel_rows(self, x):
+        """The rows of the whole panels with nodes x; one channel call on the panels not yet stored."""
+        keys = x.reshape(-1, 15).view(_PANEL_KEY).ravel().tolist()
+        rows = list(map(self._rows.get, keys))
+        if None in rows:
+            new = list(dict.fromkeys(k for k, row in zip(keys, rows) if row is None))
+            t = np.frombuffer(bytearray(b"".join(new)))  # their nodes, writable, in first-seen order
+            n = len(self._rows)
+            while n + len(new) > len(self._values):
+                self._values = np.concatenate((self._values, np.empty_like(self._values)))
+            added = self._values[n:n + len(new)]
+            added[:, 0] = (np.asarray(self.channel.cost(t), dtype=float) - self.c_min).reshape(-1, 15)
+            added[:, 1] = self._root_det(t).reshape(-1, 15)
+            self._rows.update(zip(new, range(n, n + len(new))))
+            rows = list(map(self._rows.get, keys))
+        return np.array(rows)
+
+    def _rung(self, h):
+        t = self.theta0 + h
+        return h, t, float(self.channel.cost(t)) - self.c_min if h != 0.0 else 0.0
 
     def _breakpoints(self, lam):
         """theta_0, and cuts graded toward it until the innermost tilt is small."""
         cuts = [self.theta0]
         if lam > 0.0:
-            for end in (self.lo, self.hi):
-                h = end - self.theta0
-                while h != 0.0 and lam * (float(self.channel.cost(self.theta0 + h))
-                                          - self.c_min) > _GRADE_BITS:
-                    h *= 0.5
-                    cuts.append(self.theta0 + h)
+            for ladder in self._ladders:
+                k = 0
+                while lam * ladder[k][2] > _GRADE_BITS:
+                    k += 1
+                    if k == len(ladder):
+                        ladder.append(self._rung(0.5 * ladder[-1][0]))
+                    cuts.append(ladder[k][1])
         return cuts
 
     def tilt(self, lam):
         """Converged panels of the weight at tilt lam, selected from the root."""
+        called = []  # the table rows of each integrand call's panels
 
         def f(x):
-            dc, root_det = self._values(x)
-            return np.exp2(-lam * dc) * root_det
+            rows = self._panel_rows(x)
+            called.append(rows)
+            dc, root_det = self._values[rows].transpose(1, 0, 2)
+            return (np.exp2(-lam * dc) * root_det).ravel()
 
         leaves = quad(f, self.lo, self.hi, _PRIOR_RULE, self._breakpoints(lam))
-        return TiltedPrior(self, lam, leaves)
+        return TiltedPrior(self, lam, leaves, self._values[np.concatenate(called)[leaves.rows], 0])
 
 
 class TiltedPrior:
@@ -196,18 +221,18 @@ class TiltedPrior:
     solved tilt.
     """
 
-    def __init__(self, table, lam, leaves):
+    def __init__(self, table, lam, leaves, dc):
+        # dc: cost - c_min at the leaves' nodes, shape (m, 15)
         self.table = table
         self.lam = lam
         self.lo, self.hi = table.lo, table.hi
         self.leaves = leaves
         self.z = leaves.value
-        if not (np.isfinite(self.z) and self.z > 0):
+        if not (math.isfinite(self.z) and self.z > 0):
             raise DegenerateChannelError(
                 f"jeffreys: normalization is {self.z!r} at lambda={lam!r}; "
                 f"Fisher information vanishes on {table.channel.kind!r}"
             )
-        dc = table._values(leaves.x)[0].reshape(leaves.x.shape)
         mass = leaves.half[:, None] * WEIGHTS * leaves.values  # per node
         mean_dc = float((mass * dc).sum()) / self.z
         self.m = table.c_min + mean_dc
@@ -316,13 +341,15 @@ def _solution(P, prior):
 
 
 def _newton_root(table, P, lo, hi):
-    """The root of M(lambda) = P in (lo, hi.lam], to rounding.
+    """The first tilt in (lo, hi.lam] with |M(lambda) - P| <= 1e-10 P / 16, or the root to rounding.
 
     Newton with dM/dlambda = -ln2 Var_lambda(c), bisecting whenever a
     step leaves the bracket kept around the root.
     """
     cur = hi
     for _ in range(100):
+        if abs(cur.m - P) <= _M_TOL_REL * P / 16.0:
+            break
         lam = cur.lam + (cur.m - P) / (LN2 * cur.var) if cur.var > 0.0 else math.nan
         if not lo < lam <= hi.lam:
             lam = 0.5 * (lo + hi.lam)
@@ -345,9 +372,10 @@ def solve_lambda_star(channel, P):
     first of 1/P, 2/P, 4/P, ... where M <= P: its first midpoint with
     |M - P| < 1e-10 P, or the bracket's upper end once the bracket is
     narrower than 1e-12 max(1, lambda).  Bracketed
-    Newton (``_newton_root``) locates the root first, so every midpoint
-    more than a few tolerance widths from it is decided without
-    evaluating M.  Raises UnboundedTiltError iff the smallest cost on the
+    Newton (``_newton_root``) locates the root first, to within 1/64 of
+    the window ``near`` of four tolerance widths, so every midpoint more
+    than ``near`` from it is decided without evaluating M (see the module
+    docstring).  Raises UnboundedTiltError iff the smallest cost on the
     space is >= P.
     """
     P = _real(P, "solve_lambda_star: P", 0.0)

@@ -239,7 +239,8 @@ def mi_from_pmf_matrix(pmf, weights, n_r):
         n_t = ll.shape[1]
         e, a, per_type = _rows(e_buf, m, n_t), a_buf[:n_t], per_type_buf[:n_t]
         # a = max_i log(w_i p(t|i)) - log multinomial, so w_i p(t|i) = exp(log multinomial + a) E_it
-        np.add(ll, logw[:, None], out=e)
+        for ll_row, lw, e_row in zip(ll, logw, e):  # row by row: a column broadcast is slower
+            np.add(ll_row, lw, out=e_row)
         e.max(axis=0, out=a)
         np.exp(np.subtract(e, a, out=e), out=e)
         log_mix = np.add(a, np.log(e.sum(axis=0, out=per_type), out=per_type), out=per_type)

@@ -66,11 +66,16 @@ def fisher_rate_finite(acov, n):
     iff every e_k > 0.
     """
     n = _count(n, "fisher_rate_finite: n", 1)
+    return _rate(_levinson_terms(acov, n), n)
+
+
+def _levinson_terms(acov, n):
+    """The terms (1^T a_k)^2 / e_k, k < n, up to the first e_k <= 0; term k does not depend on n."""
     gamma = np.array([acov.gamma(k) for k in range(n)], dtype=float)
     phi = np.zeros(n)  # phi[:k] = phi_k1..phi_kk
     err = gamma[0]
     ones_a = 1.0  # 1^T a_k
-    terms = np.empty(n)  # (1^T a_k)^2 / e_k
+    terms = np.empty(n)
     terms[0] = 1.0 / err
     for k in range(1, n):
         prev = phi[:k - 1]
@@ -79,10 +84,17 @@ def fisher_rate_finite(acov, n):
         phi[k - 1] = kappa
         err *= (1.0 - kappa) * (1.0 + kappa)
         if not err > 0.0:
-            raise DomainError(f"fisher_rate_finite: Toeplitz matrix not PD at n={n}")
+            return terms[:k]
         ones_a *= 1.0 - kappa
         terms[k] = ones_a * ones_a / err
-    return math.fsum(terms) / n
+    return terms
+
+
+def _rate(terms, n):
+    """fisher_rate_finite at n from the ``_levinson_terms`` of an order >= n."""
+    if terms.size < n:
+        raise DomainError(f"fisher_rate_finite: Toeplitz matrix not PD at n={n}")
+    return math.fsum(terms[:n]) / n
 
 
 def fisher_rate_limit(acov):

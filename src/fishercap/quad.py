@@ -13,19 +13,26 @@ are handled by refinement alone.
 
 Each step is one integrand call: one for all initial segments (each a
 coarse panel and its two halves), then one per bisection (its four half
-panels).  The integrand is one scalar function, vectorized, side-effect
-free and pointwise (a node's value may not depend on the other nodes of
-the call): it receives an ndarray of n nodes and returns n values.
+panels).  A step's panels are rows of one (k, 15) array of values and
+one vector of k sums, each sum its own 15-term dot product; a segment
+refers to its half panels by row and keeps their sums, and the leaves
+are gathered by row at the end.  The integrand is one scalar function,
+vectorized, side-effect free and pointwise (a node's value may not
+depend on the other nodes of the call): it receives an ndarray of n
+nodes and returns n values.
 """
 
 import heapq
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter
 
 import numpy as np
 
 from .errors import DomainError, ToleranceError, _real
 
 NODES, WEIGHTS = np.polynomial.legendre.leggauss(15)
+_WEIGHTS_COLUMN = WEIGHTS[:, None]
 _MAX_SUBDIVISIONS = 2 ** 14  # quad raises ToleranceError after this many bisections
 
 
@@ -48,15 +55,16 @@ class Leaves:
 
     ``a``, ``b`` and ``half`` have shape (m,); ``x`` holds the nodes and
     ``values`` the integrand there, both shape (m, 15); ``sums`` holds
-    the panel integrals, shape (m,).  ``err`` is the summed error
-    estimate.
+    the panel integrals, shape (m,).  ``rows`` holds each leaf's index
+    among all the panels the integrand was called on, counted in call
+    order.  ``err`` is the summed error estimate.
     """
 
     a: np.ndarray
     b: np.ndarray
-    x: np.ndarray
     values: np.ndarray
     sums: np.ndarray
+    rows: np.ndarray
     err: float
 
     @property
@@ -64,24 +72,32 @@ class Leaves:
         return 0.5 * (self.b - self.a)
 
     @property
+    def x(self):
+        return _nodes(self.a, self.b)
+
+    @property
     def value(self):
         return float(self.sums.sum())
 
 
+def _nodes(a, b):
+    """The nodes of the panels [a_i, b_i], shape (k, 15)."""
+    return (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * NODES
+
+
 def _panels(f, a, b):
-    """(nodes, values, sum) of each panel [a_i, b_i]; one f call, each sum rounded as alone."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + half[:, None] * NODES
-    y = np.ascontiguousarray(f(x.ravel()), dtype=float)
-    if y.shape != (x.size,):
+    """Values, shape (k, 15), and the list of k sums of the panels [a_i, b_i]; one f call."""
+    a, b = np.array(a), np.array(b)
+    y = np.ascontiguousarray(f(_nodes(a, b).ravel()), dtype=float)
+    if y.shape != (15 * a.size,):
         raise DomainError("quad: integrand must map an (n,) array to an (n,) array")
-    y = y.reshape(x.shape)
-    bad = ~np.isfinite(y).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
+    y = y.reshape(a.size, 15)
+    if not np.isfinite(y).all():
+        i = int(np.argmin(np.isfinite(y).all(axis=1)))
         raise DomainError(f"quad: integrand non-finite inside [{float(a[i])!r}, {float(b[i])!r}]")
-    return [(x[i], y[i], half[i] * (y[i] @ WEIGHTS)) for i in range(len(a))]
+    # k products (1, 15) @ (15, 1): each sum is rounded as y_i @ WEIGHTS alone, which a
+    # (k, 15) matvec would not do
+    return y, (0.5 * (b - a) * np.matmul(y[:, None, :], _WEIGHTS_COLUMN)[:, 0, 0]).tolist()
 
 
 def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
@@ -100,27 +116,29 @@ def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
     def tol(value):
         return max(rule.abs_tol, rule.rel_tol * abs(value))
 
-    def segment(lo, hi, coarse, left, right):
-        fine = left[2] + right[2]
-        return [0.0, lo, hi, 0.5 * (lo + hi), left, right, fine, abs(coarse - fine)]
+    def segment(lo, hi, coarse, row, left, right):
+        # its halves are the panels of rows row and row + 1, with sums left and right
+        fine = left + right
+        return [0.0, lo, hi, 0.5 * (lo + hi), row, left, right, fine, abs(coarse - fine)]
 
     def push(seg, value):
         # largest error first
-        seg[0] = -float(seg[7] / tol(value))
+        seg[0] = -float(seg[8] / tol(value))
         heapq.heappush(heap, seg)
 
     # per root segment: the coarse panel, then its left and right halves
     spans = [(lo, hi, 0.5 * (lo + hi)) for lo, hi in zip(edges, edges[1:])]
-    cuts = [c for lo, hi, mid in spans for c in ((lo, hi), (lo, mid), (mid, hi))]
-    p = _panels(f, *zip(*cuts))
-    roots = [segment(lo, hi, p[3 * i][2], p[3 * i + 1], p[3 * i + 2])
+    y, s = _panels(f, [c for lo, hi, mid in spans for c in (lo, lo, mid)],
+                   [c for lo, hi, mid in spans for c in (hi, mid, hi)])
+    ys = [y]
+    roots = [segment(lo, hi, s[3 * i], 3 * i + 1, s[3 * i + 1], s[3 * i + 2])
              for i, (lo, hi, _) in enumerate(spans)]
-    value = sum(s[6] for s in roots)
-    err = sum(s[7] for s in roots)
+    # left to right (the builtin sum compensates Python floats from 3.12 on)
+    value, err = reduce(add, [seg[7] for seg in roots], 0.0), reduce(add, [seg[8] for seg in roots], 0.0)
     heap = []
-    for s in roots:
-        push(s, value)
-    nsub = len(roots)
+    for seg in roots:
+        push(seg, value)
+    nsub, nrows = len(roots), 3 * len(roots)
     while err > tol(value):
         if nsub >= _MAX_SUBDIVISIONS:
             raise ToleranceError(
@@ -128,27 +146,24 @@ def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
                 best=float(value),
                 err_est=float(err),
             )
-        _, lo, hi, mid, left, right, fine, seg_err = heapq.heappop(heap)
+        _, lo, hi, mid, _, left, right, fine, seg_err = heapq.heappop(heap)
         q1, q2 = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        p = _panels(f, (lo, q1, mid, q2), (q1, mid, q2, hi))
-        s1 = segment(lo, mid, left[2], p[0], p[1])
-        s2 = segment(mid, hi, right[2], p[2], p[3])
-        value = value + (s1[6] + s2[6]) - fine
-        err = err + (s1[7] + s2[7]) - seg_err
+        y, s = _panels(f, (lo, q1, mid, q2), (q1, mid, q2, hi))
+        ys.append(y)
+        s1 = segment(lo, mid, left, nrows, s[0], s[1])
+        s2 = segment(mid, hi, right, nrows + 2, s[2], s[3])
+        value = value + (s1[7] + s2[7]) - fine
+        err = err + (s1[8] + s2[8]) - seg_err
         push(s1, value)
         push(s2, value)
         nsub += 1
+        nrows += 4
 
-    panels = sorted([(s[1], s[3], s[4]) for s in heap] + [(s[3], s[2], s[5]) for s in heap],
-                    key=lambda p: p[0])
-    return Leaves(
-        a=np.array([p[0] for p in panels]),
-        b=np.array([p[1] for p in panels]),
-        x=np.stack([p[2][0] for p in panels]),
-        values=np.stack([p[2][1] for p in panels]),
-        sums=np.array([p[2][2] for p in panels]),
-        err=float(sum(s[7] for s in heap)),
-    )
+    # (a, b, row, sum) of the left halves, then the right halves, in heap order, sorted by a
+    leaves = sorted([(seg[1], seg[3], seg[4], seg[5]) for seg in heap]
+                    + [(seg[3], seg[2], seg[4] + 1, seg[6]) for seg in heap], key=itemgetter(0))
+    a, b, rows, sums = map(np.array, zip(*leaves))
+    return Leaves(a, b, np.concatenate(ys)[rows], sums, rows, reduce(add, [seg[8] for seg in heap], 0.0))
 
 
 def integrate_interval(f, a, b, rule=DEFAULT_RULE):

@@ -176,7 +176,6 @@ def _bessel_i01e(x):
     return p[0] / r, p[1] * (x / (r * r1))
 
 
-_LGAMMA = np.vectorize(math.lgamma, otypes=[float])
 _EULER_GAMMA = 0.57721566490153286061
 
 
@@ -308,5 +307,6 @@ def exp_integral_e1(x):
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
     a = _reals(x, "log_gamma: x", math.ulp(0.0))
-    return _maybe_scalar(x, _LGAMMA(a))
+    return _maybe_scalar(x, np.fromiter(map(math.lgamma, a.ravel().tolist()), float,
+                                        a.size).reshape(a.shape))
 

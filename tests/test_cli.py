@@ -129,6 +129,18 @@ def test_fisher_rate_command(tmp_path):
     assert np.all(np.abs(np.diff(rows[:, 1] - 1.0 / 3.0)) > 0)
 
 
+def test_fisher_rate_ladder_is_one_n_at_a_time(capsys):
+    # one recursion up to the largest n prints what one run per n prints, in the given order
+    acov = '{"kind": "ar1", "rho": 0.5}'
+
+    def rows(n_list):
+        assert main(["fisher-rate", "--acov", acov, "--n-list", n_list]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    singles = [rows(n) for n in ("4096", "64", "256")]
+    assert rows("4096,64,256") == singles[0][:1] + [s[1] for s in singles]
+
+
 def test_fit_poly_command(awgn_json, tmp_path):
     out = tmp_path / "poly.json"
     rc = main(["fit-poly", "--channel", awgn_json, "--P", "0.111",

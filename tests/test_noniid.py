@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fishercap as fc
+from fishercap import noniid
 from fishercap.errors import DomainError, ValidationError
 
 
@@ -62,6 +63,19 @@ def test_indefinite_autocovariance_not_pd():
     assert fc.fisher_rate_finite(acov, 2) == pytest.approx(1.0 / 1.9, rel=1e-14)
     with pytest.raises(DomainError, match="not PD at n=3"):
         fc.fisher_rate_finite(acov, 3)
+
+
+def test_one_recursion_serves_every_order():
+    # the CLI's ladder: terms up to the largest n, then a sum per n, the same bits
+    gamma = [1.0, 0.9, 0.2]
+    indefinite = fc.Autocovariance(gamma=lambda k: gamma[k])
+    for acov, top in ((fc.ar1_autocovariance(0.5), 300), (indefinite, 3)):
+        terms = noniid._levinson_terms(acov, top)
+        for n in range(1, terms.size + 1):
+            assert noniid._rate(terms, n) == fc.fisher_rate_finite(acov, n)
+    assert terms.size == 2
+    with pytest.raises(DomainError, match="not PD at n=3"):
+        noniid._rate(terms, 3)
 
 
 @pytest.mark.parametrize("rho", [-0.6, 0.3, 0.5, 0.9])

@@ -146,6 +146,17 @@ def test_oracle_table_e1():
         assert specfun.exp_integral_e1(x) == pytest.approx(want, rel=1e-10), f"E1({x})"
 
 
+@pytest.mark.parametrize("n_r", [1, 2, 30, 100, 1000])
+def test_log_gamma_is_math_lgamma(n_r):
+    # the table of ln k! that mutual_info._type_blocks builds, element by element
+    x = np.arange(n_r + 1) + 1.0
+    got = specfun.log_gamma(x)
+    assert got.dtype == float and got.shape == x.shape
+    assert got.tolist() == [math.lgamma(v) for v in x.tolist()]
+    assert specfun.log_gamma(x.reshape(1, -1)).tolist() == [got.tolist()]
+    assert specfun.log_gamma(np.float64(n_r) + 0.5) == math.lgamma(n_r + 0.5)
+
+
 def test_oracle_table_log_gamma():
     for x, want in _load_table("log_gamma"):
         assert specfun.log_gamma(x) == pytest.approx(want, rel=1e-10, abs=1e-13), f"lnG({x})"
