@@ -20,8 +20,7 @@ channels = {
     "energy detection": fc.energy_detection_channel(A),
     "noncoherent (s2=0.5)": fc.noncoherent_channel(A, 0.5),
     "poisson (mu=0.3A)": fc.poisson_channel(A, ([1.0], [1.0]), ([0.3 * A], [1.0])),
-    "dithered 1-bit (N=3)": fc.dithered_onebit_channel(
-        A, fc.DitherSet.uniform([-0.8 * A, 0.0, 0.8 * A])),
+    "dithered 1-bit (N=3)": fc.dithered_onebit_channel(A, [-0.8 * A, 0.0, 0.8 * A]),
 }
 
 print(f"{'channel':22s} {'J(0)':>10s} {'J(A/2)':>10s} {'lambda*':>10s} {'JF(l*)':>10s} {'C(100)':>8s}")
@@ -40,8 +39,7 @@ print("each antenna; the tilted factor turns that loss into a capacity offset.")
 print("\n=== dithering helps a coarse ADC at larger peak power ===")
 for peak in [1.0, 2.0, 4.0]:
     plain = fc.quantized_awgn_channel(peak, [0.0])
-    dith = fc.dithered_onebit_channel(
-        peak, fc.DitherSet.uniform(list(np.linspace(-0.8 * peak, 0.8 * peak, 3))))
+    dith = fc.dithered_onebit_channel(peak, np.linspace(-0.8 * peak, 0.8 * peak, 3))
     sp = fc.solve_lambda_star(plain, peak ** 2 / 9.0)
     sd = fc.solve_lambda_star(dith, peak ** 2 / 9.0)
     print(f"  A={peak:4.1f}  JF 1-bit={sp.jf:8.4f}  JF dithered={sd.jf:8.4f}")

@@ -28,7 +28,7 @@ print("  polynomial  :", np.round(approx.points[8:], 3))
 print("  uniform grid:", np.round(pam.points[8:], 3))
 
 def mi(c):
-    return fc.mi_finite_output(channel, fc.DiscreteInput(c.points, c.probs), n_r)
+    return fc.mi_finite_output(channel, c, n_r)
 
 mi_jeff, mi_pam, mi_poly = mi(jeff), mi(pam), mi(approx)
 ba, mi_ba = fc.blahut_arimoto(channel, jeff.points, n_r)

@@ -9,10 +9,9 @@ bin-quantized receivers.
 
 from .channels import (
     ChannelSpec,
-    DitherSet,
+    DiscreteInput,
     ParameterSpace,
     awgn_channel,
-    channel_from_file,
     channel_from_json,
     clipped_awgn_channel,
     dithered_onebit_channel,
@@ -24,7 +23,6 @@ from .channels import (
     truncated_awgn_channel,
 )
 from .constellation import (
-    Constellation,
     PolyDensity,
     approx_jeffreys_constellation,
     fit_poly_density,
@@ -50,7 +48,6 @@ from .errors import (
 from .jeffreys import (
     JeffreysSolution,
     TiltedPrior,
-    asymptotic_capacity,
     average_cost,
     jeffreys_factor,
     mismatch_rate,
@@ -60,14 +57,12 @@ from .jeffreys import (
     tilted_prior,
 )
 from .mutual_info import (
-    DiscreteInput,
     TypeIndex,
     blahut_arimoto,
     discretize_prior,
     mi_finite_output,
     mi_from_pmf_matrix,
     mi_gaussian_sufficient,
-    mi_prior_grid,
 )
 from .noniid import (
     Autocovariance,

@@ -48,6 +48,11 @@ the ADC's with its thresholds at the cuts; truncated AWGN clips the
 cuts to +-B and normalizes.  The binned receiver of ``receiver_quant``
 is this ADC with its cuts at the bin edges.
 
+``DiscreteInput`` is the library's one finite distribution, points
+with probabilities: the input sets of ``mutual_info``, the designs of
+``constellation`` and the dither law of ``dithered_onebit_channel``.
+It lives here, the lowest module that needs it.
+
 Channels can also be built from JSON records, e.g.
 ``{"kind": "quantized_awgn", "A": 1.0, "thresholds": [-1, 0, 1]}``;
 see ``channel_from_json`` for the full schema.
@@ -108,32 +113,37 @@ class ParameterSpace:
         return 0.0, self.radius
 
 
-@dataclass(frozen=True)
-class DitherSet:
-    """Receiver-known threshold shifts with their probabilities."""
+@dataclass(frozen=True, eq=False)
+class DiscreteInput:
+    """A finite distribution: points, shape (M,) or (M, d), with their probabilities.
 
-    points: tuple
-    weights: tuple
+    The one type for an input set (a designed constellation, the weights
+    Blahut-Arimoto returns) and for the dither law of the dithered 1-bit
+    ADC.
+    """
+
+    points: np.ndarray
+    probs: np.ndarray
 
     def __post_init__(self):
-        p = _reals(self.points, "DitherSet: points", error=ValidationError)
-        w = _probabilities(self.weights, "DitherSet: weights", 1e-12)
-        if p.shape != w.shape:
-            raise ValidationError("DitherSet: points/weights must be matching 1-D sequences")
-        if np.unique(p).size != p.size:
-            raise ValidationError("DitherSet: points must be distinct")
-        object.__setattr__(self, "points", tuple(float(x) for x in p))
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
+        pts = _reals(self.points, "DiscreteInput: points", error=ValidationError)
+        pr = _probabilities(self.probs, "DiscreteInput: probs", 1e-12)
+        if pts.shape[:1] != pr.shape:
+            raise ValidationError("DiscreteInput: points and probs must align")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "probs", pr)
 
-    @classmethod
-    def uniform(cls, points):
-        points = tuple(points)
-        if not points:
-            raise ValidationError("DitherSet: need at least one point")
-        return cls(points=points, weights=(1.0 / len(points),) * len(points))
+    @property
+    def avg_power(self):
+        return float(self.probs @ _power_per_point(self.points))
 
-    def arrays(self):
-        return np.asarray(self.points), np.asarray(self.weights)
+    @property
+    def peak_power(self):
+        return float(_power_per_point(self.points).max())
+
+
+def _power_per_point(pts):
+    return pts * pts if pts.ndim == 1 else (pts * pts).sum(axis=1)
 
 
 def _squared(t):
@@ -569,11 +579,21 @@ def dithered_onebit_channel(peak, dither):
 
     evaluated as the product of the two Gaussian hazards so that deep
     tails never underflow.
+
+    ``dither`` is a sequence of distinct threshold shifts s, drawn with
+    equal probabilities 1/n, or a ``DiscreteInput`` of distinct scalar
+    shifts with their probabilities.
     """
     A = _real(peak, "dithered_onebit_channel: peak", 0.0, error=ValidationError)
-    if not isinstance(dither, DitherSet):
-        dither = DitherSet.uniform(dither)
-    pts, w = dither.arrays()
+    if not isinstance(dither, DiscreteInput):
+        pts = _reals(dither, "dithered_onebit_channel: dither", error=ValidationError)
+        if pts.ndim != 1 or pts.size == 0:
+            raise ValidationError("dithered_onebit_channel: need at least one point, in a 1-D list")
+        dither = DiscreteInput(pts, np.full(pts.size, 1.0 / pts.size))
+    # the channel keeps its own arrays: the caller may change theirs later
+    pts, w = dither.points.copy(), dither.probs.copy()
+    if pts.ndim != 1 or np.unique(pts).size != pts.size:
+        raise ValidationError("dithered_onebit_channel: dither points must be distinct scalars")
 
     def pmf(th):
         u = pts - th[..., None]
@@ -594,10 +614,10 @@ def dithered_onebit_channel(peak, dither):
 # ---------------------------------------------------------------------------
 
 def _dithered_from_json(record):
-    pts = record["points"]
+    dither = record["points"]
     if "weights" in record:
-        return dithered_onebit_channel(record["A"], DitherSet(tuple(pts), tuple(record["weights"])))
-    return dithered_onebit_channel(record["A"], DitherSet.uniform(pts))
+        dither = DiscreteInput(dither, record["weights"])
+    return dithered_onebit_channel(record["A"], dither)
 
 
 # kind -> builder of a ChannelSpec from its JSON record.  The builders look
@@ -661,8 +681,3 @@ def _from_record(builders, record, what):
         raise ValidationError(f"{what}: kind {kind!r} is missing field {e}") from e
     except TypeError as e:
         raise ValidationError(f"{what}: kind {kind!r} has a field of the wrong type ({e})") from e
-
-
-def channel_from_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return channel_from_json(fh.read())

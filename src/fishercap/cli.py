@@ -207,7 +207,7 @@ def _read_points_csv(path):
                     f"{path}: mi needs scalar constellation points (index,point,probability)")
             pts.append(float(fields[1]))
             probs.append(float(fields[2]))
-    return _mi.DiscreteInput(np.array(pts), np.array(probs))
+    return _ch.DiscreteInput(np.array(pts), np.array(probs))
 
 
 def _cmd_mi(args, channel):

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import DiscreteInput, _power_per_point
 from .errors import ConvergenceError, DomainError, PositivityError, ValidationError
 from .errors import _count, _real, _reals
 from .jeffreys import LN2, invert_monotone, prior_cdf_inverse, solve_lambda_star
-from .mutual_info import DiscreteInput
 from .quad import _midpoints
 
 _GRID_POINTS = 4097  # odd: the fit grid is integrated by composite Simpson
@@ -45,23 +45,6 @@ def midpoint_grid(m):
     return _midpoints(0.0, 1.0, _count(m, "midpoint_grid: m", 1))
 
 
-@dataclass(frozen=True, eq=False)
-class Constellation(DiscreteInput):
-    """A designed input set: points (M,) or (M, d) and probs, with its average and peak power."""
-
-    @property
-    def avg_power(self):
-        return float(self.probs @ _power_per_point(self.points))
-
-    @property
-    def peak_power(self):
-        return float(_power_per_point(self.points).max())
-
-
-def _power_per_point(pts):
-    return pts * pts if pts.ndim == 1 else (pts * pts).sum(axis=1)
-
-
 def _scaled_constellation(raw_points, P):
     P = _real(P, "constellation: P", 0.0)
     raw = np.asarray(raw_points, dtype=float)
@@ -69,7 +52,7 @@ def _scaled_constellation(raw_points, P):
     probs = np.full(m, 1.0 / m)
     mean_pow = float(probs @ _power_per_point(raw))
     c_p = 1.0 if mean_pow <= P or mean_pow == 0.0 else math.sqrt(P / mean_pow)
-    return Constellation(c_p * raw, probs)
+    return DiscreteInput(c_p * raw, probs)
 
 
 def jeffreys_constellation(channel, P, M):

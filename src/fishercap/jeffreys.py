@@ -429,11 +429,6 @@ def solve_lambda_star(channel, P):
     return _solution(P, at_hi if at_hi is not None else table.tilt(hi))
 
 
-def asymptotic_capacity(channel, P, n_r):
-    """Leading capacity terms (d/2) log2(n_r/2 pi e) + log2 JF(lambda*)."""
-    return solve_lambda_star(channel, P).capacity_fn(n_r)
-
-
 def mismatch_rate(channel, w, P, n_r):
     """Large-array rate achieved by an arbitrary prior w on the profile coordinate.
 

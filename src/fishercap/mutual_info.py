@@ -31,6 +31,9 @@ consumers start there:
 
 Zero-probability bins enter the log-pmf as ``_LOG_ZERO``, and zero
 weights likewise, so their exp() is exactly 0.
+
+An input set is a ``channels.DiscreteInput``, the library's one finite
+distribution; ``discretize_prior`` and ``blahut_arimoto`` return one.
 """
 
 import math
@@ -38,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import DiscreteInput
 from .errors import BudgetError, ConvergenceError, DomainError, ValidationError
-from .errors import _count, _probabilities, _reals
+from .errors import _count, _probabilities, _real, _reals
 from .quad import _midpoints, integrate_interval
 from .specfun import SQRT_2PI, log_gamma
 
@@ -49,23 +53,6 @@ _BLOCK_TYPES = 1 << 12  # types per streamed block (M x 4096 doubles stay cache-
 _SLICE_TOTALS = 32  # one slice copy costs about as much as gathering 140 columns, 32 of them a full block
 _BA_MAX_ITER = 10 ** 4
 _SPAN_SIGMAS = 40.0  # the sample-mean MI integrates this many sigmas beyond the extreme points
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteInput:
-    """Finite input set with probabilities; points shape (M,) or (M, d)."""
-
-    points: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        name = type(self).__name__
-        pts = _reals(self.points, f"{name}: points", error=ValidationError)
-        pr = _probabilities(self.probs, f"{name}: probs", 1e-12)
-        if pts.shape[:1] != pr.shape:
-            raise ValidationError(f"{name}: points and probs must align")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "probs", pr)
 
 
 @dataclass(frozen=True)
@@ -276,17 +263,12 @@ def discretize_prior(prior, grid_size):
     return DiscreteInput(pts, w / total)
 
 
-def mi_prior_grid(channel, prior, grid_size, n_r):
-    """Exact MI of the discretized tilted prior across n_r antennas."""
-    return mi_finite_output(channel, discretize_prior(prior, grid_size), n_r)
-
-
 def blahut_arimoto(channel, points, n_r, tol=1e-9, full_output=False):
     """Capacity-achieving input weights over fixed points, via Blahut-Arimoto.
 
     Alternates the standard updates on the type-likelihood matrix until
-    the capacity upper/lower bound gap drops below ``tol`` bits, and
-    raises ConvergenceError after 10,000 iterations.
+    the capacity upper/lower bound gap drops below ``tol`` bits (finite,
+    > 0), and raises ConvergenceError after 10,000 iterations.
     Returns ``(DiscreteInput, bits)``; with ``full_output`` also a dict
     carrying the per-iteration bound gaps.
     """
@@ -294,6 +276,7 @@ def blahut_arimoto(channel, points, n_r, tol=1e-9, full_output=False):
     if pts.ndim != 1 or pts.size == 0:
         raise ValidationError("blahut_arimoto: points must be a nonempty 1-D array")
     n_r = _count(n_r, "blahut_arimoto: n_r", 1)
+    tol = _real(tol, "blahut_arimoto: tol", 0.0)
     pmf = _pmf_for_points(channel, pts)
     parts = pmf.shape[1]
     _check_budget(n_r, parts, pts.size)

@@ -69,7 +69,7 @@ def test_criterion_03_tilted_cost_strictly_decreasing():
             "noncoherent s2=0.5": fc.noncoherent_channel(A, 0.5),
             "poisson mu=0.3A": fc.poisson_channel(A, ([1.0], [1.0]), ([0.3 * A], [1.0])),
             "dithered N=3": fc.dithered_onebit_channel(
-                A, fc.DitherSet.uniform(np.linspace(-0.8 * A, 0.8 * A, 3))),
+                A, np.linspace(-0.8 * A, 0.8 * A, 3)),
         }
         lams = np.geomspace(1e-3, 1e3, 64)
         for name, channel in configs.items():
@@ -86,7 +86,7 @@ def test_criterion_04_fisher_golden_values():
         finite = [
             fc.quantized_awgn_channel(1.0, [0.0]),
             fc.quantized_awgn_channel(1.0, [-1.0, 0.0, 1.0]),
-            fc.dithered_onebit_channel(1.0, fc.DitherSet.uniform([-0.8, 0.0, 0.8])),
+            fc.dithered_onebit_channel(1.0, [-0.8, 0.0, 0.8]),
         ]
         h = 1e-5
         theta = np.linspace(-0.999, 0.999, 33)
@@ -107,7 +107,7 @@ def test_criterion_05_asymptotic_convergence():
         prior = fc.tilted_prior(channel, s.lambda_star, P)
         gaps = []
         for n_r in [64, 256, 1024]:
-            mi = fc.mi_prior_grid(channel, prior, 257, n_r)
+            mi = fc.mi_finite_output(channel, fc.discretize_prior(prior, 257), n_r)
             gaps.append(abs(mi - s.capacity_fn(n_r)))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -119,14 +119,14 @@ def test_criterion_06_constellation_ordering():
         channel = fc.quantized_awgn_channel(A, [0.0])
         jeff = fc.jeffreys_constellation(channel, P, M)
         pam = fc.pam_constellation(channel, P, M)
-        mi_jeff = fc.mi_finite_output(channel, fc.DiscreteInput(jeff.points, jeff.probs), n_r)
-        mi_pam = fc.mi_finite_output(channel, fc.DiscreteInput(pam.points, pam.probs), n_r)
+        mi_jeff = fc.mi_finite_output(channel, jeff, n_r)
+        mi_pam = fc.mi_finite_output(channel, pam, n_r)
         assert mi_jeff > mi_pam
 
         s = fc.solve_lambda_star(channel, P)
         poly = fc.fit_poly_density(channel, s.lambda_star, 8)
         approx = fc.approx_jeffreys_constellation(poly, P, M)
-        mi_poly = fc.mi_finite_output(channel, fc.DiscreteInput(approx.points, approx.probs), n_r)
+        mi_poly = fc.mi_finite_output(channel, approx, n_r)
         assert mi_poly >= mi_jeff - 0.05
 
         _, mi_ba = fc.blahut_arimoto(channel, jeff.points, n_r)

@@ -290,13 +290,13 @@ def test_poisson_zero_denominator():
 # --- dithered 1-bit --------------------------------------------------------
 
 def test_dither_single_point_reduces_to_onebit(onebit_unit):
-    d = ch.DitherSet(points=(0.0,), weights=(1.0,))
+    d = ch.DiscreteInput([0.0], [1.0])
     assert ch.dithered_onebit_channel(1.0, d).fisher(0.4) == pytest.approx(
         onebit_unit.fisher(0.4), rel=1e-13)
 
 
 def test_dither_three_point_hand_sum():
-    d = ch.DitherSet.uniform([-1.0, 0.0, 1.0])
+    d = [-1.0, 0.0, 1.0]
     phi1, q1 = specfun.gauss_phi_q(1.0)
     _, qm1 = specfun.gauss_phi_q(-1.0)
     want = (2.0 * phi1 ** 2 / (q1 * qm1) + 2.0 / math.pi) / 3.0
@@ -304,19 +304,73 @@ def test_dither_three_point_hand_sum():
 
 
 def test_dither_symmetric_set_even_fisher():
-    channel = ch.dithered_onebit_channel(1.0, ch.DitherSet.uniform([-0.8, 0.0, 0.8]))
+    channel = ch.dithered_onebit_channel(1.0, [-0.8, 0.0, 0.8])
     assert channel.fisher(0.9) == pytest.approx(channel.fisher(-0.9), rel=1e-13)
 
 
 def test_dither_validation():
     with pytest.raises(ValidationError):
-        ch.DitherSet(points=(0.0, 0.0), weights=(0.5, 0.5))
+        ch.dithered_onebit_channel(1.0, ch.DiscreteInput([0.0, 0.0], [0.5, 0.5]))
     with pytest.raises(ValidationError):
-        ch.DitherSet(points=(0.0, 1.0), weights=(0.7, 0.7))
+        ch.DiscreteInput([0.0, 1.0], [0.7, 0.7])
     with pytest.raises(ValidationError, match="at least one point"):
-        ch.DitherSet.uniform([])
+        ch.dithered_onebit_channel(1.0, [])
     with pytest.raises(ValidationError, match="at least one point"):
         ch.channel_from_json({"kind": "dithered_onebit", "A": 1, "points": []})
+
+
+def _same_dithered(a, b):
+    theta = np.linspace(-1.0, 1.0, 9)
+    assert a.fisher(theta).tolist() == b.fisher(theta).tolist()
+    assert a.output_pmf(theta).tolist() == b.output_pmf(theta).tolist()
+    assert a.params == b.params
+
+
+def test_dither_list_input_and_records_build_one_channel():
+    pts = [-0.5, 0.25, 0.5]
+    from_list = ch.dithered_onebit_channel(1.0, pts)
+    assert from_list.params["weights"] == [1.0 / 3.0] * 3
+    for other in (ch.dithered_onebit_channel(1.0, ch.DiscreteInput(pts, np.full(3, 1.0 / 3.0))),
+                  ch.channel_from_json({"kind": "dithered_onebit", "A": 1.0, "points": pts}),
+                  ch.channel_from_json({"kind": "dithered_onebit", "A": 1.0, "points": pts,
+                                        "weights": [1.0 / 3.0] * 3})):
+        _same_dithered(from_list, other)
+    weighted = ch.dithered_onebit_channel(1.0, ch.DiscreteInput([-0.5, 0.5], [0.25, 0.75]))
+    assert weighted.params == {"kind": "dithered_onebit", "A": 1.0,
+                               "points": [-0.5, 0.5], "weights": [0.25, 0.75]}
+    _same_dithered(weighted, ch.channel_from_json(weighted.params))
+
+
+def test_dithered_channel_keeps_its_own_points():
+    pts = np.array([-0.5, 0.5])
+    channel = ch.dithered_onebit_channel(1.0, pts)
+    before = channel.output_pmf(0.25).tolist()
+    pts[0] = 0.0
+    assert channel.output_pmf(0.25).tolist() == before
+
+
+DITHER_REFUSALS = {
+    "empty": (lambda: ch.dithered_onebit_channel(1.0, []), ValidationError, "at least one point"),
+    "repeated": (lambda: ch.dithered_onebit_channel(1.0, [0.5, 0.5]), ValidationError, "distinct"),
+    "repeated_weighted": (lambda: ch.dithered_onebit_channel(
+        1.0, ch.DiscreteInput([0.5, 0.5], [0.25, 0.75])), ValidationError, "distinct"),
+    "2d": (lambda: ch.dithered_onebit_channel(1.0, [[0.0, 1.0], [2.0, 3.0]]), ValidationError, "1-D"),
+    "2d_weighted": (lambda: ch.dithered_onebit_channel(
+        1.0, ch.DiscreteInput([[0.0, 1.0], [2.0, 3.0]], [0.5, 0.5])), ValidationError, "scalars"),
+    "weights_sum": (lambda: ch.channel_from_json(
+        {"kind": "dithered_onebit", "A": 1, "points": [0.0, 1.0], "weights": [0.5, 0.6]}),
+        ValidationError, "^DiscreteInput: probs"),
+    "string_point": (lambda: ch.dithered_onebit_channel(1.0, [0.0, "1"]), ValidationError, "need real"),
+    "string_point_weighted": (lambda: ch.channel_from_json(
+        {"kind": "dithered_onebit", "A": 1, "points": ["0", 1.0], "weights": [0.5, 0.5]}),
+        ValidationError, "need real"),
+}
+
+
+@pytest.mark.parametrize("call,error,match", DITHER_REFUSALS.values(), ids=DITHER_REFUSALS.keys())
+def test_dither_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 # --- finite-output pmfs ----------------------------------------------------
@@ -334,7 +388,7 @@ def test_four_level_pmf():
 
 
 def test_dithered_pmf_enumeration():
-    channel = ch.dithered_onebit_channel(1.0, ch.DitherSet.uniform([-1.0, 1.0]))
+    channel = ch.dithered_onebit_channel(1.0, [-1.0, 1.0])
     p = channel.output_pmf(0.0)
     _, q1 = specfun.gauss_phi_q(1.0)
     _, qm1 = specfun.gauss_phi_q(-1.0)
@@ -347,7 +401,7 @@ def test_pmf_normalization_grid():
     finite = [
         ch.quantized_awgn_channel(2.0, [0.0]),
         ch.quantized_awgn_channel(2.0, [-2.0, 0.0, 2.0]),
-        ch.dithered_onebit_channel(2.0, ch.DitherSet.uniform([-0.8, 0.0, 0.8])),
+        ch.dithered_onebit_channel(2.0, [-0.8, 0.0, 0.8]),
     ]
     theta = np.linspace(-2.0, 2.0, 33)
     for channel in finite:
@@ -366,7 +420,7 @@ def test_finite_channels_match_fd_brute_force():
     configs = [
         ch.quantized_awgn_channel(1.0, [0.0]),
         ch.quantized_awgn_channel(1.0, [-1.0, 0.0, 1.0]),
-        ch.dithered_onebit_channel(1.0, ch.DitherSet.uniform([-0.8, 0.0, 0.8])),
+        ch.dithered_onebit_channel(1.0, [-0.8, 0.0, 0.8]),
     ]
     theta = np.linspace(-0.999, 0.999, 33)
     for channel in configs:

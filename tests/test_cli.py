@@ -49,7 +49,8 @@ def test_capacity_command_matches_library(onebit_json, tmp_path):
                "--nr", "100", "--output", str(out)])
     assert rc == 0
     got = json.loads(out.read_text())
-    channel = fc.channel_from_file(onebit_json)
+    with open(onebit_json, encoding="utf-8") as fh:
+        channel = fc.channel_from_json(fh.read())
     s = fc.solve_lambda_star(channel, 0.444)
     assert got["lambda_star"] == s.lambda_star
     assert got["jf"] == s.jf

@@ -26,17 +26,17 @@ def awgn_fit(awgn):
     return s, poly, info
 
 
-def test_constellation_is_a_discrete_input():
-    c = fc.Constellation(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-    assert isinstance(c, fc.DiscreteInput)
+def test_constellation_is_a_discrete_input(awgn):
+    assert isinstance(fc.pam_constellation(awgn, 1.0 / 9.0, 4), fc.DiscreteInput)
+    c = fc.DiscreteInput(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
     assert (c.avg_power, c.peak_power) == (1.0, 1.0)
     # the powers come from the points: 0.2 * 0.25 + 0.8 * 4, and 4
-    c = fc.Constellation(np.array([0.5, -2.0]), np.array([0.2, 0.8]))
+    c = fc.DiscreteInput(np.array([0.5, -2.0]), np.array([0.2, 0.8]))
     assert (c.avg_power, c.peak_power) == (0.2 * 0.25 + 0.8 * 4.0, 4.0)
-    planar = fc.Constellation(np.array([[1.0, 1.0], [0.0, 3.0]]), np.array([0.5, 0.5]))
+    planar = fc.DiscreteInput(np.array([[1.0, 1.0], [0.0, 3.0]]), np.array([0.5, 0.5]))
     assert (planar.avg_power, planar.peak_power) == (5.5, 9.0)
-    with pytest.raises(ValidationError, match="^Constellation: probs"):
-        fc.Constellation(np.array([-1.0, 1.0]), np.array([0.7, 0.7]))
+    with pytest.raises(ValidationError, match="^DiscreteInput: probs"):
+        fc.DiscreteInput(np.array([-1.0, 1.0]), np.array([0.7, 0.7]))
     with pytest.raises(ValidationError, match="^DiscreteInput: points and probs"):
         fc.DiscreteInput(np.array([0.0, 1.0]), np.array([1.0]))
 

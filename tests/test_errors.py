@@ -71,6 +71,11 @@ INVALID_CALLS = {
     "loglog_slope_L_nan": lambda: fc.fit_loglog_slope([math.nan, 2, 4, 8], [1, .5, .25, .1]),
     "loglog_slope_L_below_1": lambda: fc.fit_loglog_slope([-1, 2, 4, 8], [1, .5, .25, .1]),
     "poly_density_support_string": lambda: fc.PolyDensity(np.array([0.5]), ("-1", "1")),
+    # a bad tol ran all 10,000 iterations before a ConvergenceError, or raised a bare TypeError
+    "ba_tol_string": lambda: fc.blahut_arimoto(_onebit(), [-1.0, 1.0], 3, tol="1e-9"),
+    "ba_tol_nan": lambda: fc.blahut_arimoto(_onebit(), [-1.0, 1.0], 3, tol=math.nan),
+    "ba_tol_zero": lambda: fc.blahut_arimoto(_onebit(), [-1.0, 1.0], 3, tol=0.0),
+    "ba_tol_negative": lambda: fc.blahut_arimoto(_onebit(), [-1.0, 1.0], 3, tol=-1.0),
 }
 
 

@@ -148,10 +148,10 @@ def test_solve_lambda_star_small_p(awgn_unit):
 
 def test_asymptotic_capacity_formulas(awgn_unit):
     nr = 100
-    cap = fc.asymptotic_capacity(awgn_unit, 0.5, nr)  # P >= A^2/3
+    cap = fc.solve_lambda_star(awgn_unit, 0.5).capacity_fn(nr)  # P >= A^2/3
     assert cap == pytest.approx(0.5 * math.log2(2.0 * nr / (math.pi * math.e)), rel=1e-12)
     s = fc.solve_lambda_star(awgn_unit, 1.0 / 9.0)
-    cap = fc.asymptotic_capacity(awgn_unit, 1.0 / 9.0, nr)
+    cap = s.capacity_fn(nr)
     assert cap == pytest.approx(0.5 * math.log2(nr * s.jf ** 2 / (2.0 * math.pi * math.e)), rel=1e-12)
 
 
@@ -179,7 +179,7 @@ def test_mismatch_rate_uniform_inactive(awgn_unit):
     nr = 100
     r = fc.mismatch_rate(awgn_unit, lambda t: np.full_like(np.asarray(t, float), 0.5),
                          0.5, nr)
-    assert r == pytest.approx(fc.asymptotic_capacity(awgn_unit, 0.5, nr), abs=1e-9)
+    assert r == pytest.approx(fc.solve_lambda_star(awgn_unit, 0.5).capacity_fn(nr), abs=1e-9)
 
 
 def test_mismatch_rate_uniform_tilted_identity(awgn_unit):
@@ -313,7 +313,7 @@ def test_capacity_needs_finite_antenna_count(awgn_unit):
     with pytest.raises(DomainError):
         fc.solve_lambda_star(awgn_unit, 0.5).capacity_fn(math.nan)
     with pytest.raises(DomainError):
-        fc.asymptotic_capacity(awgn_unit, 0.5, math.inf)
+        fc.solve_lambda_star(awgn_unit, 0.5).capacity_fn(math.inf)
 
 
 def test_prior_cdf_rejects_nan(awgn_unit):

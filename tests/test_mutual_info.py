@@ -77,7 +77,7 @@ def test_relabeling_outputs_invariant():
 
 def test_prior_grid_single_point(onebit):
     prior = fc.tilted_prior(onebit, 0.0)
-    assert fc.mi_prior_grid(onebit, prior, 1, 10) == 0.0
+    assert fc.mi_finite_output(onebit, fc.discretize_prior(prior, 1), 10) == 0.0
 
 
 def test_discretize_prior_needs_an_integer(onebit):
@@ -93,7 +93,7 @@ def test_prior_grid_smoke_envelope():
     P = 4.0 / 9.0
     s = fc.solve_lambda_star(channel, P)
     prior = fc.tilted_prior(channel, s.lambda_star, P)
-    mi = fc.mi_prior_grid(channel, prior, 257, 64)
+    mi = fc.mi_finite_output(channel, fc.discretize_prior(prior, 257), 64)
     assert 0.0 < mi < s.capacity_fn(64) + 0.5
 
 
@@ -142,7 +142,7 @@ def test_ba_symmetric_fixed_point(onebit):
 def test_ba_dominates_uniform(onebit):
     channel = fc.quantized_awgn_channel(2.0, [0.0])
     c = fc.jeffreys_constellation(channel, 1.0, 16)
-    uniform = fc.mi_finite_output(channel, fc.DiscreteInput(c.points, c.probs), 25)
+    uniform = fc.mi_finite_output(channel, c, 25)
     _, bits = fc.blahut_arimoto(channel, c.points, 25)
     assert bits >= uniform - 1e-9
 
