@@ -3,8 +3,8 @@
 Pushing a uniform midpoint grid through the inverse cdf of the tilted
 prior concentrates points where each antenna is informative.  On a
 1-bit ADC front end this beats an equally spaced grid by a wide margin,
-and the fitted-polynomial variant (closed-form cdf, bisection inverse)
-lands within a few hundredths of a bit.
+and the fitted-polynomial variant (closed-form cdf, inverted by
+safeguarded Newton) lands within a few hundredths of a bit.
 """
 
 import numpy as np

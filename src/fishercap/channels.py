@@ -130,8 +130,10 @@ class DiscreteInput:
         pr = _probabilities(self.probs, "DiscreteInput: probs", 1e-12)
         if pts.shape[:1] != pr.shape:
             raise ValidationError("DiscreteInput: points and probs must align")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "probs", pr)
+        # read-only copies: neither the caller nor a reader can change a built set
+        for name, v in (("points", pts.copy()), ("probs", pr.copy())):
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
 
     @property
     def avg_power(self):
@@ -590,8 +592,7 @@ def dithered_onebit_channel(peak, dither):
         if pts.ndim != 1 or pts.size == 0:
             raise ValidationError("dithered_onebit_channel: need at least one point, in a 1-D list")
         dither = DiscreteInput(pts, np.full(pts.size, 1.0 / pts.size))
-    # the channel keeps its own arrays: the caller may change theirs later
-    pts, w = dither.points.copy(), dither.probs.copy()
+    pts, w = dither.points, dither.probs
     if pts.ndim != 1 or np.unique(pts).size != pts.size:
         raise ValidationError("dithered_onebit_channel: dither points must be distinct scalars")
 

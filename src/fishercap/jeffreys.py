@@ -35,17 +35,12 @@ cuts.  From node sums alone the table gives:
   the panel (``invert_monotone``).
 
 The tilt lambda* is the smallest lambda whose prior meets the power
-budget.  M is strictly decreasing; lambda* is defined as the point a
-bisection on M returns under its stopping rule (its first midpoint with
-|M - P| < 1e-10 P).  Newton on M(lambda) = P locates the root first and
-stops at its first tilt with |M - P| <= 1e-10 P / 16, which puts the
-root within about near/64, for ``near`` = 4e-10 P / (ln2 Var), four
-tolerance widths.  The bisection tilts only the midpoints within near of
-Newton's root: these include every midpoint within near/4 of the true
-root, the only ones that can meet its test, and every other midpoint
-lies on the same side of both roots.  So lambda*, JF and the prior are
-those of the plain bisection.  A finite tilt exists iff c_min < P.  The
-large-array capacity is then
+budget, the root of M(lambda) = P.  M is strictly decreasing, so
+bracketed Newton on it, from the first of 1/P, 2/P, 4/P, ... with
+M <= P, returns its first tilt with |M - P| < 1e-10 P.  Where double
+precision cannot resolve M to that tolerance, Newton stops once a step
+no longer moves lambda, and lambda* is that last tilt.  A finite tilt
+exists iff c_min < P.  The large-array capacity is then
 
     C(P) = (d/2) log2(n_r / (2 pi e)) + log2 JF(lambda*),
 
@@ -86,7 +81,7 @@ _PRIOR_RULE = QuadRule(abs_tol=1e-14, rel_tol=1e-12)
 _TABLE_CACHE_SIZE = 8
 _GRADE_BITS = 8.0
 _MAX_DOUBLINGS = 200
-_M_TOL_REL, _BRACKET_TOL = 1e-10, 1e-12  # the tilt bisection's stopping rule
+_M_TOL_REL = 1e-10  # lambda* meets |M(lambda*) - P| < _M_TOL_REL * P
 _PANEL_KEY = np.dtype((np.void, 15 * 8))  # a panel's 15 nodes as one bytes key
 _MISMATCH_GRID = 1025  # midpoints on which mismatch_rate checks the prior's positivity
 
@@ -341,14 +336,15 @@ def _solution(P, prior):
 
 
 def _newton_root(table, P, lo, hi):
-    """The first tilt in (lo, hi.lam] with |M(lambda) - P| <= 1e-10 P / 16, or the root to rounding.
+    """The first tilt from hi on with |M(lambda) - P| < 1e-10 P, or the last one tried.
 
     Newton with dM/dlambda = -ln2 Var_lambda(c), bisecting whenever a
-    step leaves the bracket kept around the root.
+    step leaves the bracket (lo, hi.lam] kept around the root; stops
+    early when a step no longer moves lambda.
     """
     cur = hi
     for _ in range(100):
-        if abs(cur.m - P) <= _M_TOL_REL * P / 16.0:
+        if abs(cur.m - P) < _M_TOL_REL * P:
             break
         lam = cur.lam + (cur.m - P) / (LN2 * cur.var) if cur.var > 0.0 else math.nan
         if not lo < lam <= hi.lam:
@@ -367,16 +363,14 @@ def solve_lambda_star(channel, P):
     """Smallest tilt whose prior satisfies the average-power budget.
 
     Returns lambda* = 0 when the untilted mean cost already meets P.
-    Otherwise lambda* is the point that bisection on the strictly
-    decreasing M(lambda) over [0, lambda_hi] returns, with lambda_hi the
-    first of 1/P, 2/P, 4/P, ... where M <= P: its first midpoint with
-    |M - P| < 1e-10 P, or the bracket's upper end once the bracket is
-    narrower than 1e-12 max(1, lambda).  Bracketed
-    Newton (``_newton_root``) locates the root first, to within 1/64 of
-    the window ``near`` of four tolerance widths, so every midpoint more
-    than ``near`` from it is decided without evaluating M (see the module
-    docstring).  Raises UnboundedTiltError iff the smallest cost on the
-    space is >= P.
+    Otherwise lambda* solves M(lambda) = P: bracketed Newton
+    (``_newton_root``) from lambda_hi, the first of 1/P, 2/P, 4/P, ...
+    where M <= P, returns its first tilt with |M - P| < 1e-10 P.  When
+    double precision cannot resolve M that finely, Newton stops once a
+    step no longer moves lambda, and lambda* is its last tilt, the
+    closest to the root it reached.  Raises UnboundedTiltError iff the
+    smallest cost on the space is >= P, and RangeError when the tilted
+    cost variance underflows at lambda_hi.
     """
     P = _real(P, "solve_lambda_star: P", 0.0)
     table = _table(channel)
@@ -410,23 +404,7 @@ def solve_lambda_star(channel, P):
             f"solve_lambda_star: the tilted cost variance underflows at lambda={top.lam!r}; "
             f"P={P!r} is below what double precision resolves on channel {channel.kind!r}"
         )
-    root = _newton_root(table, P, below, top)
-    near = 4.0 * _M_TOL_REL * P / (LN2 * root.var)
-    lo, hi, at_hi = 0.0, top.lam, top
-    while hi - lo > _BRACKET_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if abs(mid - root.lam) > near:
-            above, cur = mid < root.lam, None
-        else:
-            cur = table.tilt(mid)
-            if abs(cur.m - P) < _M_TOL_REL * P:
-                return _solution(P, cur)
-            above = cur.m > P
-        if above:
-            lo = mid
-        else:
-            hi, at_hi = mid, cur
-    return _solution(P, at_hi if at_hi is not None else table.tilt(hi))
+    return _solution(P, _newton_root(table, P, below, top))
 
 
 def mismatch_rate(channel, w, P, n_r):

@@ -65,7 +65,7 @@ class TypeIndex:
         c = np.asarray(self.counts)
         if c.ndim != 1 or c.size == 0 or np.any(c < 0) or not np.issubdtype(c.dtype, np.integer):
             raise ValidationError("TypeIndex: counts must be nonnegative integers")
-        object.__setattr__(self, "counts", tuple(int(x) for x in c))
+        object.__setattr__(self, "counts", tuple(c.tolist()))
 
     @property
     def n_r(self):

@@ -104,14 +104,10 @@ def type_from_samples(q, samples):
     y = _reals(samples, "type_from_samples: samples")
     if y.ndim != 1 or y.size == 0:
         raise ValidationError("type_from_samples: samples must be a nonempty 1-D array")
-    edges = np.asarray(q.edges)
-    counts = np.zeros(q.num_cells, dtype=np.int64)
-    overflow = np.abs(y) > q.r
-    counts[0] = int(overflow.sum())
-    inner = y[~overflow]
-    idx = np.clip(np.searchsorted(edges, inner, side="left"), 1, q.L)
-    np.add.at(counts, idx, 1)
-    return TypeIndex(tuple(int(c) for c in counts))
+    # bin l >= 1 is (edge l-1, edge l], with -r in bin 1; q.edges as an array
+    idx = np.clip(np.searchsorted(np.linspace(-q.r, q.r, q.L + 1), y), 1, q.L)
+    idx[np.abs(y) > q.r] = 0
+    return TypeIndex(np.bincount(idx, minlength=q.num_cells))
 
 
 def exact_loglik(channel, samples, theta):

@@ -19,6 +19,7 @@ from fishercap.errors import ToleranceError
 from fishercap.quad import NODES, WEIGHTS
 
 LN2 = math.log(2.0)
+_BRACKET_TOL = 1e-12
 
 
 def _panels(f, a, b):
@@ -173,7 +174,7 @@ def solve_lambda_star(channel, P):
     root = newton_root(table, P, below, top)
     near = 4.0 * jeffreys._M_TOL_REL * P / (LN2 * root.var)
     lo, hi, at_hi = 0.0, top.lam, top
-    while hi - lo > jeffreys._BRACKET_TOL * max(1.0, hi):
+    while hi - lo > _BRACKET_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if abs(mid - root.lam) > near:
             above, cur = mid < root.lam, None

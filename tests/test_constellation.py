@@ -41,6 +41,19 @@ def test_constellation_is_a_discrete_input(awgn):
         fc.DiscreteInput(np.array([0.0, 1.0]), np.array([1.0]))
 
 
+def test_discrete_input_owns_read_only_arrays(awgn):
+    p, w = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    d = fc.DiscreteInput(p, w)
+    p[0], w[:] = 3.0, [1.0, 0.0]
+    assert (d.avg_power, d.peak_power) == (1.0, 1.0)
+    with pytest.raises(ValueError):
+        d.points[0] = 3.0
+    with pytest.raises(ValueError):
+        d.probs[0] = 1.0
+    pam = fc.pam_constellation(awgn, 1.0 / 9.0, 4)
+    assert not (pam.points.flags.writeable or pam.probs.flags.writeable)
+
+
 # --- exact Jeffreys constellation -------------------------------------------
 
 def test_uniform_prior_two_points(awgn):

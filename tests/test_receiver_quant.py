@@ -189,6 +189,26 @@ def test_type_statistic_loses_nothing(awgn):
     assert fc.approx_loglik(awgn, q, t, 0.2) == pytest.approx(per_sample, rel=1e-12)
 
 
+def _reference_bin(q, y):
+    # bin 0 for |y| > r, else the first interior bin l whose upper edge is >= y
+    return 0 if abs(y) > q.r else next(l for l in range(1, q.L + 1) if y <= q.edges[l])
+
+
+@pytest.mark.parametrize("r, L", [(2.0, 1), (2.0, 2), (3.0, 7), (5.0, 16)])
+def test_type_from_samples_bins_each_sample(r, L):
+    q = fc.build_quantizer(r, L)
+    rng = np.random.default_rng(L)
+    # both edges exactly, every interior edge, overflow on both sides, and draws across the range
+    y = np.concatenate(([-r, r, -r - 1e-9, r + 1e-9, -3.0 * r, 3.0 * r], q.edges,
+                        rng.uniform(-1.5 * r, 1.5 * r, 300)))
+    want = np.zeros(L + 1, dtype=int)
+    for v in y:
+        want[_reference_bin(q, v)] += 1
+    t = fc.type_from_samples(q, y)
+    assert t.counts == tuple(want.tolist())
+    assert all(type(c) is int for c in t.counts)
+
+
 def test_approx_loglik_sentinel():
     channel = fc.truncated_awgn_channel(1.0, 2.0)
     q = fc.build_quantizer(4.0, 8)  # outer bins impossible under |y| < 2
