@@ -614,28 +614,25 @@ def dithered_onebit_channel(peak, dither):
 # JSON ingestion
 # ---------------------------------------------------------------------------
 
-def _dithered_from_json(record):
-    dither = record["points"]
-    if "weights" in record:
-        dither = DiscreteInput(dither, record["weights"])
-    return dithered_onebit_channel(record["A"], dither)
-
-
-# kind -> builder of a ChannelSpec from its JSON record.  The builders look
+# kind -> (fields, builder of a ChannelSpec from its JSON record).  A field
+# "x?" is optional and "x.y" is field y of the object x.  The builders look
 # the constructors up when called, so a constructor rebound on this module
 # is the one used.  ``noniid`` adds "correlated_awgn" on import: it imports
 # this module, so this module cannot import it back.
 CHANNEL_BUILDERS = {
-    "awgn": lambda r: awgn_channel(r["A"]),
-    "clipped_awgn": lambda r: clipped_awgn_channel(r["A"], r["B"]),
-    "truncated_awgn": lambda r: truncated_awgn_channel(r["A"], r["B"]),
-    "quantized_awgn": lambda r: quantized_awgn_channel(r["A"], r["thresholds"]),
-    "energy_detection": lambda r: energy_detection_channel(r["A"]),
-    "mimo_imperfect_csi": lambda r: mimo_imperfect_csi_channel(r["A"], r["nt"], r["sigma2"]),
-    "noncoherent": lambda r: noncoherent_channel(r["A"], r["sigma2"]),
-    "poisson": lambda r: poisson_channel(r["A"], (r["h"]["values"], r["h"]["probs"]),
-                                         (r["mu"]["values"], r["mu"]["probs"])),
-    "dithered_onebit": _dithered_from_json,
+    "awgn": (("A",), lambda r: awgn_channel(r["A"])),
+    "clipped_awgn": (("A", "B"), lambda r: clipped_awgn_channel(r["A"], r["B"])),
+    "truncated_awgn": (("A", "B"), lambda r: truncated_awgn_channel(r["A"], r["B"])),
+    "quantized_awgn": (("A", "thresholds"), lambda r: quantized_awgn_channel(r["A"], r["thresholds"])),
+    "energy_detection": (("A",), lambda r: energy_detection_channel(r["A"])),
+    "mimo_imperfect_csi": (("A", "nt", "sigma2"),
+                           lambda r: mimo_imperfect_csi_channel(r["A"], r["nt"], r["sigma2"])),
+    "noncoherent": (("A", "sigma2"), lambda r: noncoherent_channel(r["A"], r["sigma2"])),
+    "poisson": (("A", "h.values", "h.probs", "mu.values", "mu.probs"),
+                lambda r: poisson_channel(r["A"], (r["h"]["values"], r["h"]["probs"]),
+                                          (r["mu"]["values"], r["mu"]["probs"]))),
+    "dithered_onebit": (("A", "points", "weights?"), lambda r: dithered_onebit_channel(
+        r["A"], DiscreteInput(r["points"], r["weights"]) if "weights" in r else r["points"])),
 }
 
 
@@ -659,11 +656,12 @@ def channel_from_json(record):
 
 
 def _from_record(builders, record, what):
-    """``builders[kind](record)`` for a JSON record (dict or JSON string) naming its kind.
+    """The kind's builder (``builders[kind]``) applied to a JSON record (dict or JSON string).
 
     A malformed record raises ValidationError: bad JSON, not an object,
-    an unknown kind, or a field that is missing (KeyError) or of the
-    wrong type (TypeError) for the kind's builder.
+    an unknown kind, a field the kind does not have, or a field that is
+    missing (KeyError) or of the wrong type (TypeError) for the kind's
+    builder.
     """
     if isinstance(record, (str, bytes)):
         try:
@@ -673,12 +671,25 @@ def _from_record(builders, record, what):
     if not isinstance(record, dict):
         raise ValidationError(f"{what}: expected a JSON object")
     kind = record.get("kind")
-    build = builders.get(kind) if isinstance(kind, str) else None
-    if build is None:
+    if not isinstance(kind, str) or kind not in builders:
         raise ValidationError(f"{what}: unknown kind {kind!r}")
+    fields, build = builders[kind]
+    _check_fields(record, ("kind", *fields), f"{what}: kind {kind!r}")
     try:
         return build(record)
     except KeyError as e:
         raise ValidationError(f"{what}: kind {kind!r} is missing field {e}") from e
     except TypeError as e:
         raise ValidationError(f"{what}: kind {kind!r} has a field of the wrong type ({e})") from e
+
+
+def _check_fields(record, fields, what):
+    """Refuse a field of the record object that is not in ``fields`` (see CHANNEL_BUILDERS)."""
+    names = {f.split(".")[0].rstrip("?") for f in fields}
+    for name, value in record.items():
+        if name not in names:
+            raise ValidationError(f"{what} has no field {name!r} (its fields: {', '.join(fields)})")
+        if isinstance(value, dict):  # an object with fields x.y checks them in turn
+            inner = [f.partition(".")[2] for f in fields if f.startswith(f"{name}.")]
+            if inner:
+                _check_fields(value, inner, f"{what}, object {name!r},")

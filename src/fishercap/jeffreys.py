@@ -13,12 +13,14 @@ weight never underflows at its peak.
 
 A profile table per channel evaluates c and sqrt(det J) once at each
 15-point Gauss-Legendre node it visits and stores them as one row per
-panel, keyed by the panel's node bytes; it calls the channel once per
-``quad`` step, on the panels it lacks.  For a tilt lambda, ``quad``
-selects the converged panels afresh from the root partition over those
-stored rows, so every result depends only on (channel, lambda), never
-on earlier calls or on which panels shared a channel call; the panels
-meet the prior's tolerance (abs 1e-14, rel 1e-12).  The root partition
+panel, keyed by the panel's ends (a, b); it calls the channel once per
+quadrature step, on the panels it lacks.  A tilt lambda is one array
+pass over the root partition, whose rows are kept per cut set: one
+exp2, one multiply and a 15-term sum per panel.  Its halves are the
+converged panels when the root meets the prior's tolerance (abs 1e-14,
+rel 1e-12); otherwise the quadrature bisects from it.  Every result
+depends only on (channel, lambda), never on earlier calls or on which
+panels shared a channel call.  The root partition
 is cut at theta_0 and at theta_0 + (end - theta_0)/2^k, k = 1, 2, ...,
 until the tilt across the innermost panels is at most ``_GRADE_BITS``
 bits, so the tilted peak is resolved however narrow it is; the costs at
@@ -54,7 +56,13 @@ solved tilt as its ``prior``, so the designs, the mismatch rate and the
 CLI read the prior at lambda* without tilting again.
 
 Tables are built at first use and kept in one LRU cache of at most
-``_TABLE_CACHE_SIZE`` channels, keyed by channel identity.
+``_TABLE_CACHE_SIZE`` channels, keyed by channel identity.  The solve
+stores the root panels of its first two tilts, lambda = 0 and 1/P, with
+one channel call.  The last ``_TILT_MEMO_SIZE`` tilts are kept in one
+module-level dict keyed by (table, lambda), so ``jeffreys_factor`` then
+``average_cost``, or ``tilted_prior`` at a solved lambda*, tilt once.
+On the table, the memo would be a reference cycle (table, prior, table)
+that only the cycle collector frees.
 """
 
 import math
@@ -72,7 +80,7 @@ from .errors import (
     UnboundedTiltError,
     _real,
 )
-from .quad import NODES, WEIGHTS, QuadRule, _midpoints, integrate_interval, quad
+from .quad import NODES, WEIGHTS, QuadRule, _midpoints, _nodes, _quad, _Root, integrate_interval
 from .specfun import log_gamma
 
 LN2 = math.log(2.0)
@@ -82,7 +90,8 @@ _TABLE_CACHE_SIZE = 8
 _GRADE_BITS = 8.0
 _MAX_DOUBLINGS = 200
 _M_TOL_REL = 1e-10  # lambda* meets |M(lambda*) - P| < _M_TOL_REL * P
-_PANEL_KEY = np.dtype((np.void, 15 * 8))  # a panel's 15 nodes as one bytes key
+_TILT_MEMO_SIZE = 16
+_TILTS = {}  # (table, lambda) -> TiltedPrior, the last _TILT_MEMO_SIZE tilts evaluated
 _MISMATCH_GRID = 1025  # midpoints on which mismatch_rate checks the prior's positivity
 
 # Row k, column j: (2k+1)/2 * w_j * P_k(x_j); maps the 15 node values of
@@ -144,7 +153,8 @@ class _ProfileTable:
         self.channel = channel
         self.theta0 = min(max(0.0, self.lo), self.hi)
         self.c_min = float(channel.cost(self.theta0))
-        self._rows = {}  # panel node bytes -> row of _values
+        self._rows = {}  # panel ends (a, b) -> row of _values
+        self._roots = {}  # cuts -> _root entry; at most one per ladder rung, as a larger tilt only adds cuts
         # row r: cost - c_min, then sqrt det J with the sphere factor, at the 15 nodes of a panel
         self._values = np.empty((64, 2, 15))
         # per end, the rungs (h, theta_0 + h, cost - c_min there) for h = end - theta_0, halved
@@ -159,13 +169,13 @@ class _ProfileTable:
         t = np.asarray(t, dtype=float)
         return np.exp2(-lam * (self.channel.cost(t) - self.c_min)) * self._root_det(t)
 
-    def _panel_rows(self, x):
-        """The rows of the whole panels with nodes x; one channel call on the panels not yet stored."""
-        keys = x.reshape(-1, 15).view(_PANEL_KEY).ravel().tolist()
-        rows = list(map(self._rows.get, keys))
+    def _panel_values(self, a, b):
+        """cost - c_min and sqrt det J on the panels [a_i, b_i], shape (2, k, 15); one channel call."""
+        ends = list(zip(a, b))
+        rows = list(map(self._rows.get, ends))
         if None in rows:
-            new = list(dict.fromkeys(k for k, row in zip(keys, rows) if row is None))
-            t = np.frombuffer(bytearray(b"".join(new)))  # their nodes, writable, in first-seen order
+            new = list(dict.fromkeys(e for e, row in zip(ends, rows) if row is None))
+            t = _nodes(*map(np.array, zip(*new))).ravel()
             n = len(self._rows)
             while n + len(new) > len(self._values):
                 self._values = np.concatenate((self._values, np.empty_like(self._values)))
@@ -173,8 +183,8 @@ class _ProfileTable:
             added[:, 0] = (np.asarray(self.channel.cost(t), dtype=float) - self.c_min).reshape(-1, 15)
             added[:, 1] = self._root_det(t).reshape(-1, 15)
             self._rows.update(zip(new, range(n, n + len(new))))
-            rows = list(map(self._rows.get, keys))
-        return np.array(rows)
+            rows = list(map(self._rows.get, ends))
+        return self._values[rows].transpose(1, 0, 2)
 
     def _rung(self, h):
         t = self.theta0 + h
@@ -193,18 +203,33 @@ class _ProfileTable:
                     cuts.append(ladder[k][1])
         return cuts
 
+    def _root(self, lam):
+        """The entry [root partition at tilt lam, its ``_panel_values`` or None until a tilt stores them]."""
+        cuts = tuple(self._breakpoints(lam))
+        if cuts not in self._roots:
+            self._roots[cuts] = [_Root(self.lo, self.hi, cuts), None]
+        return self._roots[cuts]
+
     def tilt(self, lam):
-        """Converged panels of the weight at tilt lam, selected from the root."""
-        called = []  # the table rows of each integrand call's panels
+        """Converged panels of the weight at tilt lam, selected from the root; memoized."""
+        prior = _TILTS.get((self, lam))
+        if prior is None:
+            root, stored = entry = self._root(lam)
+            if stored is None:
+                stored = entry[1] = self._panel_values(root.a, root.b)
+            dcs = []  # cost - c_min on the panels of each values call, the root's first
 
-        def f(x):
-            rows = self._panel_rows(x)
-            called.append(rows)
-            dc, root_det = self._values[rows].transpose(1, 0, 2)
-            return (np.exp2(-lam * dc) * root_det).ravel()
+            def values(a, b):
+                dc, root_det = self._panel_values(a, b) if dcs else stored
+                dcs.append(dc)
+                return np.exp2(-lam * dc) * root_det
 
-        leaves = quad(f, self.lo, self.hi, _PRIOR_RULE, self._breakpoints(lam))
-        return TiltedPrior(self, lam, leaves, self._values[np.concatenate(called)[leaves.rows], 0])
+            leaves = _quad(values, root, _PRIOR_RULE)
+            prior = TiltedPrior(self, lam, leaves, np.concatenate(dcs)[leaves.rows])
+            _TILTS[self, lam] = prior
+            while len(_TILTS) > _TILT_MEMO_SIZE:
+                _TILTS.pop(next(iter(_TILTS)), None)  # the oldest
+        return prior
 
 
 class TiltedPrior:
@@ -262,7 +287,7 @@ class TiltedPrior:
         _, coef = self._cdf_table
         p = _legendre(s)
         q = np.concatenate(([s + 1.0], (p[2:] - p[:-2]) / _ODD))
-        half = self.leaves.half[i]
+        half = 0.5 * (self.leaves.b[i] - self.leaves.a[i])
         return half * float(coef[i] @ q), half * float(coef[i] @ p[:15])
 
     def cdf(self, t):
@@ -374,6 +399,9 @@ def solve_lambda_star(channel, P):
     """
     P = _real(P, "solve_lambda_star: P", 0.0)
     table = _table(channel)
+    if table.c_min < P:  # the root panels of the first two tilts, lambda = 0 and 1/P, in one channel call
+        (r0, _), (r1, _) = table._root(0.0), table._root(1.0 / P)
+        table._panel_values(r0.a + r1.a, r0.b + r1.b)
     t0 = table.tilt(0.0)
     # ties at M(0) = P resolve to lambda* = 0; the slack absorbs quadrature
     # roundoff, far below the 1e-6 scale at which activity is ever probed

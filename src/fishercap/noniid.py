@@ -134,9 +134,9 @@ def correlated_awgn_channel(peak, acov):
                              {"acov": acov.record})
 
 
-_ACOV_BUILDERS = {
-    "white": lambda r: white_noise_autocovariance(r.get("variance", 1.0)),
-    "ar1": lambda r: ar1_autocovariance(r["rho"], r.get("variance", 1.0)),
+_ACOV_BUILDERS = {  # kind -> (fields, builder), as channels.CHANNEL_BUILDERS
+    "white": (("variance?",), lambda r: white_noise_autocovariance(r.get("variance", 1.0))),
+    "ar1": (("rho", "variance?"), lambda r: ar1_autocovariance(r["rho"], r.get("variance", 1.0))),
 }
 
 
@@ -145,5 +145,5 @@ def autocovariance_from_json(record):
     return _from_record(_ACOV_BUILDERS, record, "autocovariance_from_json")
 
 
-CHANNEL_BUILDERS["correlated_awgn"] = lambda r: correlated_awgn_channel(
-    r["A"], autocovariance_from_json(r["acov"]))
+CHANNEL_BUILDERS["correlated_awgn"] = (("A", "acov"), lambda r: correlated_awgn_channel(
+    r["A"], autocovariance_from_json(r["acov"])))

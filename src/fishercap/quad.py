@@ -16,10 +16,12 @@ coarse panel and its two halves), then one per bisection (its four half
 panels).  A step's panels are rows of one (k, 15) array of values and
 one vector of k sums, each sum its own 15-term dot product; a segment
 refers to its half panels by row and keeps their sums, and the leaves
-are gathered by row at the end.  The integrand is one scalar function,
-vectorized, side-effect free and pointwise (a node's value may not
-depend on the other nodes of the call): it receives an ndarray of n
-nodes and returns n values.
+are gathered by row at the end, or, when the initial segments already
+meet the tolerance, are their halves as they stand.  The integrand is
+one scalar function, vectorized, side-effect free and pointwise (a
+node's value may not depend on the other nodes of the call): it
+receives an ndarray of n nodes and returns n values; the private
+``_quad`` under ``quad`` takes whole panels' values instead.
 """
 
 import heapq
@@ -85,19 +87,33 @@ def _nodes(a, b):
     return (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * NODES
 
 
-def _panels(f, a, b):
-    """Values, shape (k, 15), and the list of k sums of the panels [a_i, b_i]; one f call."""
-    a, b = np.array(a), np.array(b)
-    y = np.ascontiguousarray(f(_nodes(a, b).ravel()), dtype=float)
-    if y.shape != (15 * a.size,):
-        raise DomainError("quad: integrand must map an (n,) array to an (n,) array")
-    y = y.reshape(a.size, 15)
+class _Root:
+    """The root partition of [lo, hi] cut at the breakpoints inside: per segment, its panel, then its halves.
+
+    Lists ``a``, ``b`` and array ``half`` of the panels; ``leaves``, the rows of the halves left to right.
+    """
+
+    def __init__(self, lo, hi, breakpoints):
+        edges = sorted({lo, hi, *(float(t) for t in breakpoints if lo < t < hi)})
+        spans = [(lo, hi, 0.5 * (lo + hi)) for lo, hi in zip(edges, edges[1:])]
+        self.a = [c for lo, hi, mid in spans for c in (lo, lo, mid)]
+        self.b = [c for lo, hi, mid in spans for c in (hi, mid, hi)]
+        a, b = np.array(self.a), np.array(self.b)
+        self.half = 0.5 * (b - a)
+        self.leaves = np.array([r for r in range(a.size) if r % 3])
+        self.leaf_a, self.leaf_b = a[self.leaves], b[self.leaves]
+        for v in (self.leaves, self.leaf_a, self.leaf_b):  # shared by the leaves of every tilt
+            v.flags.writeable = False
+
+
+def _sums(y, a, b, half):
+    """The sums of the panels [a_i, b_i] with values y, shape (k, 15), and half-widths half."""
     if not np.isfinite(y).all():
         i = int(np.argmin(np.isfinite(y).all(axis=1)))
         raise DomainError(f"quad: integrand non-finite inside [{float(a[i])!r}, {float(b[i])!r}]")
     # k products (1, 15) @ (15, 1): each sum is rounded as y_i @ WEIGHTS alone, which a
     # (k, 15) matvec would not do
-    return y, (0.5 * (b - a) * np.matmul(y[:, None, :], _WEIGHTS_COLUMN)[:, 0, 0]).tolist()
+    return half * np.matmul(y[:, None, :], _WEIGHTS_COLUMN)[:, 0, 0]
 
 
 def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
@@ -111,8 +127,22 @@ def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
     """
     a = _real(a, "quad: a")
     b = _real(b, "quad: b", a)
-    edges = sorted({a, b, *(float(t) for t in breakpoints if a < t < b)})
+    def values(lo, hi):
+        y = np.ascontiguousarray(f(_nodes(np.array(lo), np.array(hi)).ravel()), dtype=float)
+        if y.shape != (15 * len(lo),):
+            raise DomainError("quad: integrand must map an (n,) array to an (n,) array")
+        return y.reshape(len(lo), 15)
 
+    return _quad(values, _Root(a, b, breakpoints), rule)
+
+
+def _quad(values, root, rule):
+    """``quad`` from a ``_Root``; values(a, b) gives the (k, 15) values of the panels [a_i, b_i].
+
+    values is called first on the root's panels, then on the four half
+    panels of each bisection.  When the root partition meets the
+    tolerance, its halves are the leaves as they stand.
+    """
     def tol(value):
         return max(rule.abs_tol, rule.rel_tol * abs(value))
 
@@ -126,30 +156,26 @@ def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
         seg[0] = -float(seg[8] / tol(value))
         heapq.heappush(heap, seg)
 
-    # per root segment: the coarse panel, then its left and right halves
-    spans = [(lo, hi, 0.5 * (lo + hi)) for lo, hi in zip(edges, edges[1:])]
-    y, s = _panels(f, [c for lo, hi, mid in spans for c in (lo, lo, mid)],
-                   [c for lo, hi, mid in spans for c in (hi, mid, hi)])
-    ys = [y]
-    roots = [segment(lo, hi, s[3 * i], 3 * i + 1, s[3 * i + 1], s[3 * i + 2])
-             for i, (lo, hi, _) in enumerate(spans)]
+    a, b = root.a, root.b
+    ys = [values(a, b)]
+    sums = _sums(ys[0], a, b, root.half)
+    s = sums.tolist()
+    roots = [segment(a[i], b[i], s[i], i + 1, s[i + 1], s[i + 2]) for i in range(0, len(a), 3)]
     # left to right (the builtin sum compensates Python floats from 3.12 on)
     value, err = reduce(add, [seg[7] for seg in roots], 0.0), reduce(add, [seg[8] for seg in roots], 0.0)
     heap = []
     for seg in roots:
         push(seg, value)
-    nsub, nrows = len(roots), 3 * len(roots)
+    nsub, nrows = len(roots), len(a)
     while err > tol(value):
         if nsub >= _MAX_SUBDIVISIONS:
-            raise ToleranceError(
-                f"quad: tolerance not met after {nsub} subdivisions (err_est={err:.3e})",
-                best=float(value),
-                err_est=float(err),
-            )
+            raise ToleranceError(f"quad: tolerance not met after {nsub} subdivisions (err_est={err:.3e})",
+                                 best=float(value), err_est=float(err))
         _, lo, hi, mid, _, left, right, fine, seg_err = heapq.heappop(heap)
         q1, q2 = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        y, s = _panels(f, (lo, q1, mid, q2), (q1, mid, q2, hi))
-        ys.append(y)
+        a, b = (lo, q1, mid, q2), (q1, mid, q2, hi)
+        ys.append(values(a, b))
+        s = _sums(ys[-1], a, b, 0.5 * (np.array(b) - np.array(a))).tolist()
         s1 = segment(lo, mid, left, nrows, s[0], s[1])
         s2 = segment(mid, hi, right, nrows + 2, s[2], s[3])
         value = value + (s1[7] + s2[7]) - fine
@@ -159,10 +185,12 @@ def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
         nsub += 1
         nrows += 4
 
-    # (a, b, row, sum) of the left halves, then the right halves, in heap order, sorted by a
-    leaves = sorted([(seg[1], seg[3], seg[4], seg[5]) for seg in heap]
-                    + [(seg[3], seg[2], seg[4] + 1, seg[6]) for seg in heap], key=itemgetter(0))
-    a, b, rows, sums = map(np.array, zip(*leaves))
+    if nsub == len(roots):  # the root partition met the tolerance: its halves are the leaves
+        a, b, rows, sums = root.leaf_a, root.leaf_b, root.leaves, sums[root.leaves]
+    else:  # (a, b, row, sum) of the left halves, then the right halves, in heap order, sorted by a
+        leaves = sorted([(seg[1], seg[3], seg[4], seg[5]) for seg in heap]
+                        + [(seg[3], seg[2], seg[4] + 1, seg[6]) for seg in heap], key=itemgetter(0))
+        a, b, rows, sums = map(np.array, zip(*leaves))
     return Leaves(a, b, np.concatenate(ys)[rows], sums, rows, reduce(add, [seg[8] for seg in heap], 0.0))
 
 

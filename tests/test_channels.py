@@ -488,6 +488,30 @@ def test_contract_records_cover_every_kind():
     assert set(CONTRACT_RECORDS) == set(ch.CHANNEL_BUILDERS)
 
 
+@pytest.mark.parametrize("kind", sorted(CONTRACT_RECORDS))
+def test_record_field_the_kind_lacks_is_refused(kind):
+    # the message names the field and the kind's own fields
+    record = {**CONTRACT_RECORDS[kind], "colour": 1.0}
+    with pytest.raises(ValidationError, match=rf"^channel_from_json: kind '{kind}' has no field "
+                                              r"'colour' \(its fields: kind, A"):
+        ch.channel_from_json(record)
+
+
+_POISSON = CONTRACT_RECORDS["poisson"]
+
+
+@pytest.mark.parametrize("record, field", [
+    ({**CONTRACT_RECORDS["dithered_onebit"], "weight": [0.25, 0.75]}, "weight"),
+    ({**_POISSON, "h": {**_POISSON["h"], "prob": [0.5, 0.5]}}, "prob"),
+    ({**_POISSON, "mu": {**_POISSON["mu"], "value": [0.1]}}, "value"),
+    ({**CONTRACT_RECORDS["correlated_awgn"], "acov": {"kind": "ar1", "rho": 0.5, "varience": 4.0}},
+     "varience"),
+], ids=["dither-weight", "poisson-h-prob", "poisson-mu-value", "acov-varience"])
+def test_misspelt_record_field_is_refused(record, field):
+    with pytest.raises(ValidationError, match=f"has no field '{field}'"):
+        ch.channel_from_json(record)
+
+
 def _midpoint(channel):
     """The profile midpoint, as the full d-vector fisher takes on ball spaces."""
     lo, hi = channel.param_space.profile_bounds

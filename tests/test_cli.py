@@ -217,6 +217,16 @@ def test_malformed_input_is_invalid_not_traceback(argv, tmp_path, monkeypatch, c
     assert "invalid input" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["fisher", "--channel", '{"kind":"awgn","A":3,"sigma2":0.25}', "--theta-grid=0:1:2"], "sigma2"),
+    (["fisher-rate", "--acov", '{"kind":"ar1","rho":0.5,"varience":4}', "--n-list", "8"], "varience"),
+], ids=["awgn-sigma2", "ar1-varience"])
+def test_record_field_the_kind_lacks_exits_invalid(argv, field, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"has no field '{field}'" in captured.err
+
+
 def test_fisher_grid_of_one_is_the_centre(capsys):
     assert main(["fisher", "--channel", '{"kind": "awgn", "A": 1}', "--grid", "1"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")[1:]

@@ -123,6 +123,18 @@ def test_autocovariance_json():
         fc.noniid.autocovariance_from_json({"kind": "fractal"})
 
 
+@pytest.mark.parametrize("record", [{"kind": "white"}, {"kind": "ar1", "rho": 0.5}], ids=["white", "ar1"])
+def test_autocovariance_field_the_kind_lacks_is_refused(record):
+    kind = record["kind"]
+    # the optional variance is taken, an extra or misspelt field is not
+    acov = fc.noniid.autocovariance_from_json({**record, "variance": 4.0})
+    assert fc.noniid.autocovariance_from_json(acov.record).record == acov.record
+    for field in ("colour", "varience"):
+        with pytest.raises(ValidationError, match=rf"^autocovariance_from_json: kind '{kind}' has "
+                                                  rf"no field '{field}' \(its fields: kind, "):
+            fc.noniid.autocovariance_from_json({**record, field: 4.0})
+
+
 def test_validation():
     with pytest.raises(DomainError):
         fc.ar1_autocovariance(1.0)

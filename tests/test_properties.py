@@ -183,7 +183,8 @@ def test_solution_prior_is_the_fresh_tilt(kind, data, frac):
 @given(kind=st.sampled_from(["awgn", "truncated_awgn"]), A=peak, B=st.floats(1.0, 3.0),
        r=st.floats(0.5, 8.0), L=st.integers(1, 64), frac=st.floats(0.0, 1.0))
 def test_binned_fisher_below_full(kind, A, B, r, L, frac):
-    channel = fc.channel_from_json({"kind": kind, "A": A, "B": B})
+    # B is a field of truncated_awgn only; a record with a field of another kind is refused
+    channel = fc.channel_from_json({"kind": kind, "A": A, **({"B": B} if kind == "truncated_awgn" else {})})
     theta = -A + 2.0 * A * frac
     j_full = float(channel.fisher(theta))
     j_bin = fc.quantized_fisher(channel, fc.build_quantizer(r, L), theta)
@@ -271,7 +272,8 @@ def _pair_bins(q, theta, B):
        scalar=st.booleans())
 def test_shared_cut_bins_are_pairwise_bins(truncated, A, B, r_over_b, L, fracs, scalar):
     # r_over_b < 1 puts the overflow radius inside the truncated support, > 1 outside it
-    channel = fc.channel_from_json({"kind": "truncated_awgn" if truncated else "awgn", "A": A, "B": B})
+    record = {"kind": "truncated_awgn", "A": A, "B": B} if truncated else {"kind": "awgn", "A": A}
+    channel = fc.channel_from_json(record)
     q = fc.build_quantizer(B * r_over_b, L)
     theta = -A + 2.0 * A * np.array(fracs)
     if scalar:

@@ -1,15 +1,21 @@
 """The tilt and the tilt solve against the versions they replaced (reference_tilt.py).
 
 ``quad`` keeps its panels in arrays, the profile table stores one row
-per panel and grades its cuts from a ladder.  None of this may move a
+per panel, keyed by its ends, evaluates each root partition from its
+stored rows and grades its cuts from a ladder.  None of this may move a
 bit: the leaves and the node sums are compared with ``==`` over every
 interval channel kind and the ball channel.  The solve returns the first
 of the reference's Newton tilts with |M - P| < 1e-10 P, where the
 reference went on to replay a bisection: its lambda*, JF and M are that
 tilt's by ``==``, and it may not tilt more often than the reference.
+The last tilts are memoized, and a tilt runs once however often it is
+asked for.
 """
 
+import dataclasses
+import gc
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -38,8 +44,8 @@ def _same(x, y):
 
 
 def _solve_counting_tilts(channel, P):
-    """solve_lambda_star(channel, P) and the number of tilts it ran (one quad call each)."""
-    with mock.patch.object(jeffreys, "quad", wraps=jeffreys.quad) as counted:
+    """solve_lambda_star(channel, P) and the number of tilts the table evaluated (one _quad call each)."""
+    with mock.patch.object(jeffreys, "_quad", wraps=jeffreys._quad) as counted:
         return fc.solve_lambda_star(channel, P), counted.call_count
 
 
@@ -126,3 +132,69 @@ def test_newton_stops_at_the_first_tilt_within_tolerance():
     for name in ("a", "b", "values", "sums"):
         assert _same(getattr(got.prior.leaves, name), getattr(newton[first].prior.leaves, name))
     assert math.isfinite(got.prior.var) and got.prior.var == newton[first].prior.var
+
+
+ADC4 = {"kind": "quantized_awgn", "A": 2.0, "thresholds": [-1.0, 0.0, 1.0]}
+
+
+def _same_tilt(got, want):
+    for name in ("a", "b", "x", "values", "sums"):
+        assert _same(getattr(got.leaves, name), getattr(want.leaves, name)), name
+    assert got.leaves.err == want.leaves.err
+    assert (got.z, got.m, got.var) == (want.z, want.m, want.var)
+
+
+def test_a_tilt_is_evaluated_once_while_memoized():
+    channel = fc.channel_from_json(ADC4)
+    table = jeffreys._table(channel)
+    first = table.tilt(0.7)
+    table.tilt(1.3)
+    assert table.tilt(0.7) is first
+    _same_tilt(first, jeffreys._ProfileTable(channel).tilt(0.7))
+    # jf then M at one lambda: one tilt
+    with mock.patch.object(jeffreys, "_quad", wraps=jeffreys._quad) as counted:
+        fc.jeffreys_factor(channel, 2.1, 0.5)
+        fc.average_cost(channel, 2.1)
+    assert counted.call_count == 1
+    # the memo holds the last 16 tilts of all tables
+    for k in range(40):
+        table.tilt(3.0 + k)
+    assert len(jeffreys._TILTS) == jeffreys._TILT_MEMO_SIZE == 16
+    again = table.tilt(0.7)
+    assert again is not first
+    _same_tilt(again, first)
+
+
+def test_a_dropped_table_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        channel = fc.channel_from_json(ADC4)
+        fc.solve_lambda_star(channel, 0.5)
+        table = weakref.ref(jeffreys._table(channel))
+        del channel
+        jeffreys._table.cache_clear()
+        assert table() is not None  # the memo still holds its tilts
+        other = jeffreys._ProfileTable(fc.channel_from_json(ADC4))
+        for k in range(jeffreys._TILT_MEMO_SIZE):
+            other.tilt(1.0 + k)
+        assert table() is None
+    finally:
+        gc.enable()
+
+
+def test_a_fresh_solve_calls_the_channel_once_before_newton():
+    calls, at_newton = [], []
+    channel = fc.channel_from_json(ADC4)
+    counted = dataclasses.replace(channel, sqrt_det_fisher=lambda t: calls.append(t.size)
+                                  or channel.sqrt_det_fisher(t))
+    newton_root = jeffreys._newton_root
+
+    def recorded(*args):
+        at_newton.append(len(calls))
+        return newton_root(*args)
+
+    with mock.patch.object(jeffreys, "_newton_root", recorded):
+        got = fc.solve_lambda_star(counted, 0.25)
+    # the root panels of lambda = 0 and of 1/P, which grades its cuts, in one call; Newton was reached
+    assert at_newton == [1]
+    assert got.lambda_star == fc.solve_lambda_star(channel, 0.25).lambda_star
