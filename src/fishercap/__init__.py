@@ -27,7 +27,6 @@ from .constellation import (
     approx_jeffreys_constellation,
     fit_poly_density,
     jeffreys_constellation,
-    midpoint_grid,
     pam_constellation,
     poly_cdf,
     poly_cdf_inverse,
@@ -50,7 +49,6 @@ from .jeffreys import (
     TiltedPrior,
     average_cost,
     jeffreys_factor,
-    mismatch_rate,
     prior_cdf,
     prior_cdf_inverse,
     solve_lambda_star,
@@ -72,7 +70,7 @@ from .noniid import (
     fisher_rate_limit,
     white_noise_autocovariance,
 )
-from .quad import QuadRule, integrate_interval
+from .quad import integrate_interval
 from .receiver_quant import (
     Quantizer1D,
     ScalingResult,
@@ -91,7 +89,6 @@ from .receiver_quant import (
 from .specfun import (
     bessel_i01_scaled,
     exp_integral_e1,
-    gauss_hazard,
     gauss_mass,
     gauss_phi_q,
     log_gamma,

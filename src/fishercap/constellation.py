@@ -40,11 +40,6 @@ while _GAMMAS[-1] > _GAMMA_MIN * (1.0 + 1e-9):
 _GAMMAS = tuple(_GAMMAS)
 
 
-def midpoint_grid(m):
-    """The m midpoints (2i - 1) / (2m), avoiding the cdf endpoints."""
-    return _midpoints(0.0, 1.0, _count(m, "midpoint_grid: m", 1))
-
-
 def _scaled_constellation(raw_points, P):
     P = _real(P, "constellation: P", 0.0)
     raw = np.asarray(raw_points, dtype=float)
@@ -62,7 +57,7 @@ def jeffreys_constellation(channel, P, M):
     probabilities; c_P = min(1, sqrt(P / mean raw power)) keeps the
     average power within budget.
     """
-    grid = midpoint_grid(_count(M, "jeffreys_constellation: M", 2))
+    grid = _midpoints(0.0, 1.0, _count(M, "jeffreys_constellation: M", 2))
     prior = solve_lambda_star(channel, P).prior
     raw = np.array([prior_cdf_inverse(prior, u) for u in grid])
     return _scaled_constellation(raw, P)
@@ -342,7 +337,7 @@ def fit_poly_density(channel, lam_star, degree, max_newton=100, full_output=Fals
 def approx_jeffreys_constellation(p, P, M):
     """Constellation from the fitted polynomial cdf, same scaling rule."""
     M = _count(M, "approx_jeffreys_constellation: M", 2)
-    raw = np.array([poly_cdf_inverse(p, u) for u in midpoint_grid(M)])
+    raw = np.array([poly_cdf_inverse(p, u) for u in _midpoints(0.0, 1.0, M)])
     return _scaled_constellation(raw, P)
 
 
@@ -378,7 +373,7 @@ def radial_constellation_isotropic(channel, P, M_r, directions):
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise ValidationError("directions must be unit vectors")
-    grid = midpoint_grid(M_r)
+    grid = _midpoints(0.0, 1.0, _count(M_r, "radial_constellation_isotropic: M_r", 1))
     prior = solve_lambda_star(channel, P).prior
     radii = np.array([prior_cdf_inverse(prior, u) for u in grid])
     raw = np.concatenate([r * dirs for r in radii], axis=0)

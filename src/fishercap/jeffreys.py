@@ -52,8 +52,8 @@ vanishing term is not modeled here.
 A tilt is one object, ``TiltedPrior``: the normalized prior at lambda,
 with its node sums, density, cdf and inverse cdf.  The
 ``JeffreysSolution`` that ``solve_lambda_star`` returns carries the
-solved tilt as its ``prior``, so the designs, the mismatch rate and the
-CLI read the prior at lambda* without tilting again.
+solved tilt as its ``prior``, so the designs and the CLI read the
+prior at lambda* without tilting again.
 
 Tables are built at first use and kept in one LRU cache of at most
 ``_TABLE_CACHE_SIZE`` channels, keyed by channel identity.  The solve
@@ -71,16 +71,8 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegenerateChannelError,
-    DomainError,
-    PositivityError,
-    RangeError,
-    UnboundedTiltError,
-    _real,
-)
-from .quad import NODES, WEIGHTS, QuadRule, _midpoints, _nodes, _quad, _Root, integrate_interval
+from .errors import ConvergenceError, DegenerateChannelError, RangeError, UnboundedTiltError, _real
+from .quad import NODES, WEIGHTS, QuadRule, _nodes, _quad, _Root
 from .specfun import log_gamma
 
 LN2 = math.log(2.0)
@@ -92,7 +84,6 @@ _MAX_DOUBLINGS = 200
 _M_TOL_REL = 1e-10  # lambda* meets |M(lambda*) - P| < _M_TOL_REL * P
 _TILT_MEMO_SIZE = 16
 _TILTS = {}  # (table, lambda) -> TiltedPrior, the last _TILT_MEMO_SIZE tilts evaluated
-_MISMATCH_GRID = 1025  # midpoints on which mismatch_rate checks the prior's positivity
 
 # Row k, column j: (2k+1)/2 * w_j * P_k(x_j); maps the 15 node values of
 # a panel to the Legendre coefficients of their interpolant (exact, since
@@ -433,36 +424,6 @@ def solve_lambda_star(channel, P):
             f"P={P!r} is below what double precision resolves on channel {channel.kind!r}"
         )
     return _solution(P, _newton_root(table, P, below, top))
-
-
-def mismatch_rate(channel, w, P, n_r):
-    """Large-array rate achieved by an arbitrary prior w on the profile coordinate.
-
-    Evaluates C(P) - D(w || w_tilted) + lambda* E_w[c - P] with the
-    divergence in bits.  w must be vectorized, strictly positive and
-    normalized on the parameter space (checked to 1e-6); densities that
-    vanish on an interior subinterval are rejected.
-    """
-    solution = solve_lambda_star(channel, P)
-    prior = solution.prior
-    lo, hi = prior.lo, prior.hi
-    grid = _midpoints(lo, hi, _MISMATCH_GRID)
-    w_grid = np.asarray(w(grid), dtype=float)
-    if np.any(w_grid <= 0):
-        raise PositivityError("mismatch_rate: prior must be strictly positive on the space")
-    total, _ = integrate_interval(w, lo, hi)
-    if abs(total - 1.0) > 1e-6:
-        raise DomainError(f"mismatch_rate: prior integrates to {total!r}, not 1")
-
-    def kl_integrand(t):
-        wt = np.asarray(w(t), dtype=float)
-        ratio = np.log2(np.where(wt > 0, wt, 1.0)) - np.log2(prior.density(t))
-        return np.where(wt > 0, wt * ratio, 0.0)
-
-    div, _ = integrate_interval(kl_integrand, lo, hi)
-    mean_cost, _ = integrate_interval(lambda t: np.asarray(w(t)) * channel.cost(t), lo, hi)
-    penalty = solution.lambda_star * (mean_cost - P)
-    return solution.capacity_fn(n_r) - div + penalty
 
 
 def prior_cdf(prior, theta):

@@ -67,10 +67,6 @@ class TypeIndex:
             raise ValidationError("TypeIndex: counts must be nonnegative integers")
         object.__setattr__(self, "counts", tuple(c.tolist()))
 
-    @property
-    def n_r(self):
-        return sum(self.counts)
-
 
 def _add_part(v, v_sum, starts, r0, r1):
     """Columns r0:r1 of the graded extension of v by one part, and their sums.

@@ -1,15 +1,15 @@
 """One-dimensional adaptive quadrature.
 
 Globally adaptive composite Gauss-Legendre with 15-point panels.  ``quad``
-starts from the segments between the given breakpoints; a segment's
-error estimate is the difference between one panel over it and two
-panels over its halves, and the segment with the largest estimate is
-bisected until the summed estimate meets ``max(abs_tol, rel_tol *
-|value|)``.  It returns the converged leaves (the half panels) with their
-nodes and integrand values, so callers can build on them;
-``integrate_interval`` is their sum.  Panel nodes never touch segment
-endpoints, so integrable endpoint singularities such as 1/sqrt(theta)
-are handled by refinement alone.
+starts from one segment, [a, b]; a segment's error estimate is the
+difference between one panel over it and two panels over its halves,
+and the segment with the largest estimate is bisected until the summed
+estimate meets ``max(abs_tol, rel_tol * |value|)``, with abs_tol 1e-12
+and rel_tol 1e-10.  It returns the converged leaves (the half panels)
+with their nodes and integrand values, so callers can build on them;
+``integrate_interval`` is their sum.  Neither takes options.  Panel
+nodes never touch segment endpoints, so integrable endpoint
+singularities such as 1/sqrt(theta) are handled by refinement alone.
 
 Each step is one integrand call: one for all initial segments (each a
 coarse panel and its two halves), then one per bisection (its four half
@@ -20,8 +20,9 @@ are gathered by row at the end, or, when the initial segments already
 meet the tolerance, are their halves as they stand.  The integrand is
 one scalar function, vectorized, side-effect free and pointwise (a
 node's value may not depend on the other nodes of the call): it
-receives an ndarray of n nodes and returns n values; the private
-``_quad`` under ``quad`` takes whole panels' values instead.
+receives an ndarray of n nodes and returns n values; ``_pointwise``
+adapts it to the private ``_quad``, which takes whole panels' values,
+a root cut at any breakpoints, and a rule.
 """
 
 import heapq
@@ -40,15 +41,11 @@ _MAX_SUBDIVISIONS = 2 ** 14  # quad raises ToleranceError after this many bisect
 
 @dataclass(frozen=True)
 class QuadRule:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        object.__setattr__(self, "abs_tol", _real(self.abs_tol, "QuadRule: abs_tol", 0.0))
-        object.__setattr__(self, "rel_tol", _real(self.rel_tol, "QuadRule: rel_tol", 0.0))
+    abs_tol: float
+    rel_tol: float
 
 
-DEFAULT_RULE = QuadRule()
+DEFAULT_RULE = QuadRule(abs_tol=1e-12, rel_tol=1e-10)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,24 +113,27 @@ def _sums(y, a, b, half):
     return half * np.matmul(y[:, None, :], _WEIGHTS_COLUMN)[:, 0, 0]
 
 
-def quad(f, a, b, rule=DEFAULT_RULE, breakpoints=()):
-    """Adaptive Gauss-Legendre over [a, b] (a < b); returns the converged ``Leaves``.
-
-    The initial segments run between the breakpoints that fall inside
-    (a, b); f is called once per step and must be pointwise (see the
-    module docstring).  Raises ToleranceError (carrying the best
-    estimate) if the tolerance is not met within ``_MAX_SUBDIVISIONS``
-    bisections.
-    """
-    a = _real(a, "quad: a")
-    b = _real(b, "quad: b", a)
+def _pointwise(f):
+    """values(a, b) for ``_quad`` from the pointwise integrand f (see the module docstring)."""
     def values(lo, hi):
         y = np.ascontiguousarray(f(_nodes(np.array(lo), np.array(hi)).ravel()), dtype=float)
         if y.shape != (15 * len(lo),):
             raise DomainError("quad: integrand must map an (n,) array to an (n,) array")
         return y.reshape(len(lo), 15)
 
-    return _quad(values, _Root(a, b, breakpoints), rule)
+    return values
+
+
+def quad(f, a, b):
+    """Adaptive Gauss-Legendre over [a, b] (a < b); returns the converged ``Leaves``.
+
+    f is called once per step and must be pointwise (see the module
+    docstring).  Raises ToleranceError (carrying the best estimate) if
+    the tolerance is not met within ``_MAX_SUBDIVISIONS`` bisections.
+    """
+    a = _real(a, "quad: a")
+    b = _real(b, "quad: b", a)
+    return _quad(_pointwise(f), _Root(a, b, ()), DEFAULT_RULE)
 
 
 def _quad(values, root, rule):
@@ -194,7 +194,7 @@ def _quad(values, root, rule):
     return Leaves(a, b, np.concatenate(ys)[rows], sums, rows, reduce(add, [seg[8] for seg in heap], 0.0))
 
 
-def integrate_interval(f, a, b, rule=DEFAULT_RULE):
+def integrate_interval(f, a, b):
     """Integrate the scalar f over [a, b]; returns the floats ``(value, err_est)`` of ``quad``'s leaves.
 
     Raises ToleranceError (carrying the best estimate) if the tolerance
@@ -204,7 +204,7 @@ def integrate_interval(f, a, b, rule=DEFAULT_RULE):
     b = _real(b, "integrate_interval: b", a, closed=True)
     if a == b:
         return 0.0, 0.0
-    leaves = quad(f, a, b, rule)
+    leaves = quad(f, a, b)
     return leaves.value, leaves.err
 
 

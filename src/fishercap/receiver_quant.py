@@ -44,8 +44,8 @@ class Quantizer1D:
 
     @property
     def edges(self):
-        """The L + 1 bin edges from -r to r, the cut points of the binned receiver."""
-        return tuple(np.linspace(-self.r, self.r, self.L + 1).tolist())
+        """The L + 1 bin edges from -r to r, a float array: the cut points of the binned receiver."""
+        return np.linspace(-self.r, self.r, self.L + 1)
 
     @property
     def num_cells(self):
@@ -71,8 +71,7 @@ def bin_probs_and_dtheta(channel, q, theta):
     """
     if channel.cell_mass_dtheta is None:
         raise TypeError(f"receiver_quant: channel {channel.kind!r} has no closed-form cell masses")
-    edges = np.linspace(-q.r, q.r, q.L + 1)  # q.edges as an array: a tuple would be type-scanned
-    p, dp = channel.cell_mass_dtheta(theta, edges)
+    p, dp = channel.cell_mass_dtheta(theta, q.edges)
     return _merge_tails(p), _merge_tails(dp)
 
 
@@ -104,8 +103,8 @@ def type_from_samples(q, samples):
     y = _reals(samples, "type_from_samples: samples")
     if y.ndim != 1 or y.size == 0:
         raise ValidationError("type_from_samples: samples must be a nonempty 1-D array")
-    # bin l >= 1 is (edge l-1, edge l], with -r in bin 1; q.edges as an array
-    idx = np.clip(np.searchsorted(np.linspace(-q.r, q.r, q.L + 1), y), 1, q.L)
+    # bin l >= 1 is (edge l-1, edge l], with -r in bin 1
+    idx = np.clip(np.searchsorted(q.edges, y), 1, q.L)
     idx[np.abs(y) > q.r] = 0
     return TypeIndex(np.bincount(idx, minlength=q.num_cells))
 

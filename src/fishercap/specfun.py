@@ -253,12 +253,6 @@ def _gauss_tails(a):
             np.where(pos, upper, lower), np.where(neg, upper, lower))
 
 
-def gauss_hazard(x):
-    """phi(x)/Q(x), stable for arbitrarily large x via erfcx."""
-    a = _reals(x, "gauss_hazard: x")
-    return _maybe_scalar(x, _gauss_tails(a)[2])
-
-
 def gauss_mass(a, b):
     """P(a < Z <= b) for standard Gaussian Z; edges may be +-inf, never NaN.
 

@@ -275,12 +275,14 @@ def test_poly_cdf_rejects_nan():
 
 
 def test_midpoint_grid_needs_an_integer():
-    # m = 2.5 gave [0.2, 0.6, 1.0], whose last point is the cdf endpoint
-    with pytest.raises(DomainError):
-        fc.midpoint_grid(2.5)
+    # M = 2.5 gave the grid [0.2, 0.6, 1.0], whose last point is the cdf endpoint
     with pytest.raises(DomainError):
         fc.jeffreys_constellation(fc.awgn_channel(3.0), 1.0, 2.5)
-    assert fc.midpoint_grid(np.int64(2)).tolist() == [0.25, 0.75]
+    # M = 2 pushes the midpoints 0.25 and 0.75 through the inverse cdf
+    prior = fc.solve_lambda_star(fc.awgn_channel(3.0), 1.0).prior
+    want = [fc.prior_cdf_inverse(prior, u) for u in (0.25, 0.75)]
+    got = fc.jeffreys_constellation(fc.awgn_channel(3.0), 1.0, np.int64(2)).points
+    assert got.tolist() == want
 
 
 # --- approximate constellation -------------------------------------------------

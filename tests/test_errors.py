@@ -43,7 +43,6 @@ INVALID_CALLS = {
     "fit_degree_2.5": lambda: fc.fit_poly_density(fc.awgn_channel(1.0), 0.5, 2.5),
     "discrete_input_nan_prob": lambda: fc.DiscreteInput(np.array([0.0, 1.0]), np.array([math.nan, 1.0])),
     "jf_P_nan": lambda: fc.tilted_prior(fc.awgn_channel(1.0), 0.0).jf(math.nan),
-    "quad_rule_abs_tol_inf": lambda: fc.QuadRule(abs_tol=math.inf),
     "thresholds_string": lambda: fc.channel_from_json(
         {"kind": "quantized_awgn", "A": 1, "thresholds": ["0"]}),
     "thresholds_bool": lambda: fc.channel_from_json(
@@ -163,4 +162,6 @@ def test_probabilities_need_finite_entries_summing_to_one():
 
 
 def test_midpoint_grid_takes_an_integer_valued_float():
-    assert fc.midpoint_grid(4.0).tolist() == fc.midpoint_grid(4).tolist()
+    awgn = fc.awgn_channel(3.0)
+    four = fc.jeffreys_constellation(awgn, 1.0, 4).points.tolist()
+    assert fc.jeffreys_constellation(awgn, 1.0, 4.0).points.tolist() == four

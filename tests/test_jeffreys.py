@@ -9,7 +9,6 @@ from fishercap.channels import ChannelSpec, ParameterSpace
 from fishercap.errors import (
     DegenerateChannelError,
     DomainError,
-    PositivityError,
     RangeError,
     UnboundedTiltError,
 )
@@ -165,43 +164,6 @@ def test_capacity_dimension_bookkeeping():
 def test_capacity_fn_scaling_one_dim(awgn_unit):
     s = fc.solve_lambda_star(awgn_unit, 1.0 / 9.0)
     assert s.capacity_fn(4 * 64) - s.capacity_fn(64) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_mismatch_rate_self_prior(awgn_unit):
-    P, nr = 1.0 / 9.0, 100
-    s = fc.solve_lambda_star(awgn_unit, P)
-    prior = fc.tilted_prior(awgn_unit, s.lambda_star, P)
-    r = fc.mismatch_rate(awgn_unit, prior.density, P, nr)
-    assert r == pytest.approx(s.capacity_fn(nr), abs=1e-8)
-
-
-def test_mismatch_rate_uniform_inactive(awgn_unit):
-    nr = 100
-    r = fc.mismatch_rate(awgn_unit, lambda t: np.full_like(np.asarray(t, float), 0.5),
-                         0.5, nr)
-    assert r == pytest.approx(fc.solve_lambda_star(awgn_unit, 0.5).capacity_fn(nr), abs=1e-9)
-
-
-def test_mismatch_rate_uniform_tilted_identity(awgn_unit):
-    # rate differs from C(P) by D(uniform || tilted) - lambda* (A^2/3 - P),
-    # both evaluated in closed form
-    P, nr, A = 1.0 / 9.0, 100, 1.0
-    s = fc.solve_lambda_star(awgn_unit, P)
-    lam = s.lambda_star
-    d_closed = -math.log2(2 * A) + lam * A * A / 3.0 + math.log2(s.jf) - lam * P
-    want = s.capacity_fn(nr) - d_closed + lam * (A * A / 3.0 - P)
-    r = fc.mismatch_rate(awgn_unit, lambda t: np.full_like(np.asarray(t, float), 0.5),
-                         P, nr)
-    assert r == pytest.approx(want, abs=1e-9)
-
-
-def test_mismatch_rate_rejects_bad_priors(awgn_unit):
-    with pytest.raises(PositivityError):
-        fc.mismatch_rate(awgn_unit, lambda t: np.maximum(np.asarray(t, float), 0.0),
-                         0.5, 10)
-    with pytest.raises(DomainError):
-        fc.mismatch_rate(awgn_unit, lambda t: np.full_like(np.asarray(t, float), 0.3),
-                         0.5, 10)
 
 
 def test_prior_cdf_uniform_inverse(awgn_unit):

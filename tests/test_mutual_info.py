@@ -122,7 +122,7 @@ def test_ba_needs_an_antenna(onebit, n_r):
 
 def test_type_index_validation():
     t = fc.TypeIndex((3, 0, 2))
-    assert t.n_r == 5
+    assert t.counts == (3, 0, 2)
     with pytest.raises(ValidationError):
         fc.TypeIndex((1, -2))
     with pytest.raises(ValidationError):

@@ -225,8 +225,8 @@ def _hazard_raw(a):
 def test_hazard_pair_is_both_hazards(u):
     u = np.array(u)
     _, _, h, h_neg = specfun._gauss_tails(u)
-    assert h.tobytes() == specfun.gauss_hazard(u).tobytes() == _hazard_raw(u).tobytes()
-    assert h_neg.tobytes() == specfun.gauss_hazard(-u).tobytes() == _hazard_raw(-u).tobytes()
+    assert h.tobytes() == _hazard_raw(u).tobytes()
+    assert h_neg.tobytes() == _hazard_raw(-u).tobytes()
 
 
 @TAIL_SETTINGS
