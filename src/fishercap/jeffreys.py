@@ -123,6 +123,8 @@ def invert_monotone(F_dF, target, lo, hi, x):
         else:
             hi = x
         nxt = x - g / d if d > 0.0 else math.nan
+        if nxt == x:  # the step is below half an ulp; x is the bracket end just set
+            return x
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - x) <= 2.0 * np.finfo(float).eps * max(1.0, abs(x)):

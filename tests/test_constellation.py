@@ -1,10 +1,13 @@
 import dataclasses
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import fishercap as fc
+from fishercap import constellation, jeffreys
 from fishercap.constellation import _GAMMAS, BarrierObjective, PolyFitInfo
 from fishercap.errors import (
     ConvergenceError,
@@ -283,6 +286,56 @@ def test_midpoint_grid_needs_an_integer():
     want = [fc.prior_cdf_inverse(prior, u) for u in (0.25, 0.75)]
     got = fc.jeffreys_constellation(fc.awgn_channel(3.0), 1.0, np.int64(2)).points
     assert got.tolist() == want
+
+
+def _zoo(shape):
+    with open(os.path.join(os.path.dirname(__file__), "data", "pinned_design_zoo.json"),
+              encoding="utf-8") as fh:
+        cases = json.load(fh)
+    for case in cases:
+        channel = fc.channel_from_json(case["channel"])
+        if channel.param_space.shape == shape:
+            yield case["label"], channel, case["P"]
+
+
+def _count_solver_calls(monkeypatch):
+    """The F_dF calls of each inversion, one entry per call of the shared solver."""
+    calls, solve = [], jeffreys.invert_monotone
+
+    def counted(F_dF, *args):
+        calls.append(0)
+
+        def F_dF_counted(x):
+            calls[-1] += 1
+            return F_dF(x)
+        return solve(F_dF_counted, *args)
+
+    monkeypatch.setattr(jeffreys, "invert_monotone", counted)
+    monkeypatch.setattr(constellation, "invert_monotone", counted)
+    return calls
+
+
+_MAX_SOLVER_CALLS = 20  # a Newton step below half an ulp once made the solver bisect 45 times
+
+
+def test_prior_inverse_takes_few_steps(monkeypatch):
+    calls = _count_solver_calls(monkeypatch)
+    for label, channel, P in _zoo("interval"):
+        for M in (16, 64, 256):
+            del calls[:]
+            fc.jeffreys_constellation(channel, P, M)
+            assert len(calls) == M and max(calls) <= _MAX_SOLVER_CALLS, (label, M, max(calls))
+
+
+def test_poly_inverse_takes_few_steps(monkeypatch):
+    calls = _count_solver_calls(monkeypatch)
+    for label, channel, P in _zoo("interval"):
+        if label not in ("onebit", "adc4", "awgn", "truncated", "dithered", "poisson"):
+            continue
+        poly = fc.fit_poly_density(channel, fc.solve_lambda_star(channel, P).lambda_star, 8)
+        del calls[:]
+        fc.approx_jeffreys_constellation(poly, P, 256)
+        assert len(calls) == 256 and max(calls) <= _MAX_SOLVER_CALLS, (label, max(calls))
 
 
 # --- approximate constellation -------------------------------------------------
