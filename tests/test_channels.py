@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -510,6 +511,27 @@ _POISSON = CONTRACT_RECORDS["poisson"]
 def test_misspelt_record_field_is_refused(record, field):
     with pytest.raises(ValidationError, match=f"has no field '{field}'"):
         ch.channel_from_json(record)
+
+
+def _docstring_fields(doc):
+    """Each kind's field list as channel_from_json's docstring states it, in the table's notation.
+
+    ``h {values, probs}`` reads as ``h.values, h.probs``, ``[, weights]``
+    as the optional ``weights?``, and a parenthetical note is dropped.
+    """
+    kinds = {}
+    for kind, fields in re.findall(r"^\s*\* ``(\w+)``: (.*)$", doc, re.M):
+        fields = re.sub(r"\s*\(.*\)", "", fields)
+        fields = re.sub(r"(\w+) \{(.*?)\}",
+                        lambda m: ", ".join(f"{m[1]}.{f.strip()}" for f in m[2].split(",")), fields)
+        fields = re.sub(r"\s*\[, (\w+)\]", r", \1?", fields)
+        kinds[kind] = tuple(f.strip() for f in fields.split(","))
+    return kinds
+
+
+def test_docstring_lists_the_field_table():
+    table = {kind: fields for kind, (fields, _) in ch.CHANNEL_BUILDERS.items()}
+    assert _docstring_fields(ch.channel_from_json.__doc__) == table
 
 
 def _midpoint(channel):
