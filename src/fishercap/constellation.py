@@ -111,7 +111,9 @@ def poly_cdf(p, theta):
     t = _reals(theta, "poly_cdf: theta", lo - 1e-12, hi + 1e-12)
     i = np.arange(p.coeffs.size)
     terms = (t[..., None] ** (i + 1) - lo ** (i + 1)) / (i + 1)
-    out = np.clip(terms @ p.coeffs, 0.0, 1.0)
+    # one (1, n) @ (n, 1) product per theta: each sum is rounded as a scalar call's 1-D dot,
+    # which a matvec over all theta would not do
+    out = np.clip(np.matmul(terms[..., None, :], p.coeffs[:, None])[..., 0, 0], 0.0, 1.0)
     return float(out) if np.ndim(theta) == 0 else out
 
 

@@ -256,6 +256,16 @@ def test_degree_zero_inverse():
     assert fc.poly_cdf_inverse(poly, 0.75) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_poly_cdf_on_an_array_gives_each_scalar_call():
+    # one matvec over the array rounded 3,486 of these 4,001 sums unlike a scalar call, by up to 7.9e-14
+    channel = fc.quantized_awgn_channel(2.0, [0.0])
+    poly = fc.fit_poly_density(channel, fc.solve_lambda_star(channel, 0.5).lambda_star, 8)
+    theta = np.linspace(-2.0, 2.0, 4001)
+    want = [fc.poly_cdf(poly, t) for t in theta]
+    assert fc.poly_cdf(poly, theta).tolist() == want
+    assert fc.poly_cdf(poly, theta[:4000].reshape(2, 50, 40)).ravel().tolist() == want[:4000]
+
+
 def test_poly_cdf_round_trip(awgn_fit):
     _, poly, _ = awgn_fit
     for u in [0.01, 0.37, 0.99]:
