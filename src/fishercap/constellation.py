@@ -1,11 +1,11 @@
 """Constellation design from tilted Jeffreys priors.
 
 The exact design pushes a midpoint grid on [0, 1] through the inverse
-prior cdf (a compander), then rescales so the average power budget
-holds.  When the cdf has no closed form, a polynomial density is fitted
-to the prior by Newton descent on the KL divergence with a logarithmic
-barrier enforcing positivity; the polynomial cdf has a closed form and
-inverts with the same safeguarded Newton solver as the prior cdf.
+prior cdf (a compander) in one array call, then rescales so the average
+power budget holds.  When the cdf has no closed form, a polynomial
+density is fitted to the prior by Newton descent on the KL divergence
+with a logarithmic barrier enforcing positivity; its closed-form cdf
+inverts a whole grid with the same safeguarded Newton solver as the prior's.
 
 A fit is one grid problem: it is built once, each barrier stage only sets
 its barrier weight gamma, and a stage fails after ``max_newton`` Newton
@@ -22,8 +22,8 @@ import numpy as np
 from .channels import DiscreteInput, _power_per_point
 from .errors import ConvergenceError, DomainError, PositivityError, ValidationError
 from .errors import _count, _real, _reals
-from .jeffreys import LN2, invert_monotone, prior_cdf_inverse, solve_lambda_star
-from .quad import _midpoints
+from .jeffreys import LN2, _compand, _like, invert_monotone, prior_cdf_inverse, solve_lambda_star
+from .quad import _midpoints, _row_dots
 
 _GRID_POINTS = 4097  # odd: the fit grid is integrated by composite Simpson
 _GAMMA_0, _GAMMA_MIN = 10.0, 1e-8  # first and last barrier weight
@@ -58,9 +58,7 @@ def jeffreys_constellation(channel, P, M):
     average power within budget.
     """
     grid = _midpoints(0.0, 1.0, _count(M, "jeffreys_constellation: M", 2))
-    prior = solve_lambda_star(channel, P).prior
-    raw = np.array([prior_cdf_inverse(prior, u) for u in grid])
-    return _scaled_constellation(raw, P)
+    return _scaled_constellation(prior_cdf_inverse(solve_lambda_star(channel, P).prior, grid), P)
 
 
 def pam_constellation(channel, P, M):
@@ -111,22 +109,17 @@ def poly_cdf(p, theta):
     t = _reals(theta, "poly_cdf: theta", lo - 1e-12, hi + 1e-12)
     i = np.arange(p.coeffs.size)
     terms = (t[..., None] ** (i + 1) - lo ** (i + 1)) / (i + 1)
-    # one (1, n) @ (n, 1) product per theta: each sum is rounded as a scalar call's 1-D dot,
-    # which a matvec over all theta would not do
-    out = np.clip(np.matmul(terms[..., None, :], p.coeffs[:, None])[..., 0, 0], 0.0, 1.0)
-    return float(out) if np.ndim(theta) == 0 else out
+    return _like(t, np.clip(_row_dots(terms, p.coeffs), 0.0, 1.0))
 
 
 def poly_cdf_inverse(p, u):
-    """Solve F(theta) = u by safeguarded Newton on the closed-form cdf."""
-    u = _real(u, "poly_cdf_inverse: u", 0.0, 1.0, closed=True)
+    """Solve F(theta) = u for a float u or an array by safeguarded Newton on the closed-form cdf."""
     lo, hi = p.support
-    if u == 0.0:
-        return lo
-    if u == 1.0:
-        return hi
-    return invert_monotone(lambda t: (poly_cdf(p, t), float(p.pdf(t))), u, lo, hi,
-                           lo + u * (hi - lo))
+
+    def solve(v):
+        return invert_monotone(lambda t, k: (poly_cdf(p, t), p.pdf(t)), v, lo, hi, lo + v * (hi - lo))
+
+    return _compand(_reals(u, "poly_cdf_inverse: u", 0.0, 1.0), lo, hi, solve)
 
 
 def _simpson_weights(n, lo, hi):
@@ -339,8 +332,7 @@ def fit_poly_density(channel, lam_star, degree, max_newton=100, full_output=Fals
 def approx_jeffreys_constellation(p, P, M):
     """Constellation from the fitted polynomial cdf, same scaling rule."""
     M = _count(M, "approx_jeffreys_constellation: M", 2)
-    raw = np.array([poly_cdf_inverse(p, u) for u in _midpoints(0.0, 1.0, M)])
-    return _scaled_constellation(raw, P)
+    return _scaled_constellation(poly_cdf_inverse(p, _midpoints(0.0, 1.0, M)), P)
 
 
 def constellation_to_csv(c):
@@ -376,7 +368,5 @@ def radial_constellation_isotropic(channel, P, M_r, directions):
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise ValidationError("directions must be unit vectors")
     grid = _midpoints(0.0, 1.0, _count(M_r, "radial_constellation_isotropic: M_r", 1))
-    prior = solve_lambda_star(channel, P).prior
-    radii = np.array([prior_cdf_inverse(prior, u) for u in grid])
-    raw = np.concatenate([r * dirs for r in radii], axis=0)
-    return _scaled_constellation(raw, P)
+    radii = prior_cdf_inverse(solve_lambda_star(channel, P).prior, grid)
+    return _scaled_constellation((radii[:, None, None] * dirs).reshape(-1, ps.dim), P)

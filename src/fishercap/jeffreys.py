@@ -33,8 +33,8 @@ cuts.  From node sums alone the table gives:
   dM/dlambda = -ln2 Var_lambda(c);
 * the prior cdf, from cumulative panel masses plus the integral of the
   panel's degree-14 interpolant up to theta;
-* the inverse cdf, from a panel search plus safeguarded Newton inside
-  the panel (``invert_monotone``).
+* the inverse cdf at every point of an array at once, from a panel
+  search plus safeguarded Newton inside each panel (``invert_monotone``).
 
 The tilt lambda* is the smallest lambda whose prior meets the power
 budget, the root of M(lambda) = P.  M is strictly decreasing, so
@@ -67,12 +67,12 @@ that only the cycle collector frees.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateChannelError, RangeError, UnboundedTiltError, _real
-from .quad import NODES, WEIGHTS, QuadRule, _nodes, _quad, _Root
+from .errors import ConvergenceError, DegenerateChannelError, RangeError, UnboundedTiltError, _real, _reals
+from .quad import NODES, WEIGHTS, QuadRule, _nodes, _quad, _Root, _row_dots
 from .specfun import log_gamma
 
 LN2 = math.log(2.0)
@@ -99,38 +99,43 @@ def _log_sphere_surface(d):
 
 
 def _legendre(s):
-    """P_0 .. P_15 at the local coordinate s in [-1, 1]."""
-    p = [1.0, s]
+    """P_0 .. P_15 at the local coordinates s in [-1, 1], one row of 16 per point."""
+    p = [np.ones_like(s), s]
     for k in range(1, 15):
         p.append(((2 * k + 1) * s * p[k] - k * p[k - 1]) / (k + 1))
-    return np.array(p)
+    return np.stack(p, axis=-1)
+
+
+def _like(x, out):
+    """out in the shape of x: a float for a scalar x, else an array."""
+    out = np.reshape(out, np.shape(x))
+    return float(out) if out.ndim == 0 else out
 
 
 def invert_monotone(F_dF, target, lo, hi, x):
-    """x in [lo, hi] with F(x) = target, for F nondecreasing; F_dF(x) = (F(x), F'(x)).
+    """x in [lo, hi] with F(x) = target at every point, for F nondecreasing.
 
-    Newton steps from the start x, one F_dF call each; a step that leaves
-    the bracket kept around the root is replaced by bisection.  Stops
-    when a step no longer moves x.
+    target and the start x are 1-D arrays; F_dF(x, k) returns (F, F')
+    at the points k still moving, one call per step.  Each point takes
+    Newton steps, bisecting one that leaves the bracket kept around its
+    root, and stops at F = target or a step below half an ulp (keeping
+    x), a step below 2 eps max(1, |x|) (taking it), or after 200 steps.
     """
+    x, lo, hi = np.broadcast_arrays(np.asarray(x, dtype=float), lo, hi)
+    out, k = x.copy(), np.arange(x.size)
     for _ in range(200):
-        F, d = F_dF(x)
+        if not k.size:
+            break
+        F, d = F_dF(x, k)
         g = F - target
-        if g == 0.0:
-            return x
-        if g < 0.0:
-            lo = x
-        else:
-            hi = x
-        nxt = x - g / d if d > 0.0 else math.nan
-        if nxt == x:  # the step is below half an ulp; x is the bracket end just set
-            return x
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 2.0 * np.finfo(float).eps * max(1.0, abs(x)):
-            return nxt
-        x = nxt
-    return x
+        lo, hi = np.where(g < 0.0, x, lo), np.where(g < 0.0, hi, x)  # a NaN g moves hi
+        step = x - g / np.where(d > 0.0, d, math.nan)
+        # at the root, or a step below half an ulp: x is the bracket end just set, and stays
+        stay = (g == 0.0) | (step == x)
+        out[k] = nxt = np.where(stay, x, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)))
+        moving = ~(np.abs(nxt - x) <= 2.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(x)))
+        k, x, target, lo, hi = k[moving], nxt[moving], target[moving], lo[moving], hi[moving]
+    return out
 
 
 class _ProfileTable:
@@ -229,9 +234,9 @@ class TiltedPrior:
     """The normalized tilted Jeffreys prior at one lambda, on [lo, hi].
 
     Holds the converged panels of the weight, its node sums (z, the mean
-    cost m and its variance) and the panel cdf with its inverse.  Built
-    by ``tilted_prior``, and carried by the ``JeffreysSolution`` of the
-    solved tilt.
+    cost m and its variance) and the panel cdf with its inverse, each
+    taking a float or an array.  Built by ``tilted_prior``, and carried
+    by the ``JeffreysSolution`` of the solved tilt.
     """
 
     def __init__(self, table, lam, leaves, dc):
@@ -276,29 +281,30 @@ class TiltedPrior:
         return cum, self.leaves.values @ _TO_LEGENDRE.T
 
     def _panel_mass(self, i, s):
-        """Mass of panel i left of local coordinate s, and its derivative in s."""
+        """Mass of panels i left of local coordinates s, and its derivative in s (1-D arrays)."""
         _, coef = self._cdf_table
         p = _legendre(s)
-        q = np.concatenate(([s + 1.0], (p[2:] - p[:-2]) / _ODD))
+        q = np.concatenate(((s + 1.0)[:, None], (p[:, 2:] - p[:, :-2]) / _ODD), axis=1)
         half = 0.5 * (self.leaves.b[i] - self.leaves.a[i])
-        return half * float(coef[i] @ q), half * float(coef[i] @ p[:15])
+        return half * _row_dots(coef[i], q), half * _row_dots(coef[i], p[:, :15])
 
     def cdf(self, t):
         cum, _ = self._cdf_table
         a, b = self.leaves.a, self.leaves.b
-        i = min(int(np.searchsorted(b, t)), b.size - 1)
-        s = min(max((2.0 * t - a[i] - b[i]) / (b[i] - a[i]), -1.0), 1.0)
-        return (cum[i] + self._panel_mass(i, s)[0]) / cum[-1]
+        flat = np.ravel(t)
+        i = np.minimum(np.searchsorted(b, flat), b.size - 1)
+        s = np.clip((2.0 * flat - a[i] - b[i]) / (b[i] - a[i]), -1.0, 1.0)
+        return _like(t, (cum[i] + self._panel_mass(i, s)[0]) / cum[-1])
 
     def inverse(self, u):
         cum, _ = self._cdf_table
-        target = u * cum[-1]
-        i = min(int(np.searchsorted(cum[1:], target)), cum.size - 2)
-        need = min(max(target - cum[i], 0.0), cum[i + 1] - cum[i])
-        s0 = -1.0 + 2.0 * need / (cum[i + 1] - cum[i])
-        s = invert_monotone(partial(self._panel_mass, i), need, -1.0, 1.0, s0)
+        target = np.ravel(u) * cum[-1]
+        i = np.minimum(np.searchsorted(cum[1:], target), cum.size - 2)
+        mass = cum[i + 1] - cum[i]
+        need = np.minimum(np.maximum(target - cum[i], 0.0), mass)
+        s = invert_monotone(lambda s, k: self._panel_mass(i[k], s), need, -1.0, 1.0, 2.0 * need / mass - 1.0)
         a, b = self.leaves.a[i], self.leaves.b[i]
-        return min(max(0.5 * (a + b) + 0.5 * (b - a) * s, a), b)
+        return _like(u, np.minimum(np.maximum(0.5 * (a + b) + 0.5 * (b - a) * s, a), b))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -429,19 +435,18 @@ def solve_lambda_star(channel, P):
 
 
 def prior_cdf(prior, theta):
-    """F(theta), the cdf of the profile density on [lo, hi]."""
-    t = _real(theta, "prior_cdf: theta", prior.lo - 1e-12, prior.hi + 1e-12, closed=True)
-    t = min(max(t, prior.lo), prior.hi)
-    if t == prior.lo:
-        return 0.0
-    return min(max(prior.cdf(t), 0.0), 1.0)
+    """F(theta), the cdf of the profile density on [lo, hi]; a float or an array of theta's shape."""
+    t = _reals(theta, "prior_cdf: theta", prior.lo - 1e-12, prior.hi + 1e-12)
+    return _like(t, np.clip(prior.cdf(np.clip(t, prior.lo, prior.hi)), 0.0, 1.0))
+
+
+def _compand(u, lo, hi, inverse):
+    """inverse(v) at the v of u inside (0, 1), lo at u = 0 and hi at u = 1, in the shape of u."""
+    x, inside = np.where(u == 0.0, lo, hi), (0.0 < u) & (u < 1.0)
+    x[inside] = inverse(u[inside])
+    return _like(u, x)
 
 
 def prior_cdf_inverse(prior, u):
-    """Solve F(theta) = u: panel search, then safeguarded Newton in the panel."""
-    u = _real(u, "prior_cdf_inverse: u", 0.0, 1.0, closed=True)
-    if u == 0.0:
-        return prior.lo
-    if u == 1.0:
-        return prior.hi
-    return prior.inverse(u)
+    """Solve F(theta) = u for a float u or an array: panel search, then safeguarded Newton in the panel."""
+    return _compand(_reals(u, "prior_cdf_inverse: u", 0.0, 1.0), prior.lo, prior.hi, prior.inverse)

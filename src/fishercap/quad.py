@@ -35,7 +35,6 @@ import numpy as np
 from .errors import DomainError, ToleranceError, _real
 
 NODES, WEIGHTS = np.polynomial.legendre.leggauss(15)
-_WEIGHTS_COLUMN = WEIGHTS[:, None]
 _MAX_SUBDIVISIONS = 2 ** 14  # quad raises ToleranceError after this many bisections
 
 
@@ -103,14 +102,17 @@ class _Root:
             v.flags.writeable = False
 
 
+def _row_dots(x, y):
+    """x_i @ y_i per row, y broadcast: (1, n) @ (n, 1) products, each rounded as its row's 1-D dot."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
 def _sums(y, a, b, half):
     """The sums of the panels [a_i, b_i] with values y, shape (k, 15), and half-widths half."""
     if not np.isfinite(y).all():
         i = int(np.argmin(np.isfinite(y).all(axis=1)))
         raise DomainError(f"quad: integrand non-finite inside [{float(a[i])!r}, {float(b[i])!r}]")
-    # k products (1, 15) @ (15, 1): each sum is rounded as y_i @ WEIGHTS alone, which a
-    # (k, 15) matvec would not do
-    return half * np.matmul(y[:, None, :], _WEIGHTS_COLUMN)[:, 0, 0]
+    return half * _row_dots(y, WEIGHTS)
 
 
 def _pointwise(f):

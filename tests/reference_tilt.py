@@ -6,6 +6,12 @@ the integrand and once more for the leaves' costs), ``_breakpoints``
 called the cost at every tilt, and Newton ran until its step no longer
 moved lambda.  ``test_tilt_reference.py`` compares the leaves, the node
 sums and the solved tilt of ``fishercap.jeffreys`` with these by ``==``.
+
+The inverse cdf ran point by point: a scalar safeguarded Newton per u,
+evaluating the Legendre recurrence in Python floats, and each design
+called the scalar public inverse once per point.  The tests compare the
+designs and the cdf and inverse cdf of ``fishercap`` with these by
+``==`` too.
 """
 
 import heapq
@@ -14,9 +20,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fishercap import jeffreys
+from fishercap import constellation, jeffreys
 from fishercap.errors import ToleranceError
-from fishercap.quad import NODES, WEIGHTS
+from fishercap.quad import NODES, WEIGHTS, _midpoints
 
 LN2 = math.log(2.0)
 _BRACKET_TOL = 1e-12
@@ -188,3 +194,103 @@ def solve_lambda_star(channel, P):
         else:
             hi, at_hi = mid, cur
     return _solution(table, P, at_hi if at_hi is not None else table.tilt(hi))
+
+
+def invert_monotone(F_dF, target, lo, hi, x):
+    """x in [lo, hi] with F(x) = target, for F nondecreasing; F_dF(x) = (F(x), F'(x))."""
+    for _ in range(200):
+        F, d = F_dF(x)
+        g = F - target
+        if g == 0.0:
+            return x
+        if g < 0.0:
+            lo = x
+        else:
+            hi = x
+        nxt = x - g / d if d > 0.0 else math.nan
+        if nxt == x:  # the step is below half an ulp; x is the bracket end just set
+            return x
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= 2.0 * np.finfo(float).eps * max(1.0, abs(x)):
+            return nxt
+        x = nxt
+    return x
+
+
+def _legendre(s):
+    p = [1.0, s]
+    for k in range(1, 15):
+        p.append(((2 * k + 1) * s * p[k] - k * p[k - 1]) / (k + 1))
+    return np.array(p)
+
+
+def panel_mass(prior, i, s):
+    """Mass of the prior's panel i left of local coordinate s, and its derivative in s."""
+    _, coef = prior._cdf_table
+    p = _legendre(s)
+    q = np.concatenate(([s + 1.0], (p[2:] - p[:-2]) / jeffreys._ODD))
+    half = 0.5 * (prior.leaves.b[i] - prior.leaves.a[i])
+    return half * float(coef[i] @ q), half * float(coef[i] @ p[:15])
+
+
+def prior_cdf(prior, t):
+    cum, _ = prior._cdf_table
+    a, b = prior.leaves.a, prior.leaves.b
+    t = min(max(float(t), prior.lo), prior.hi)
+    if t == prior.lo:
+        return 0.0
+    i = min(int(np.searchsorted(b, t)), b.size - 1)
+    s = min(max((2.0 * t - a[i] - b[i]) / (b[i] - a[i]), -1.0), 1.0)
+    return min(max((cum[i] + panel_mass(prior, i, s)[0]) / cum[-1], 0.0), 1.0)
+
+
+def prior_cdf_inverse(prior, u):
+    u = float(u)
+    if u == 0.0:
+        return prior.lo
+    if u == 1.0:
+        return prior.hi
+    cum, _ = prior._cdf_table
+    target = u * cum[-1]
+    i = min(int(np.searchsorted(cum[1:], target)), cum.size - 2)
+    need = min(max(target - cum[i], 0.0), cum[i + 1] - cum[i])
+    s0 = -1.0 + 2.0 * need / (cum[i + 1] - cum[i])
+    s = invert_monotone(lambda s: panel_mass(prior, i, s), need, -1.0, 1.0, s0)
+    a, b = prior.leaves.a[i], prior.leaves.b[i]
+    return min(max(0.5 * (a + b) + 0.5 * (b - a) * s, a), b)
+
+
+def poly_cdf(p, t):
+    lo, _ = p.support
+    t, i = np.asarray(float(t)), np.arange(p.coeffs.size)
+    terms = (t[..., None] ** (i + 1) - lo ** (i + 1)) / (i + 1)
+    return min(max(float(terms @ p.coeffs), 0.0), 1.0)
+
+
+def poly_cdf_inverse(p, u):
+    u = float(u)
+    lo, hi = p.support
+    if u == 0.0:
+        return lo
+    if u == 1.0:
+        return hi
+    return invert_monotone(lambda t: (poly_cdf(p, t), float(p.pdf(t))), u, lo, hi, lo + u * (hi - lo))
+
+
+def jeffreys_constellation(channel, P, M):
+    prior = jeffreys.solve_lambda_star(channel, P).prior
+    raw = np.array([prior_cdf_inverse(prior, u) for u in _midpoints(0.0, 1.0, M)])
+    return constellation._scaled_constellation(raw, P)
+
+
+def radial_constellation_isotropic(channel, P, M_r, directions):
+    prior = jeffreys.solve_lambda_star(channel, P).prior
+    radii = np.array([prior_cdf_inverse(prior, u) for u in _midpoints(0.0, 1.0, M_r)])
+    raw = np.concatenate([r * np.asarray(directions, dtype=float) for r in radii], axis=0)
+    return constellation._scaled_constellation(raw, P)
+
+
+def approx_jeffreys_constellation(p, P, M):
+    raw = np.array([poly_cdf_inverse(p, u) for u in _midpoints(0.0, 1.0, M)])
+    return constellation._scaled_constellation(raw, P)

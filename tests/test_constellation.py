@@ -309,16 +309,16 @@ def _zoo(shape):
 
 
 def _count_solver_calls(monkeypatch):
-    """The F_dF calls of each inversion, one entry per call of the shared solver."""
+    """Per call of the shared solver, the F_dF evaluations of each of its points."""
     calls, solve = [], jeffreys.invert_monotone
 
-    def counted(F_dF, *args):
-        calls.append(0)
+    def counted(F_dF, target, *args):
+        calls.append(np.zeros(len(target), dtype=int))
 
-        def F_dF_counted(x):
-            calls[-1] += 1
-            return F_dF(x)
-        return solve(F_dF_counted, *args)
+        def F_dF_counted(x, k):
+            calls[-1][k] += 1
+            return F_dF(x, k)
+        return solve(F_dF_counted, target, *args)
 
     monkeypatch.setattr(jeffreys, "invert_monotone", counted)
     monkeypatch.setattr(constellation, "invert_monotone", counted)
@@ -334,7 +334,8 @@ def test_prior_inverse_takes_few_steps(monkeypatch):
         for M in (16, 64, 256):
             del calls[:]
             fc.jeffreys_constellation(channel, P, M)
-            assert len(calls) == M and max(calls) <= _MAX_SOLVER_CALLS, (label, M, max(calls))
+            (steps,) = calls  # one solve for the whole design
+            assert steps.size == M and steps.max() <= _MAX_SOLVER_CALLS, (label, M, steps.max())
 
 
 def test_poly_inverse_takes_few_steps(monkeypatch):
@@ -345,7 +346,8 @@ def test_poly_inverse_takes_few_steps(monkeypatch):
         poly = fc.fit_poly_density(channel, fc.solve_lambda_star(channel, P).lambda_star, 8)
         del calls[:]
         fc.approx_jeffreys_constellation(poly, P, 256)
-        assert len(calls) == 256 and max(calls) <= _MAX_SOLVER_CALLS, (label, max(calls))
+        (steps,) = calls
+        assert steps.size == 256 and steps.max() <= _MAX_SOLVER_CALLS, (label, steps.max())
 
 
 # --- approximate constellation -------------------------------------------------

@@ -84,6 +84,23 @@ def test_invalid_inputs_raise(call):
         call()
 
 
+# An array u is checked once, entry by entry, with the classes of a scalar u.
+INVALID_ARRAY_U = {
+    f"{name}_{label}": (inverse, u, error)
+    for name, inverse in (("prior_cdf_inverse", lambda u: fc.prior_cdf_inverse(_prior(), u)),
+                          ("poly_cdf_inverse", lambda u: fc.poly_cdf_inverse(_poly(), u)))
+    for label, u, error in (("string_entry", [0.5, "0.5"], ValidationError),
+                            ("nan_entry", [0.5, math.nan], DomainError),
+                            ("entry_1.2", [[0.5], [1.2]], DomainError))
+}
+
+
+@pytest.mark.parametrize("inverse,u,error", INVALID_ARRAY_U.values(), ids=INVALID_ARRAY_U.keys())
+def test_invalid_array_u_raises(inverse, u, error):
+    with pytest.raises(error):
+        inverse(u)
+
+
 def test_real_accepts_numbers_and_refuses_strings_and_bools():
     assert _real(np.float32(0.5), "f: x") == 0.5
     assert _real(np.int64(3), "f: x", 0.0) == 3.0

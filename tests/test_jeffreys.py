@@ -284,16 +284,22 @@ def test_prior_cdf_rejects_nan(awgn_unit):
 
 
 def test_invert_monotone_one_call_per_iteration():
-    xs = []
+    calls = []
+    target = np.array([0.3, -1.0, 2.5, 9.0])
 
-    def F_dF(x):
-        xs.append(x)
+    def F_dF(x, k):
+        calls.append((x.tolist(), k.tolist()))
         return x ** 3 + x, 3.0 * x * x + 1.0
 
-    x = jef.invert_monotone(F_dF, 0.3, -2.0, 2.0, 1.5)
-    assert x ** 3 + x == pytest.approx(0.3, rel=1e-15)
-    # each iteration evaluates F and F' together at one new point
-    assert xs[0] == 1.5 and len(set(xs)) == len(xs) and 2 < len(xs) < 200
+    x = jef.invert_monotone(F_dF, target, -2.0, 2.0, np.full(4, 1.5))
+    assert x ** 3 + x == pytest.approx(target, rel=1e-15)
+    # each iteration evaluates F and F' together at the points still moving, a set that only shrinks
+    moving = [k for _, k in calls]
+    assert moving[0] == [0, 1, 2, 3] and 2 < len(calls) < 200
+    assert all(set(now) <= set(before) for before, now in zip(moving, moving[1:]))
+    for point in range(4):  # and no point is evaluated at the same x twice
+        path = [at[k.index(point)] for at, k in calls if point in k]
+        assert path[0] == 1.5 and len(set(path)) == len(path) > 2
 
 
 def test_table_cache_holds_at_most_eight_tables():

@@ -10,6 +10,12 @@ reference went on to replay a bisection: its lambda*, JF and M are that
 tilt's by ``==``, and it may not tilt more often than the reference.
 The last tilts are memoized, and a tilt runs once however often it is
 asked for.
+
+The inverse cdf solves every point of a design in one array pass.  The
+three designs give the reference's per-point designs by ``==``, and an
+array call of ``prior_cdf``, ``prior_cdf_inverse`` or
+``poly_cdf_inverse`` gives, element by element, the scalar calls, which
+give the reference's scalar values.
 """
 
 import dataclasses
@@ -26,6 +32,7 @@ from hypothesis import strategies as st
 import fishercap as fc
 import reference_tilt as ref
 from fishercap import jeffreys
+from fishercap.errors import FisherCapError
 from test_properties import KINDS, SETTINGS, _cost_span
 
 KINDS = {**KINDS, "correlated_awgn": st.builds(
@@ -198,3 +205,61 @@ def test_a_fresh_solve_calls_the_channel_once_before_newton():
     # the root panels of lambda = 0 and of 1/P, which grades its cuts, in one call; Newton was reached
     assert at_newton == [1]
     assert got.lambda_star == fc.solve_lambda_star(channel, 0.25).lambda_star
+
+
+def _fit(channel, P, degree):
+    """A polynomial fit of the prior at (channel, P), or None where the fit is refused."""
+    try:
+        return fc.fit_poly_density(channel, fc.solve_lambda_star(channel, P).lambda_star, degree)
+    except FisherCapError:  # e.g. J vanishes at an end of the fit grid
+        return None
+
+
+@per_kind
+@settings(MORE, max_examples=10)
+@given(data=st.data(), frac=st.floats(0.01, 1.0), M=st.integers(2, 300), degree=st.integers(0, 8))
+def test_designs_are_the_per_point_designs(kind, data, frac, M, degree):
+    channel = fc.channel_from_json(data.draw(KINDS[kind]))
+    P = frac * _cost_span(channel)
+    pairs = [(fc.jeffreys_constellation(channel, P, M), ref.jeffreys_constellation(channel, P, M))]
+    if channel.param_space.shape == "ball":
+        dirs = np.vstack((np.eye(channel.param_space.dim), -np.eye(channel.param_space.dim)))
+        pairs.append((fc.radial_constellation_isotropic(channel, P, M, dirs),
+                      ref.radial_constellation_isotropic(channel, P, M, dirs)))
+    else:
+        poly = _fit(channel, P, degree)
+        if poly is not None:
+            pairs.append((fc.approx_jeffreys_constellation(poly, P, M),
+                          ref.approx_jeffreys_constellation(poly, P, M)))
+    for got, want in pairs:
+        assert _same(got.points, want.points) and _same(got.probs, want.probs)
+
+
+def _each_shape(fn, x):
+    """fn on x as a 0-d array, a (6,) array and a (2, 3) array; each equals fn on each float alone."""
+    alone = [fn(float(v)) for v in x]
+    assert all(type(v) is float for v in alone)
+    assert fn(np.array(x[0])) == alone[0] and type(fn(np.array(x[0]))) is float
+    assert fn(np.array(x)).tolist() == alone
+    assert fn(np.array(x).reshape(2, 3)).tolist() == [alone[:3], alone[3:]]
+    return alone
+
+
+@per_kind
+@settings(MORE, max_examples=10)
+@given(data=st.data(), bits=st.floats(0.0, 40.0), degree=st.integers(0, 8),
+       fracs=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+                      min_size=6, max_size=6))
+def test_array_calls_are_the_scalar_calls(kind, data, bits, degree, fracs):
+    channel = fc.channel_from_json(data.draw(KINDS[kind]))
+    prior = fc.tilted_prior(channel, bits / _cost_span(channel))
+    theta = [prior.lo + f * (prior.hi - prior.lo) for f in fracs]
+    cdf = _each_shape(lambda t: fc.prior_cdf(prior, t), theta)
+    assert cdf == [ref.prior_cdf(prior, t) for t in theta]
+    inverse = _each_shape(lambda u: fc.prior_cdf_inverse(prior, u), fracs)
+    assert inverse == [ref.prior_cdf_inverse(prior, u) for u in fracs]
+    poly = _fit(channel, prior.table.c_min + 0.5 * _cost_span(channel), degree) \
+        if channel.param_space.shape == "interval" else None
+    if poly is not None:
+        inverse = _each_shape(lambda u: fc.poly_cdf_inverse(poly, u), fracs)
+        assert inverse == [ref.poly_cdf_inverse(poly, u) for u in fracs]
