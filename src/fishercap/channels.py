@@ -25,7 +25,8 @@ A ``ChannelSpec`` bundles the callables the rest of the library needs:
 Every callable is pointwise: a batch of theta gets the bits of each
 theta alone.  Energy detection's J, the one without a closed form, is a
 fixed Gauss-Legendre rule in the centred amplitude, with no nested
-quadrature.
+quadrature; the rule and the output log-density read the density and
+score from one kernel, ``_energy_score``.
 
 A channel is evaluated through its spec only, and each check lives in
 one place.  The constructor checks the channel's parameters, once, with
@@ -33,9 +34,10 @@ the ``errors`` helper of each kind (``_real``, ``_count``,
 ``_probabilities``, and ``_reals`` for arrays such as thresholds), and
 states the channel's formula in its docstring.  Every spec callable
 that takes theta, ``cell_mass_dtheta`` and ``output_logdensity_dtheta``
-included, checks it once: it rejects a theta that is not finite or lies
+included, checks it once (``_check_profile``, which the prior and
+polynomial cdfs use too): it rejects a theta that is not finite or lies
 outside the parameter space; ``fisher``, ``sqrt_det_fisher`` and
-``output_pmf`` return a float for a scalar theta.  Behind each callable
+``output_pmf`` return a float for a 0-d result.  Behind each callable
 is a private kernel that takes the checked theta array and the checked
 parameters and checks neither.  The one other per-call check is of the
 cuts a caller passes to ``cell_mass_dtheta``.
@@ -68,7 +70,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError, _count, _probabilities, _real, _reals
 from .quad import NODES, WEIGHTS
-from .specfun import _bessel_i01e, _cell_mass, _gauss_tails, _phi_raw, _q_pair, gauss_mass
+from .specfun import _bessel_i01e, _cell_mass, _gauss_tails, _phi_raw, _q_pair, _scalar, gauss_mass
 
 
 @dataclass(frozen=True)
@@ -181,10 +183,7 @@ def _check_profile(theta, lo, hi, what):
 
 def _on_space(fn, lo, hi, what):
     """``fn`` called on finite theta in [lo, hi] only; a 0-d result becomes a float."""
-    def checked(theta):
-        out = fn(_check_profile(theta, lo, hi, what))
-        return float(out) if np.ndim(out) == 0 else out
-    return checked
+    return lambda theta: _scalar(fn(_check_profile(theta, lo, hi, what)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +237,12 @@ def _pmf_fisher(p, dp):
     return terms.sum(axis=-1)
 
 
-def _energy_density_score(y, theta):
-    # Density of y~ = 2|x+z|^2 given theta = |x| and its score, from one
-    # scaled-Bessel evaluation at s = theta sqrt(2 y~):
-    # density 0.5 * exp(-(sqrt(y~) - sqrt(2) theta)^2 / 2) * i0e(s),
-    # score -2 theta + sqrt(2 y~) i1e(s) / i0e(s).
-    root = np.sqrt(2.0 * y)
-    s = theta * root
+def _energy_score(t, r):
+    # i0e(s) and the score -2 theta + sqrt(2) r i1e(s) / i0e(s) at s = sqrt(2) theta r, given
+    # theta = t and the amplitude r = sqrt(2|y|^2), from one scaled-Bessel evaluation
+    s = math.sqrt(2.0) * t * r
     i0, i1 = _bessel_i01e(s)
-    expo = -0.5 * (np.sqrt(y) - math.sqrt(2.0) * theta) ** 2
-    ratio = np.where(s > 0.0, i1 / i0, 0.0)
-    return 0.5 * np.exp(expo) * i0, -2.0 * theta + root * ratio
+    return i0, -2.0 * t + math.sqrt(2.0) * r * np.where(s > 0.0, i1 / i0, 0.0)
 
 
 # Energy detection's rule: 12 equal 15-node Gauss-Legendre panels on [0, 1], mapped onto
@@ -269,9 +263,7 @@ def _fisher_energy(th):
         span = _ENERGY_Z - lo
         z = lo + span * _ENERGY_NODES
         r = z + math.sqrt(2.0) * t
-        s = math.sqrt(2.0) * t * r
-        i0, i1 = _bessel_i01e(s)
-        score = -2.0 * t + math.sqrt(2.0) * r * np.where(s > 0.0, i1 / i0, 0.0)
+        i0, score = _energy_score(t, r)
         terms = score * score * np.exp(-0.5 * z * z) * i0 * r * _ENERGY_WEIGHTS
         j[k:k + _ENERGY_CHUNK] = terms.sum(axis=-1) * span[:, 0]
     return j.reshape(th.shape)
@@ -483,10 +475,11 @@ def energy_detection_channel(peak):
 
     def logdensity_dtheta(y, theta):
         # y here is the scaled energy statistic 2|output|^2
-        yy = _reals(y, "energy_detection.output_logdensity_dtheta: y", 0.0)
-        density, score = _energy_density_score(yy, theta)
+        # density 0.5 exp(-(r - sqrt(2) theta)^2 / 2) i0e(s) of y = r^2
+        r = np.sqrt(_reals(y, "energy_detection.output_logdensity_dtheta: y", 0.0))
+        i0, score = _energy_score(theta, r)
         with np.errstate(divide="ignore"):
-            logp = np.log(density)  # -inf far in the tail
+            logp = np.log(0.5 * np.exp(-0.5 * (r - math.sqrt(2.0) * theta) ** 2) * i0)  # -inf far in the tail
         return logp, score
 
     A = _real(peak, "energy_detection_channel: peak", 0.0, error=ValidationError)

@@ -165,6 +165,9 @@ def _cmd_capacity(args, channel):
 
 
 def _cmd_constellation(args, channel):
+    if channel.param_space.shape == "ball":
+        raise DomainError("constellation: a ball channel's design is a set of radii; "
+                          "use the library's radial_constellation_isotropic with a direction set")
     if args.mode == "jeffreys":
         c = _con.jeffreys_constellation(channel, args.P, args.M)
     elif args.mode == "pam":
@@ -173,7 +176,8 @@ def _cmd_constellation(args, channel):
         s = _jef.solve_lambda_star(channel, args.P)
         poly = _con.fit_poly_density(channel, s.lambda_star, args.degree)
         c = _con.approx_jeffreys_constellation(poly, args.P, args.M)
-    return _con.constellation_to_csv(c)
+    return _csv(["index", "point (input units)", "probability"],
+                [(i, float(x), float(w)) for i, (x, w) in enumerate(zip(c.points, c.probs))])
 
 
 def _cmd_fit_poly(args, channel):

@@ -2,7 +2,9 @@
 
 The exact design pushes a midpoint grid on [0, 1] through the inverse
 prior cdf (a compander) in one array call, then rescales so the average
-power budget holds.  When the cdf has no closed form, a polynomial
+power budget holds.  Ball channels get a radius-times-direction design
+on a caller's direction set; the CLI, whose CSV has one point column,
+refuses them.  When the cdf has no closed form, a polynomial
 density is fitted to the prior by Newton descent on the KL divergence
 with a logarithmic barrier enforcing positivity; its closed-form cdf
 inverts a whole grid with the same safeguarded Newton solver as the prior's.
@@ -19,11 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import DiscreteInput, _power_per_point
+from .channels import DiscreteInput, _check_profile, _power_per_point
 from .errors import ConvergenceError, DomainError, PositivityError, ValidationError
 from .errors import _count, _real, _reals
-from .jeffreys import LN2, _compand, _like, invert_monotone, prior_cdf_inverse, solve_lambda_star
+from .jeffreys import LN2, _compand, invert_monotone, prior_cdf_inverse, solve_lambda_star
 from .quad import _midpoints, _row_dots
+from .specfun import _scalar
 
 _GRID_POINTS = 4097  # odd: the fit grid is integrated by composite Simpson
 _GAMMA_0, _GAMMA_MIN = 10.0, 1e-8  # first and last barrier weight
@@ -106,10 +109,10 @@ def _moment_integrals(degree, lo, hi):
 def poly_cdf(p, theta):
     """Closed-form cdf F(theta) = sum_i xi_i (theta^(i+1) - lo^(i+1)) / (i+1)."""
     lo, hi = p.support
-    t = _reals(theta, "poly_cdf: theta", lo - 1e-12, hi + 1e-12)
+    t = _check_profile(theta, lo, hi, "poly_cdf")
     i = np.arange(p.coeffs.size)
     terms = (t[..., None] ** (i + 1) - lo ** (i + 1)) / (i + 1)
-    return _like(t, np.clip(_row_dots(terms, p.coeffs), 0.0, 1.0))
+    return _scalar(np.clip(_row_dots(terms, p.coeffs), 0.0, 1.0))
 
 
 def poly_cdf_inverse(p, u):
@@ -333,22 +336,6 @@ def approx_jeffreys_constellation(p, P, M):
     """Constellation from the fitted polynomial cdf, same scaling rule."""
     M = _count(M, "approx_jeffreys_constellation: M", 2)
     return _scaled_constellation(poly_cdf_inverse(p, _midpoints(0.0, 1.0, M)), P)
-
-
-def constellation_to_csv(c):
-    """CSV text for a constellation: index, point component(s), probability."""
-    pts = np.asarray(c.points, dtype=float)
-    if pts.ndim == 1:
-        header = "index,point (input units),probability"
-        cols = [[f"{v:.17g}"] for v in pts]
-    else:
-        header = "index," + ",".join(
-            f"point_{k} (input units)" for k in range(pts.shape[1])) + ",probability"
-        cols = [[f"{v:.17g}" for v in row] for row in pts]
-    lines = [header]
-    for i, (comp, w) in enumerate(zip(cols, c.probs)):
-        lines.append(",".join([str(i), *comp, f"{w:.17g}"]))
-    return "\n".join(lines) + "\n"
 
 
 def radial_constellation_isotropic(channel, P, M_r, directions):

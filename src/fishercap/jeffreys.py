@@ -17,15 +17,16 @@ panel, keyed by the panel's ends (a, b); it calls the channel once per
 quadrature step, on the panels it lacks.  A tilt lambda is one array
 pass over the root partition, whose rows are kept per cut set: one
 exp2, one multiply and a 15-term sum per panel.  Its halves are the
-converged panels when the root meets the prior's tolerance (abs 1e-14,
-rel 1e-12); otherwise the quadrature bisects from it.  Every result
-depends only on (channel, lambda), never on earlier calls or on which
-panels shared a channel call.  The root partition
-is cut at theta_0 and at theta_0 + (end - theta_0)/2^k, k = 1, 2, ...,
-until the tilt across the innermost panels is at most ``_GRADE_BITS``
-bits, so the tilted peak is resolved however narrow it is; the costs at
-these cuts sit on one ladder per end, extended as tilts need deeper
-cuts.  From node sums alone the table gives:
+converged panels when the root meets the prior's tolerance (relative
+1e-12, with no absolute floor, so a weight that integrates to little
+is still resolved to its own scale); otherwise the quadrature bisects
+from it.  Every result depends only on (channel, lambda), never on
+earlier calls or on which panels shared a channel call.  The root
+partition is cut at theta_0 and at theta_0 + (end - theta_0)/2^k,
+k = 1, 2, ..., until the tilt across the innermost panels is at most
+``_GRADE_BITS`` bits, so the tilted peak is resolved however narrow it
+is; the costs at these cuts sit on one ladder per end, extended as
+tilts need deeper cuts.  From node sums alone the table gives:
 
 * log2 JF(lambda) = lambda (P - c_min) + log2 Z, with Z the integral of
   w_lambda, so JF itself is formed only when it fits a float;
@@ -58,11 +59,12 @@ prior at lambda* without tilting again.
 Tables are built at first use and kept in one LRU cache of at most
 ``_TABLE_CACHE_SIZE`` channels, keyed by channel identity.  The solve
 stores the root panels of its first two tilts, lambda = 0 and 1/P, with
-one channel call.  The last ``_TILT_MEMO_SIZE`` tilts are kept in one
-module-level dict keyed by (table, lambda), so ``jeffreys_factor`` then
-``average_cost``, or ``tilted_prior`` at a solved lambda*, tilt once.
-On the table, the memo would be a reference cycle (table, prior, table)
-that only the cycle collector frees.
+one channel call.  The last ``_TILT_MEMO_SIZE`` tilts used are kept in
+a second LRU cache, on ``_ProfileTable.tilt`` and shared by all tables,
+keyed by (table, lambda), so ``jeffreys_factor`` then ``average_cost``,
+or ``tilted_prior`` at a solved lambda*, tilt once.  On the table, the
+memo would be a reference cycle (table, prior, table) that only the
+cycle collector frees.
 """
 
 import math
@@ -71,19 +73,19 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .channels import _check_profile
 from .errors import ConvergenceError, DegenerateChannelError, RangeError, UnboundedTiltError, _real, _reals
 from .quad import NODES, WEIGHTS, QuadRule, _nodes, _quad, _Root, _row_dots
-from .specfun import log_gamma
+from .specfun import _scalar, log_gamma
 
 LN2 = math.log(2.0)
 
-_PRIOR_RULE = QuadRule(abs_tol=1e-14, rel_tol=1e-12)
+_PRIOR_RULE = QuadRule(abs_tol=0.0, rel_tol=1e-12)  # relative only: z may be tiny and still exact
 _TABLE_CACHE_SIZE = 8
 _GRADE_BITS = 8.0
 _MAX_DOUBLINGS = 200
 _M_TOL_REL = 1e-10  # lambda* meets |M(lambda*) - P| < _M_TOL_REL * P
 _TILT_MEMO_SIZE = 16
-_TILTS = {}  # (table, lambda) -> TiltedPrior, the last _TILT_MEMO_SIZE tilts evaluated
 
 # Row k, column j: (2k+1)/2 * w_j * P_k(x_j); maps the 15 node values of
 # a panel to the Legendre coefficients of their interpolant (exact, since
@@ -104,12 +106,6 @@ def _legendre(s):
     for k in range(1, 15):
         p.append(((2 * k + 1) * s * p[k] - k * p[k - 1]) / (k + 1))
     return np.stack(p, axis=-1)
-
-
-def _like(x, out):
-    """out in the shape of x: a float for a scalar x, else an array."""
-    out = np.reshape(out, np.shape(x))
-    return float(out) if out.ndim == 0 else out
 
 
 def invert_monotone(F_dF, target, lo, hi, x):
@@ -208,26 +204,21 @@ class _ProfileTable:
             self._roots[cuts] = [_Root(self.lo, self.hi, cuts), None]
         return self._roots[cuts]
 
+    @lru_cache(maxsize=_TILT_MEMO_SIZE)  # one cache for all tables, keyed by (table, lam)
     def tilt(self, lam):
-        """Converged panels of the weight at tilt lam, selected from the root; memoized."""
-        prior = _TILTS.get((self, lam))
-        if prior is None:
-            root, stored = entry = self._root(lam)
-            if stored is None:
-                stored = entry[1] = self._panel_values(root.a, root.b)
-            dcs = []  # cost - c_min on the panels of each values call, the root's first
+        """Converged panels of the weight at tilt lam, selected from the root; the last 16 are kept."""
+        root, stored = entry = self._root(lam)
+        if stored is None:
+            stored = entry[1] = self._panel_values(root.a, root.b)
+        dcs = []  # cost - c_min on the panels of each values call, the root's first
 
-            def values(a, b):
-                dc, root_det = self._panel_values(a, b) if dcs else stored
-                dcs.append(dc)
-                return np.exp2(-lam * dc) * root_det
+        def values(a, b):
+            dc, root_det = self._panel_values(a, b) if dcs else stored
+            dcs.append(dc)
+            return np.exp2(-lam * dc) * root_det
 
-            leaves = _quad(values, root, _PRIOR_RULE)
-            prior = TiltedPrior(self, lam, leaves, np.concatenate(dcs)[leaves.rows])
-            _TILTS[self, lam] = prior
-            while len(_TILTS) > _TILT_MEMO_SIZE:
-                _TILTS.pop(next(iter(_TILTS)), None)  # the oldest
-        return prior
+        leaves = _quad(values, root, _PRIOR_RULE)
+        return TiltedPrior(self, lam, leaves, np.concatenate(dcs)[leaves.rows])
 
 
 class TiltedPrior:
@@ -294,7 +285,7 @@ class TiltedPrior:
         flat = np.ravel(t)
         i = np.minimum(np.searchsorted(b, flat), b.size - 1)
         s = np.clip((2.0 * flat - a[i] - b[i]) / (b[i] - a[i]), -1.0, 1.0)
-        return _like(t, (cum[i] + self._panel_mass(i, s)[0]) / cum[-1])
+        return _scalar(np.reshape((cum[i] + self._panel_mass(i, s)[0]) / cum[-1], np.shape(t)))
 
     def inverse(self, u):
         cum, _ = self._cdf_table
@@ -304,7 +295,8 @@ class TiltedPrior:
         need = np.minimum(np.maximum(target - cum[i], 0.0), mass)
         s = invert_monotone(lambda s, k: self._panel_mass(i[k], s), need, -1.0, 1.0, 2.0 * need / mass - 1.0)
         a, b = self.leaves.a[i], self.leaves.b[i]
-        return _like(u, np.minimum(np.maximum(0.5 * (a + b) + 0.5 * (b - a) * s, a), b))
+        x = np.minimum(np.maximum(0.5 * (a + b) + 0.5 * (b - a) * s, a), b)
+        return _scalar(np.reshape(x, np.shape(u)))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -436,15 +428,15 @@ def solve_lambda_star(channel, P):
 
 def prior_cdf(prior, theta):
     """F(theta), the cdf of the profile density on [lo, hi]; a float or an array of theta's shape."""
-    t = _reals(theta, "prior_cdf: theta", prior.lo - 1e-12, prior.hi + 1e-12)
-    return _like(t, np.clip(prior.cdf(np.clip(t, prior.lo, prior.hi)), 0.0, 1.0))
+    t = _check_profile(theta, prior.lo, prior.hi, "prior_cdf")
+    return _scalar(np.clip(prior.cdf(np.clip(t, prior.lo, prior.hi)), 0.0, 1.0))
 
 
 def _compand(u, lo, hi, inverse):
     """inverse(v) at the v of u inside (0, 1), lo at u = 0 and hi at u = 1, in the shape of u."""
     x, inside = np.where(u == 0.0, lo, hi), (0.0 < u) & (u < 1.0)
     x[inside] = inverse(u[inside])
-    return _like(u, x)
+    return _scalar(x)
 
 
 def prior_cdf_inverse(prior, u):

@@ -43,7 +43,7 @@ import numpy as np
 
 from .channels import DiscreteInput
 from .errors import BudgetError, ConvergenceError, DomainError, ValidationError
-from .errors import _count, _probabilities, _real, _reals
+from .errors import _count, _probabilities, _reals
 from .quad import _midpoints, integrate_interval
 from .specfun import SQRT_2PI, log_gamma
 
@@ -52,6 +52,7 @@ _LOG_ZERO = -1e6  # stand-in for log 0; k * _LOG_ZERO stays finite, exp() is exa
 _BLOCK_TYPES = 1 << 12  # types per streamed block (M x 4096 doubles stay cache-sized)
 _SLICE_TOTALS = 32  # one slice copy costs about as much as gathering 140 columns, 32 of them a full block
 _BA_MAX_ITER = 10 ** 4
+_BA_TOL_BITS = 1e-9  # Blahut-Arimoto stops once its capacity bound gap is below this
 _SPAN_SIGMAS = 40.0  # the sample-mean MI integrates this many sigmas beyond the extreme points
 
 
@@ -259,12 +260,12 @@ def discretize_prior(prior, grid_size):
     return DiscreteInput(pts, w / total)
 
 
-def blahut_arimoto(channel, points, n_r, tol=1e-9, full_output=False):
+def blahut_arimoto(channel, points, n_r, full_output=False):
     """Capacity-achieving input weights over fixed points, via Blahut-Arimoto.
 
     Alternates the standard updates on the type-likelihood matrix until
-    the capacity upper/lower bound gap drops below ``tol`` bits (finite,
-    > 0), and raises ConvergenceError after 10,000 iterations.
+    the capacity upper/lower bound gap drops below 1e-9 bits, and raises
+    ConvergenceError after 10,000 iterations.
     Returns ``(DiscreteInput, bits)``; with ``full_output`` also a dict
     carrying the per-iteration bound gaps.
     """
@@ -272,7 +273,6 @@ def blahut_arimoto(channel, points, n_r, tol=1e-9, full_output=False):
     if pts.ndim != 1 or pts.size == 0:
         raise ValidationError("blahut_arimoto: points must be a nonempty 1-D array")
     n_r = _count(n_r, "blahut_arimoto: n_r", 1)
-    tol = _real(tol, "blahut_arimoto: tol", 0.0)
     pmf = _pmf_for_points(channel, pts)
     parts = pmf.shape[1]
     _check_budget(n_r, parts, pts.size)
@@ -298,7 +298,7 @@ def blahut_arimoto(channel, points, n_r, tol=1e-9, full_output=False):
     log_mix = np.empty(e.shape[1])  # log p_r(t) - log multinomial
     g_log_mix = np.empty(e.shape[1])
     gaps = []
-    nats_tol = tol * math.log(2.0)
+    nats_tol = _BA_TOL_BITS * math.log(2.0)
     c_low = 0.0
     for _ in range(_BA_MAX_ITER):
         r = np.exp(log_r)

@@ -1,15 +1,19 @@
 """One-dimensional adaptive quadrature.
 
-Globally adaptive composite Gauss-Legendre with 15-point panels.  ``quad``
-starts from one segment, [a, b]; a segment's error estimate is the
-difference between one panel over it and two panels over its halves,
-and the segment with the largest estimate is bisected until the summed
-estimate meets ``max(abs_tol, rel_tol * |value|)``, with abs_tol 1e-12
-and rel_tol 1e-10.  It returns the converged leaves (the half panels)
-with their nodes and integrand values, so callers can build on them;
-``integrate_interval`` is their sum.  Neither takes options.  Panel
-nodes never touch segment endpoints, so integrable endpoint
-singularities such as 1/sqrt(theta) are handled by refinement alone.
+Globally adaptive composite Gauss-Legendre with 15-point panels.
+``integrate_interval``, the one public integrator, starts from one
+segment, [a, b]; a segment's error estimate is the difference between
+one panel over it and two panels over its halves, and the segment with
+the largest estimate relative to the tolerance is bisected until the
+summed estimate meets ``max(abs_tol, rel_tol * |value|)``, with abs_tol
+1e-12 and rel_tol 1e-10.  It takes no options and returns the sum of
+the converged leaves (the half panels) with its error estimate; the
+private ``_quad`` returns the leaves themselves, with their nodes and
+integrand values, so the tilted prior can build on them.  A rule with
+abs_tol 0 is relative only; where the value is 0, segments rank by
+their error alone.  Panel nodes never touch segment endpoints, so
+integrable endpoint singularities such as 1/sqrt(theta) are handled by
+refinement alone.
 
 Each step is one integrand call: one for all initial segments (each a
 coarse panel and its two halves), then one per bisection (its four half
@@ -35,7 +39,7 @@ import numpy as np
 from .errors import DomainError, ToleranceError, _real
 
 NODES, WEIGHTS = np.polynomial.legendre.leggauss(15)
-_MAX_SUBDIVISIONS = 2 ** 14  # quad raises ToleranceError after this many bisections
+_MAX_SUBDIVISIONS = 2 ** 14  # _quad raises ToleranceError after this many bisections
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ DEFAULT_RULE = QuadRule(abs_tol=1e-12, rel_tol=1e-10)
 
 @dataclass(frozen=True, eq=False)
 class Leaves:
-    """Converged panels of one ``quad`` call, sorted left to right.
+    """Converged panels of one ``_quad`` call, sorted left to right.
 
     ``a``, ``b`` and ``half`` have shape (m,); ``x`` holds the nodes and
     ``values`` the integrand there, both shape (m, 15); ``sums`` holds
@@ -126,20 +130,8 @@ def _pointwise(f):
     return values
 
 
-def quad(f, a, b):
-    """Adaptive Gauss-Legendre over [a, b] (a < b); returns the converged ``Leaves``.
-
-    f is called once per step and must be pointwise (see the module
-    docstring).  Raises ToleranceError (carrying the best estimate) if
-    the tolerance is not met within ``_MAX_SUBDIVISIONS`` bisections.
-    """
-    a = _real(a, "quad: a")
-    b = _real(b, "quad: b", a)
-    return _quad(_pointwise(f), _Root(a, b, ()), DEFAULT_RULE)
-
-
 def _quad(values, root, rule):
-    """``quad`` from a ``_Root``; values(a, b) gives the (k, 15) values of the panels [a_i, b_i].
+    """Converged ``Leaves`` from a ``_Root``; values(a, b) gives the (k, 15) values of the panels [a_i, b_i].
 
     values is called first on the root's panels, then on the four half
     panels of each bisection.  When the root partition meets the
@@ -154,8 +146,9 @@ def _quad(values, root, rule):
         return [0.0, lo, hi, 0.5 * (lo + hi), row, left, right, fine, abs(coarse - fine)]
 
     def push(seg, value):
-        # largest error first
-        seg[0] = -float(seg[8] / tol(value))
+        # largest error relative to the tolerance first; by error alone where the tolerance is 0
+        t = tol(value)
+        seg[0] = -float(seg[8] / t if t else seg[8])
         heapq.heappush(heap, seg)
 
     a, b = root.a, root.b
@@ -197,16 +190,17 @@ def _quad(values, root, rule):
 
 
 def integrate_interval(f, a, b):
-    """Integrate the scalar f over [a, b]; returns the floats ``(value, err_est)`` of ``quad``'s leaves.
+    """Integrate the scalar f over [a, b]; returns the floats ``(value, err_est)`` of the converged leaves.
 
-    Raises ToleranceError (carrying the best estimate) if the tolerance
-    is not met within ``_MAX_SUBDIVISIONS`` bisections.
+    f is called once per step and must be pointwise (see the module
+    docstring).  Raises ToleranceError (carrying the best estimate) if
+    the tolerance is not met within ``_MAX_SUBDIVISIONS`` bisections.
     """
     a = _real(a, "integrate_interval: a")
     b = _real(b, "integrate_interval: b", a, closed=True)
     if a == b:
         return 0.0, 0.0
-    leaves = quad(f, a, b)
+    leaves = _quad(_pointwise(f), _Root(a, b, ()), DEFAULT_RULE)
     return leaves.value, leaves.err
 
 

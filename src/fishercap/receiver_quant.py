@@ -26,6 +26,7 @@ from .channels import _pmf_fisher
 from .errors import DomainError, ValidationError, _count, _real, _reals
 from .mutual_info import TypeIndex
 from .quad import _midpoints
+from .specfun import _scalar
 
 _SLOPE_FLOOR = 1e-15  # fit_loglog_slope drops e_L values below this (underflowed)
 _EL_CHUNK = 64  # e_L grid points per quantized_fisher call: a (64, L+1) cell block bounds memory
@@ -77,8 +78,7 @@ def bin_probs_and_dtheta(channel, q, theta):
 
 def quantized_fisher(channel, q, theta):
     """Fisher information of the binned output, sum of (dp)^2 / p over cells."""
-    j = _pmf_fisher(*bin_probs_and_dtheta(channel, q, theta))
-    return float(j) if np.ndim(theta) == 0 else j
+    return _scalar(_pmf_fisher(*bin_probs_and_dtheta(channel, q, theta)))
 
 
 def capacity_loss_eL(channel, q, grid_size=1025):
@@ -135,8 +135,7 @@ def approx_loglik(channel, q, type_index, theta):
     p, _ = bin_probs_and_dtheta(channel, q, theta)
     observed = counts > 0
     with np.errstate(divide="ignore"):  # log 0 = -inf, times a positive count stays -inf
-        ll = (np.log(p[..., observed]) * counts[observed]).sum(axis=-1)
-    return float(ll) if np.ndim(theta) == 0 else ll
+        return _scalar((np.log(p[..., observed]) * counts[observed]).sum(axis=-1))
 
 
 def ml_detect(channel, q, type_index, constellation):

@@ -1,7 +1,8 @@
 """Scalar special functions underlying every channel formula, in numpy only.
 
 All public functions accept a float or an ndarray and evaluate
-elementwise; scalar input gives scalar output.  Tail quantities are
+elementwise; scalar input gives a float (``_scalar``, the library's one
+helper for that).  Tail quantities are
 computed through the scaled complementary error function
 erfcx(x) = exp(x^2) erfc(x), so that arguments up to |x| ~ 38 keep full
 relative accuracy instead of collapsing through a ``1 - cdf``
@@ -197,11 +198,9 @@ def _e1(x):
     return np.where(small, series, np.exp(-xl) / (xl + 1.0 + f))
 
 
-def _maybe_scalar(x, *values):
-    if np.isscalar(x) or np.ndim(x) == 0:
-        out = tuple(float(v) for v in values)
-        return out[0] if len(out) == 1 else out
-    return values[0] if len(values) == 1 else values
+def _scalar(out):
+    """out, or a float where out is 0-d: the result of a scalar argument, on every public path."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def gauss_phi_q(x):
@@ -213,7 +212,7 @@ def gauss_phi_q(x):
     """
     a = _reals(x, "gauss_phi_q: x")
     phi = np.exp(-0.5 * a * a) / SQRT_2PI
-    return _maybe_scalar(x, phi, _q_pair(a)[0])
+    return _scalar(phi), _scalar(_q_pair(a)[0])
 
 
 def _q_abs(a):
@@ -261,23 +260,16 @@ def gauss_mass(a, b):
     """
     a, b = np.broadcast_arrays(_reals(a, "gauss_mass: a", finite=False),
                                _reals(b, "gauss_mass: b", finite=False))
-    q, qn = _q_pair(np.stack([a, b]))  # one tail pass over both edges
-    return _mass(a, b, (q[0], qn[0]), (q[1], qn[1]))
+    return _scalar(_cell_mass(np.stack([a, b], axis=-1))[..., 0])
 
 
 def _cell_mass(edges):
-    # gauss_mass(edges[..., :-1], edges[..., 1:]), one tail pass over the shared edges
-    q, qn = _q_pair(edges)
-    return _mass(edges[..., :-1], edges[..., 1:], (q[..., :-1], qn[..., :-1]),
-                 (q[..., 1:], qn[..., 1:]))
-
-
-def _mass(a, b, a_tails, b_tails):
-    (qa, qna), (qb, qnb) = a_tails, b_tails  # (Q(x), Q(-x)) at each edge
-    both_pos = qa - qb           # a >= 0: both tails small
-    both_neg = qnb - qna         # b <= 0: reflected tails small
-    straddle = 1.0 - qna - qb    # a < 0 < b: bulk cell
-    m = np.where(a >= 0, both_pos, np.where(b <= 0, both_neg, straddle))
+    # P(a < Z <= b) of the cells between consecutive edges (last axis), one tail pass over the shared edges
+    q, qn = _q_pair(edges)  # Q(x) and Q(-x) at each edge
+    both_pos = q[..., :-1] - q[..., 1:]          # a >= 0: both tails small
+    both_neg = qn[..., 1:] - qn[..., :-1]        # b <= 0: reflected tails small
+    straddle = 1.0 - qn[..., :-1] - q[..., 1:]   # a < 0 < b: bulk cell
+    m = np.where(edges[..., :-1] >= 0, both_pos, np.where(edges[..., 1:] <= 0, both_neg, straddle))
     return np.maximum(m, 0.0)
 
 
@@ -289,18 +281,17 @@ def bessel_i01_scaled(x):
     channel consumes.
     """
     a = _reals(x, "bessel_i01_scaled: x", 0.0)
-    return _maybe_scalar(x, *_bessel_i01e(a))
+    return tuple(map(_scalar, _bessel_i01e(a)))
 
 
 def exp_integral_e1(x):
     """Exponential integral E1(x) = integral_x^inf e^-t / t dt, x > 0."""
     a = _reals(x, "exp_integral_e1: x", math.ulp(0.0))
-    return _maybe_scalar(x, _e1(a))
+    return _scalar(_e1(a))
 
 
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
     a = _reals(x, "log_gamma: x", math.ulp(0.0))
-    return _maybe_scalar(x, np.fromiter(map(math.lgamma, a.ravel().tolist()), float,
-                                        a.size).reshape(a.shape))
+    return _scalar(np.fromiter(map(math.lgamma, a.ravel().tolist()), float, a.size).reshape(a.shape))
 

@@ -19,14 +19,24 @@ root of the determinant of the d x d matrix.  Each table names the JSON
 record of its channel and the spec callable it checks.  Regenerate the
 file with
 
-    python tests/reference_fisher.py --write
+    PYTHONPATH=src python tests/reference_fisher.py --write
+
+``fisher_energy`` is not an mpmath reference: it is energy detection's
+fixed Gauss-Legendre rule as the library computed it before the rule
+and the output log-density shared one density-and-score kernel, kept so
+that the shared kernel can be compared with it by ``==``.
 """
 
 import json
+import math
 import os
 import sys
 
+import numpy as np
 from mpmath import mp
+
+from fishercap.quad import NODES, WEIGHTS
+from fishercap.specfun import _bessel_i01e
 
 mp.dps = 60
 
@@ -48,6 +58,30 @@ def ref_energy_detection(theta):
     cuts = sorted({mp.mpf(0), peak + 45} | {peak + d for d in (-30, -12, -6, -2, 0, 2, 6, 12, 30)
                                             if peak + d > 0})
     return mp.quad(integrand, cuts, maxdegree=10)
+
+
+_ENERGY_Z, _ENERGY_PANELS = 10.0, 12
+_ENERGY_CHUNK = 1024
+_ENERGY_NODES = ((np.arange(_ENERGY_PANELS)[:, None] + 0.5 + 0.5 * NODES) / _ENERGY_PANELS).ravel()
+_ENERGY_WEIGHTS = np.tile(0.5 * WEIGHTS / _ENERGY_PANELS, _ENERGY_PANELS)
+
+
+def fisher_energy(th):
+    """Energy detection's J at the float array th, with its own density and score inline."""
+    flat = np.ravel(th)
+    j = np.empty(flat.size)
+    for k in range(0, flat.size, _ENERGY_CHUNK):
+        t = flat[k:k + _ENERGY_CHUNK, None]
+        lo = np.maximum(-math.sqrt(2.0) * t, -_ENERGY_Z)
+        span = _ENERGY_Z - lo
+        z = lo + span * _ENERGY_NODES
+        r = z + math.sqrt(2.0) * t
+        s = math.sqrt(2.0) * t * r
+        i0, i1 = _bessel_i01e(s)
+        score = -2.0 * t + math.sqrt(2.0) * r * np.where(s > 0.0, i1 / i0, 0.0)
+        terms = score * score * np.exp(-0.5 * z * z) * i0 * r * _ENERGY_WEIGHTS
+        j[k:k + _ENERGY_CHUNK] = terms.sum(axis=-1) * span[:, 0]
+    return j.reshape(th.shape)
 
 
 def _upper(u):

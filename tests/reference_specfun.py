@@ -6,18 +6,36 @@ These implementations are deliberately independent of scipy: only the
 classical expansions evaluated in mpmath arbitrary-precision arithmetic
 (dps = 120).  Regenerate the tables with
 
-    python tests/reference_specfun.py --write
+    PYTHONPATH=src python tests/reference_specfun.py --write
+
+``gauss_mass`` is not an mpmath reference: it is the library's
+``gauss_mass`` as it was before it became the one-cell case of
+``_cell_mass``, kept so that the two can be compared by ``==``.
 """
 
 import json
 import os
 import sys
 
+import numpy as np
 from mpmath import mp
+
+from fishercap.errors import _reals
+from fishercap.specfun import _q_pair
 
 mp.dps = 120
 
 _DATA = os.path.join(os.path.dirname(__file__), "data", "specfun_oracle.json")
+
+
+def gauss_mass(a, b):
+    """P(a < Z <= b) from one tail pass over both edges, on the side of the deep tail."""
+    a, b = np.broadcast_arrays(_reals(a, "gauss_mass: a", finite=False),
+                               _reals(b, "gauss_mass: b", finite=False))
+    q, qn = _q_pair(np.stack([a, b]))
+    qa, qna, qb, qnb = q[0], qn[0], q[1], qn[1]
+    m = np.where(a >= 0, qa - qb, np.where(b <= 0, qnb - qna, 1.0 - qna - qb))
+    return np.maximum(m, 0.0)
 
 
 def ref_gauss_q(x):

@@ -139,15 +139,13 @@ def test_energy_detection_zero_input():
 
 
 def test_energy_detection_monte_carlo_oracle():
-    from fishercap.channels import _energy_density_score
-
     theta, h, n = 1.0, 1e-4, 2_000_000
     rng = np.random.default_rng(7)
     re = theta + rng.normal(0.0, math.sqrt(0.5), n)
     im = rng.normal(0.0, math.sqrt(0.5), n)
     yt = 2.0 * (re * re + im * im)
-    score = (np.log(_energy_density_score(yt, theta + h)[0])
-             - np.log(_energy_density_score(yt, theta - h)[0])) / (2.0 * h)
+    logdensity = ch.energy_detection_channel(2.0).output_logdensity_dtheta
+    score = (logdensity(yt, theta + h)[0] - logdensity(yt, theta - h)[0]) / (2.0 * h)
     s2 = score ** 2
     mc, se = s2.mean(), s2.std(ddof=1) / math.sqrt(n)
     assert abs(ch.energy_detection_channel(1.0).fisher(theta) - mc) < 3.0 * se

@@ -227,6 +227,27 @@ def test_record_field_the_kind_lacks_exits_invalid(argv, field, capsys):
     assert captured.out == "" and f"has no field '{field}'" in captured.err
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["theta,value", "0,0.5,0.5"], "not a constellation CSV"),
+    (["index,point (input units),probability", "0,-1,0.5", "", "1,0.5,1,0.5"], "scalar constellation points"),
+], ids=["no-index-header", "four-fields"])
+def test_mi_refuses_a_points_csv_it_cannot_read(rows, message, onebit_json, tmp_path, capsys):
+    pts = tmp_path / "points.csv"
+    pts.write_text("\n".join(rows) + "\n")
+    assert main(["mi", "--channel", onebit_json, "--nr", "4", "--points-csv", str(pts)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "invalid input" in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("grid", ["1:0:3", "0:1:0"], ids=["hi-below-lo", "count-0"])
+def test_bad_theta_grid_exits_invalid(grid, capsys):
+    assert main(["fisher", "--channel", '{"kind": "awgn", "A": 1}', f"--theta-grid={grid}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"bad grid argument {grid!r}" in captured.err
+
+
 def test_fisher_grid_of_one_is_the_centre(capsys):
     assert main(["fisher", "--channel", '{"kind": "awgn", "A": 1}', "--grid", "1"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")[1:]

@@ -8,6 +8,7 @@ import pytest
 
 import fishercap as fc
 from fishercap import constellation, jeffreys
+from fishercap.cli import main
 from fishercap.constellation import _GAMMAS, BarrierObjective, PolyFitInfo
 from fishercap.errors import (
     ConvergenceError,
@@ -417,26 +418,29 @@ def test_radial_validation(mimo, awgn):
         fc.radial_constellation_isotropic(mimo, 0.1, 4, np.zeros((0, 8)))
 
 
-def test_constellation_csv_export_scalar(awgn):
-    from fishercap.constellation import constellation_to_csv
-
-    c = fc.jeffreys_constellation(awgn, 0.5, 4)
-    text = constellation_to_csv(c)
-    lines = text.strip().split("\n")
+def test_constellation_csv_export_scalar(awgn, capsys):
+    # the CLI writes a design as index, point, probability rows
+    assert main(["constellation", "--channel", json.dumps(awgn.params), "--P", "0.5", "--M", "4"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "index,point (input units),probability"
     assert len(lines) == 5
     assert lines[1].split(",")[0] == "0"
+    c = fc.jeffreys_constellation(awgn, 0.5, 4)
+    assert [line.split(",")[1:] for line in lines[1:]] == [
+        [f"{x:.17g}", f"{w:.17g}"] for x, w in zip(c.points, c.probs)]
 
 
-def test_constellation_csv_export_vector(mimo):
-    from fishercap.constellation import constellation_to_csv
-
+def test_constellation_csv_export_vector(mimo, capsys):
+    # a ball design has d columns per point: the library gives it from a direction set, and the
+    # CLI, whose CSV holds one point column, refuses a ball channel in every mode
     d = np.zeros((2, 8))
     d[0, 0] = 1.0
     d[1, 1] = 1.0
     c = fc.radial_constellation_isotropic(mimo, 1.0 / 9.0, 2, d)
-    text = constellation_to_csv(c)
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("index,point_0") and "point_7" in lines[0]
-    assert len(lines) == 5
-    assert len(lines[1].split(",")) == 10  # index + 8 components + probability
+    assert c.points.shape == (4, 8) and c.probs.shape == (4,)
+    for mode in ("jeffreys", "pam", "poly"):
+        assert main(["constellation", "--channel", json.dumps(mimo.params), "--P", "0.1",
+                     "--M", "4", "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "radial_constellation_isotropic" in captured.err

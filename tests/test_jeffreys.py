@@ -260,6 +260,16 @@ def test_degenerate_channel_error():
         fc.tilted_prior(dead, 0.0)
 
 
+def test_small_normalization_is_resolved_to_relative_precision():
+    # z = integral of 2^(-0.3 theta^2) sqrt J(theta) over [-40, 40] on the 1-bit ADC with
+    # threshold 36 is about 8.5e-64, so an absolute floor in the prior's rule (1e-14 once)
+    # accepted a z 2.5e-10 off.  The value is mpmath's (dps 40, J from
+    # reference_fisher.ref_quantized_awgn, tanh-sinh on each panel), accepted because the
+    # partitions into panels of width 0.5 and 0.25 agreed to all 40 digits.
+    prior = fc.tilted_prior(fc.quantized_awgn_channel(40.0, [36.0]), 0.3)
+    assert prior.z == pytest.approx(8.539350324396467030728e-64, rel=1e-12, abs=0.0)
+
+
 def test_lambda_validation(awgn_unit):
     with pytest.raises(DomainError):
         fc.jeffreys_factor(awgn_unit, -1.0)

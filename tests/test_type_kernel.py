@@ -96,12 +96,13 @@ def test_ba_is_the_block_formula_bit_for_bit(case, n_r, chunk):
         want = ref.blahut_arimoto(mutual_info._log_pmf_matrix(pmf), n_r, 1e-6, chunk)
     except ConvergenceError:
         want = None
-    with mock.patch.object(mutual_info, "_BLOCK_TYPES", chunk):
+    with mock.patch.object(mutual_info, "_BLOCK_TYPES", chunk), \
+            mock.patch.object(mutual_info, "_BA_TOL_BITS", 1e-6):
         if want is None:
             with pytest.raises(ConvergenceError):
-                fc.blahut_arimoto(table, points, n_r, tol=1e-6)
+                fc.blahut_arimoto(table, points, n_r)
             return
-        dist, bits, info = fc.blahut_arimoto(table, points, n_r, tol=1e-6, full_output=True)
+        dist, bits, info = fc.blahut_arimoto(table, points, n_r, full_output=True)
     weights, want_bits, gaps = want
     assert bits == want_bits
     assert dist.probs.tobytes() == weights.tobytes()
