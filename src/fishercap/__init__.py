@@ -14,6 +14,7 @@ from .channels import (
     awgn_channel,
     channel_from_json,
     clipped_awgn_channel,
+    correlated_awgn_channel,
     dithered_onebit_channel,
     energy_detection_channel,
     mimo_imperfect_csi_channel,
@@ -65,7 +66,6 @@ from .mutual_info import (
 from .noniid import (
     Autocovariance,
     ar1_autocovariance,
-    correlated_awgn_channel,
     fisher_rate_finite,
     fisher_rate_limit,
     white_noise_autocovariance,

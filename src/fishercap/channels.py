@@ -35,9 +35,9 @@ the ``errors`` helper of each kind (``_real``, ``_count``,
 ``_probabilities``, and ``_reals`` for arrays such as thresholds), and
 states the channel's formula in its docstring.  Every spec callable
 that takes theta, ``cell_mass_dtheta`` and ``output_logdensity_dtheta``
-included, checks it once (``_check_profile``, which the prior and
-polynomial cdfs use too): it rejects a theta that is not finite or lies
-outside the parameter space; ``fisher``, ``sqrt_det_fisher`` and
+included, checks it once (``errors._check_profile``, which the prior
+and polynomial cdfs use too): it rejects a theta that is not finite or
+lies outside the parameter space; ``fisher``, ``sqrt_det_fisher`` and
 ``output_pmf`` return a float for a 0-d result.  Behind each callable
 is a private kernel that takes the checked theta array and the checked
 parameters and checks neither.  The one other per-call check is of the
@@ -58,10 +58,9 @@ It lives here, the lowest module that needs it.
 
 Channels can also be built from JSON records, e.g.
 ``{"kind": "quantized_awgn", "A": 1.0, "thresholds": [-1, 0, 1]}``;
-see ``channel_from_json`` for the full schema.
+``channel_from_json`` reads every kind, ``correlated_awgn`` included.
 """
 
-import json
 import math
 import sys
 from collections.abc import Callable
@@ -70,6 +69,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError, _count, _probabilities, _real, _reals
+from .errors import _check_profile, _from_record
+from .noniid import autocovariance_from_json, fisher_rate_limit
 from .quad import NODES, WEIGHTS
 from .specfun import SQRT_2PI, _bessel_i01e, _cell_mass, _gauss_tails, _phi_raw, _q_pair, _scalar, gauss_mass
 
@@ -174,10 +175,6 @@ class ChannelSpec:
                 raise ValidationError(f"ChannelSpec {self.kind!r}: a ball space needs sqrt_det_fisher")
             fisher = self.fisher
             object.__setattr__(self, "sqrt_det_fisher", lambda t: np.sqrt(fisher(t)))
-
-
-def _check_profile(theta, lo, hi, what):
-    return _reals(theta, f"{what}: theta", lo - 1e-12, hi + 1e-12)
 
 
 def _on_space(fn, lo, hi, what):
@@ -605,6 +602,21 @@ def dithered_onebit_channel(peak, dither):
     )
 
 
+def correlated_awgn_channel(peak, acov):
+    """AWGN on [-A, A] under stationary correlated noise: J(theta) = fisher_rate_limit(acov).
+
+    J is constant, so only the capacity offset tracks the correlation.
+    ``params`` carry ``acov.record``, so an acov without one is refused.
+    """
+    A = _real(peak, "correlated_awgn_channel: peak", 0.0, error=ValidationError)
+    if acov.record is None:
+        raise ValidationError("correlated_awgn_channel: acov needs a record; build it with "
+                              "white_noise_autocovariance, ar1_autocovariance or autocovariance_from_json")
+    rate = fisher_rate_limit(acov)
+    return _interval_channel("correlated_awgn", A, -A, lambda t: np.full_like(t, rate),
+                             {"acov": acov.record})
+
+
 # ---------------------------------------------------------------------------
 # JSON ingestion
 # ---------------------------------------------------------------------------
@@ -612,8 +624,7 @@ def dithered_onebit_channel(peak, dither):
 # kind -> (fields, builder of a ChannelSpec from its JSON record).  A field
 # "x?" is optional and "x.y" is field y of the object x.  The builders look
 # the constructors up when called, so a constructor rebound on this module
-# is the one used.  ``noniid`` adds "correlated_awgn" on import: it imports
-# this module, so this module cannot import it back.
+# is the one used.
 CHANNEL_BUILDERS = {
     "awgn": (("A",), lambda r: awgn_channel(r["A"])),
     "clipped_awgn": (("A", "B"), lambda r: clipped_awgn_channel(r["A"], r["B"])),
@@ -628,6 +639,8 @@ CHANNEL_BUILDERS = {
                                           (r["mu"]["values"], r["mu"]["probs"]))),
     "dithered_onebit": (("A", "points", "weights?"), lambda r: dithered_onebit_channel(
         r["A"], DiscreteInput(r["points"], r["weights"]) if "weights" in r else r["points"])),
+    "correlated_awgn": (("A", "acov"), lambda r: correlated_awgn_channel(
+        r["A"], autocovariance_from_json(r["acov"]))),
 }
 
 
@@ -648,43 +661,3 @@ def channel_from_json(record):
     * ``correlated_awgn``: A, acov (an ``autocovariance_from_json`` record)
     """
     return _from_record(CHANNEL_BUILDERS, record, "channel_from_json")
-
-
-def _from_record(builders, record, what):
-    """The kind's builder (``builders[kind]``) applied to a JSON record (dict or JSON string).
-
-    A malformed record raises ValidationError: bad JSON, not an object,
-    an unknown kind, a field the kind does not have, or a field that is
-    missing (KeyError) or of the wrong type (TypeError) for the kind's
-    builder.
-    """
-    if isinstance(record, (str, bytes)):
-        try:
-            record = json.loads(record)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{what}: invalid JSON ({e})") from e
-    if not isinstance(record, dict):
-        raise ValidationError(f"{what}: expected a JSON object")
-    kind = record.get("kind")
-    if not isinstance(kind, str) or kind not in builders:
-        raise ValidationError(f"{what}: unknown kind {kind!r}")
-    fields, build = builders[kind]
-    _check_fields(record, ("kind", *fields), f"{what}: kind {kind!r}")
-    try:
-        return build(record)
-    except KeyError as e:
-        raise ValidationError(f"{what}: kind {kind!r} is missing field {e}") from e
-    except TypeError as e:
-        raise ValidationError(f"{what}: kind {kind!r} has a field of the wrong type ({e})") from e
-
-
-def _check_fields(record, fields, what):
-    """Refuse a field of the record object that is not in ``fields`` (see CHANNEL_BUILDERS)."""
-    names = {f.split(".")[0].rstrip("?") for f in fields}
-    for name, value in record.items():
-        if name not in names:
-            raise ValidationError(f"{what} has no field {name!r} (its fields: {', '.join(fields)})")
-        if isinstance(value, dict):  # an object with fields x.y checks them in turn
-            inner = [f.partition(".")[2] for f in fields if f.startswith(f"{name}.")]
-            if inner:
-                _check_fields(value, inner, f"{what}, object {name!r},")

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import DiscreteInput, _check_profile, _power_per_point
+from .channels import DiscreteInput, _power_per_point
 from .errors import ConvergenceError, DomainError, PositivityError, ValidationError
-from .errors import _count, _real, _reals
+from .errors import _check_profile, _count, _real, _reals
 from .jeffreys import LN2, _compand, invert_monotone, prior_cdf_inverse, solve_lambda_star
 from .quad import _midpoints, _row_dots
 from .specfun import _scalar

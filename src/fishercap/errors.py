@@ -19,8 +19,12 @@ A value of the wrong type raises ValidationError, as does a malformed
 probability vector.  A value of the right type outside its range raises
 the site's ``error`` (DomainError unless the site passes another), so
 each site keeps the exception class it has always raised.
+
+``_check_profile`` is the ``_reals`` of a theta in a parameter space, and
+``_from_record`` reads a channel's or an autocovariance's JSON record.
 """
 
+import json
 import math
 import reprlib
 import sys
@@ -149,3 +153,47 @@ def _probabilities(p, what, tol):
     except ValidationError:
         pass
     raise ValidationError(f"{what} must be a probability vector")
+
+
+def _check_profile(theta, lo, hi, what):
+    return _reals(theta, f"{what}: theta", lo - 1e-12, hi + 1e-12)
+
+
+def _from_record(builders, record, what):
+    """The kind's builder (``builders[kind]``) applied to a JSON record (dict or JSON string).
+
+    A malformed record raises ValidationError: bad JSON, not an object,
+    an unknown kind, a field the kind does not have, or a field that is
+    missing (KeyError) or of the wrong type (TypeError) for the kind's
+    builder.
+    """
+    if isinstance(record, (str, bytes)):
+        try:
+            record = json.loads(record)
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"{what}: invalid JSON ({e})") from e
+    if not isinstance(record, dict):
+        raise ValidationError(f"{what}: expected a JSON object")
+    kind = record.get("kind")
+    if not isinstance(kind, str) or kind not in builders:
+        raise ValidationError(f"{what}: unknown kind {kind!r}")
+    fields, build = builders[kind]
+    _check_fields(record, ("kind", *fields), f"{what}: kind {kind!r}")
+    try:
+        return build(record)
+    except KeyError as e:
+        raise ValidationError(f"{what}: kind {kind!r} is missing field {e}") from e
+    except TypeError as e:
+        raise ValidationError(f"{what}: kind {kind!r} has a field of the wrong type ({e})") from e
+
+
+def _check_fields(record, fields, what):
+    """Refuse a field of the record object that is not in ``fields`` (see channels.CHANNEL_BUILDERS)."""
+    names = {f.split(".")[0].rstrip("?") for f in fields}
+    for name, value in record.items():
+        if name not in names:
+            raise ValidationError(f"{what} has no field {name!r} (its fields: {', '.join(fields)})")
+        if isinstance(value, dict):  # an object with fields x.y checks them in turn
+            inner = [f.partition(".")[2] for f in fields if f.startswith(f"{name}.")]
+            if inner:
+                _check_fields(value, inner, f"{what}, object {name!r},")

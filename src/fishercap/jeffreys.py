@@ -73,8 +73,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channels import _check_profile
-from .errors import ConvergenceError, DegenerateChannelError, RangeError, UnboundedTiltError, _real, _reals
+from .errors import ConvergenceError, DegenerateChannelError, RangeError, UnboundedTiltError
+from .errors import _check_profile, _real, _reals
 from .quad import NODES, WEIGHTS, QuadRule, _nodes, _quad, _Root, _row_dots
 from .specfun import _scalar, log_gamma
 

@@ -6,7 +6,7 @@ autocovariance gamma(k), the n-output Fisher information is
 converges to 1 / sum_k gamma(k), the reciprocal of the spectral density
 at frequency zero (times 2 pi).  Because the limit is constant in
 theta, the tilted prior is untouched by the correlation; only the
-capacity offset moves.
+capacity offset moves (``channels.correlated_awgn_channel``).
 """
 
 import math
@@ -14,18 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CHANNEL_BUILDERS, _from_record, _interval_channel
-from .errors import DomainError, ValidationError, _count, _real
-
-_MAX_TERMS = 10 ** 6  # terms of the numerical sum in fisher_rate_limit
+from .errors import DomainError, ValidationError, _count, _from_record, _real
 
 
 @dataclass(frozen=True, eq=False)
 class Autocovariance:
-    """Symmetric summable autocovariance gamma(k); series_sum = sum_k gamma(k).
+    """Symmetric summable autocovariance gamma(k) with its sum series_sum = sum_k gamma(k).
 
-    ``record`` is the ``autocovariance_from_json`` record it was built
-    from, when it has one.
+    gamma(0) and a given ``series_sum`` are checked here to be finite and
+    positive; ``record`` is the ``autocovariance_from_json`` record, if any.
     """
 
     gamma: callable
@@ -33,8 +30,9 @@ class Autocovariance:
     record: dict | None = None
 
     def __post_init__(self):
-        if self.gamma(0) <= 0:
-            raise ValidationError("Autocovariance: gamma(0) must be positive")
+        _real(self.gamma(0), "Autocovariance: gamma(0)", 0.0, error=ValidationError)
+        if self.series_sum is not None:
+            object.__setattr__(self, "series_sum", _real(self.series_sum, "Autocovariance: series_sum", 0.0))
 
 
 def white_noise_autocovariance(variance=1.0):
@@ -98,40 +96,10 @@ def _rate(terms, n):
 
 
 def fisher_rate_limit(acov):
-    """Limit 1 / sum_k gamma(k), summed numerically when no closed form is known."""
-    if acov.series_sum is not None:
-        total = float(acov.series_sum)
-    else:
-        total = float(acov.gamma(0))
-        converged = 0
-        for k in range(1, _MAX_TERMS + 1):
-            term = 2.0 * float(acov.gamma(k))
-            total += term
-            if abs(term) < 1e-15 * max(abs(total), 1.0):
-                converged += 1
-                if converged >= 8:
-                    break
-            else:
-                converged = 0
-        else:
-            raise DomainError("fisher_rate_limit: autocovariance does not appear summable")
-    if not total > 0:
-        raise DomainError("fisher_rate_limit: sum of gamma must be positive")
-    return 1.0 / total
-
-
-def correlated_awgn_channel(peak, acov):
-    """Effective per-antenna channel once the noise correlation is folded in.
-
-    Fisher information is the (theta-independent) rate limit, so the
-    tilted prior coincides with the white-noise one while the capacity
-    offset tracks the correlation.  ``params`` carry ``acov.record``, so
-    ``channel_from_json(channel.params)`` rebuilds the channel.
-    """
-    A = _real(peak, "correlated_awgn_channel: peak", 0.0, error=ValidationError)
-    rate = fisher_rate_limit(acov)
-    return _interval_channel("correlated_awgn", A, -A, lambda t: np.full_like(t, rate),
-                             {"acov": acov.record})
+    """Limit 1 / sum_k gamma(k) of the finite rates, from ``acov.series_sum``; nothing is summed here."""
+    if acov.series_sum is None:
+        raise DomainError("fisher_rate_limit: the autocovariance states no series_sum")
+    return 1.0 / acov.series_sum
 
 
 _ACOV_BUILDERS = {  # kind -> (fields, builder), as channels.CHANNEL_BUILDERS
@@ -143,7 +111,3 @@ _ACOV_BUILDERS = {  # kind -> (fields, builder), as channels.CHANNEL_BUILDERS
 def autocovariance_from_json(record):
     """Parse {"kind": "white"|"ar1", ...} (dict or JSON string) into an Autocovariance."""
     return _from_record(_ACOV_BUILDERS, record, "autocovariance_from_json")
-
-
-CHANNEL_BUILDERS["correlated_awgn"] = (("A", "acov"), lambda r: correlated_awgn_channel(
-    r["A"], autocovariance_from_json(r["acov"])))

@@ -261,6 +261,19 @@ def test_exit_code_numerical_failure(awgn_json, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_mi_ba_stall_exits_numerical_failure(tmp_path, capsys):
+    # Blahut-Arimoto's 10,000-iteration cap on the 1-bit ADC with 16 points and 30 antennas
+    points = tmp_path / "points.csv"
+    rows = [f"{i},{x!r},{1 / 16!r}" for i, x in enumerate(np.linspace(-6.0, 6.0, 16).tolist())]
+    points.write_text("\n".join(["index,point,probability", *rows]) + "\n")
+    rc = main(["mi", "--channel", '{"kind": "quantized_awgn", "A": 6, "thresholds": [0]}',
+               "--nr", "30", "--points-csv", str(points), "--ba"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "fishercap mi: numerical failure: blahut_arimoto: bound gap" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_mi_requires_exactly_one_source(onebit_json, capsys):
     assert main(["mi", "--channel", onebit_json, "--nr", "4"]) == 1
     assert main(["mi", "--channel", onebit_json, "--nr", "4",

@@ -96,6 +96,12 @@ INVALID_CALLS = {
     "ba_vector_points": lambda: fc.blahut_arimoto(_onebit(), [[-1.0], [1.0]], 3),
     "ba_no_points": lambda: fc.blahut_arimoto(_onebit(), [], 3),
     "rate_limit_sum_0": lambda: fc.fisher_rate_limit(fc.Autocovariance(lambda k: 1.0, series_sum=0.0)),
+    "series_sum_string": lambda: fc.Autocovariance(lambda k: 1.0, series_sum="3"),
+    "series_sum_nan": lambda: fc.Autocovariance(lambda k: 1.0, series_sum=math.nan),
+    "series_sum_inf": lambda: fc.Autocovariance(lambda k: 1.0, series_sum=math.inf),
+    "series_sum_0": lambda: fc.Autocovariance(lambda k: 1.0, series_sum=0),
+    "series_sum_negative": lambda: fc.Autocovariance(lambda k: 1.0, series_sum=-1.0),
+    "gamma_0_nan": lambda: fc.Autocovariance(lambda k: math.nan),
     "type_from_no_samples": lambda: fc.type_from_samples(_quantizer(), []),
     "type_from_2d_samples": lambda: fc.type_from_samples(_quantizer(), [[0.1, 0.2]]),
     "approx_loglik_type_length": lambda: fc.approx_loglik(
@@ -112,6 +118,16 @@ INVALID_CALLS = {
 def test_invalid_inputs_raise(call):
     with pytest.raises((DomainError, ValidationError)):
         call()
+
+
+def test_autocovariance_refusals_keep_their_classes():
+    # a value that is not a number is malformed; a number out of range lies outside the domain,
+    # except gamma(0), whose refusal has always been a ValidationError
+    for name, error in (("series_sum_string", ValidationError), ("series_sum_nan", DomainError),
+                        ("series_sum_inf", DomainError), ("series_sum_0", DomainError),
+                        ("series_sum_negative", DomainError), ("gamma_0_nan", ValidationError)):
+        with pytest.raises(error, match="^Autocovariance: need a "):
+            INVALID_CALLS[name]()
 
 
 # An array u is checked once, entry by entry, with the classes of a scalar u.

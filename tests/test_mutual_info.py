@@ -6,7 +6,7 @@ from scipy.special import gammaln
 
 import fishercap as fc
 from fishercap import mutual_info
-from fishercap.errors import BudgetError, DomainError, ValidationError
+from fishercap.errors import BudgetError, ConvergenceError, DomainError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,28 @@ def test_discretize_prior_needs_an_integer(onebit):
     assert fc.discretize_prior(prior, np.int64(3)).points.tolist() == pytest.approx([-4 / 3, 0.0, 4 / 3])
 
 
+def _custom_prior(sqrt_det_fisher):
+    # a prior-like object on [-1, 1] whose density is sqrt_det_fisher normalized
+    space = fc.ParameterSpace.interval(-1.0, 1.0)
+    spec = fc.ChannelSpec("custom", space, fisher=np.ones_like, sqrt_det_fisher=sqrt_det_fisher)
+    return fc.tilted_prior(spec, 0.0)
+
+
+def test_discretize_prior_refuses_a_negative_density():
+    # sqrt det J below 0 on [-1, -0.5): the integral is positive, the density is not
+    prior = _custom_prior(lambda t: t + 0.5)
+    with pytest.raises(DomainError, match="^discretize_prior: negative density$"):
+        fc.discretize_prior(prior, 8)
+
+
+def test_discretize_prior_refuses_a_density_zero_on_the_grid():
+    # a bump of mass 1/16 at 0, between the midpoints -0.5 and 0.5 of a two-point grid
+    prior = _custom_prior(lambda t: np.maximum(0.0, 0.25 - np.abs(t)))
+    with pytest.raises(DomainError, match="^discretize_prior: density vanishes on the grid$"):
+        fc.discretize_prior(prior, 2)
+    assert fc.discretize_prior(prior, 3).probs.tolist() == [0.0, 1.0, 0.0]
+
+
 def test_prior_grid_smoke_envelope():
     channel = fc.quantized_awgn_channel(2.0, [0.0])
     P = 4.0 / 9.0
@@ -159,6 +181,15 @@ def test_ba_gap_monotone(onebit, monkeypatch):
     _, _, info = fc.blahut_arimoto(onebit, np.linspace(-2, 2, 9), 12, full_output=True)
     gaps = info["gaps_bits"]
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+
+def test_ba_stall_raises_convergence_error():
+    # 16 points on [-6, 6] through the 1-bit ADC at 30 antennas still have a bound gap
+    # of about 2e-5 bits after the 10,000 iterations
+    channel = fc.quantized_awgn_channel(6.0, [0.0])
+    stall = r"^blahut_arimoto: bound gap 2\.\d+e-05 bits after 10000 iterations$"
+    with pytest.raises(ConvergenceError, match=stall):
+        fc.blahut_arimoto(channel, np.linspace(-6.0, 6.0, 16), 30)
 
 
 # --- Gaussian sufficient statistic -------------------------------------------

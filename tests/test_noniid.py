@@ -38,15 +38,19 @@ def test_limit_scales_inversely_with_noise():
                                                          rel=1e-14)
 
 
-def test_numeric_series_summation():
-    acov = fc.Autocovariance(gamma=lambda k: 0.5 ** abs(k))
-    assert fc.fisher_rate_limit(acov) == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-
 def test_nonsummable_autocovariance_rejected():
+    # the limit is read from series_sum, never summed: an autocovariance without one has none
     acov = fc.Autocovariance(gamma=lambda k: 1.0 / (abs(k) + 1.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^fisher_rate_limit: the autocovariance states no series_sum$"):
         fc.fisher_rate_limit(acov)
+
+
+def test_correlated_channel_needs_a_record():
+    # params must rebuild the channel, so an autocovariance without a record is refused
+    acov = fc.Autocovariance(gamma=lambda k: 0.5 ** abs(k), series_sum=3.0)
+    with pytest.raises(ValidationError, match="white_noise_autocovariance, ar1_autocovariance or "
+                                              "autocovariance_from_json"):
+        fc.correlated_awgn_channel(1.0, acov)
 
 
 def test_constant_autocovariance_not_pd():
