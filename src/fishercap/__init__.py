@@ -56,7 +56,6 @@ from .jeffreys import (
     tilted_prior,
 )
 from .mutual_info import (
-    TypeIndex,
     blahut_arimoto,
     discretize_prior,
     mi_finite_output,
@@ -74,6 +73,7 @@ from .quad import integrate_interval
 from .receiver_quant import (
     Quantizer1D,
     ScalingResult,
+    TypeIndex,
     approx_loglik,
     bin_probs_and_dtheta,
     build_quantizer,

@@ -31,8 +31,8 @@ score from one kernel, ``_energy_score``.
 
 A channel is evaluated through its spec only, and each check lives in
 one place.  The constructor checks the channel's parameters, once, with
-the ``errors`` helper of each kind (``_real``, ``_count``,
-``_probabilities``, and ``_reals`` for arrays such as thresholds), and
+the ``errors`` helpers (``_real``, ``_count``, ``_probabilities``,
+``_reals``; an interval channel's peak in ``_interval_channel``), and
 states the channel's formula in its docstring.  Every spec callable
 that takes theta, ``cell_mass_dtheta`` and ``output_logdensity_dtheta``
 included, checks it once (``errors._check_profile``, which the prior
@@ -313,12 +313,14 @@ def _fisher_dithered(t, pts, w):
 # Channel constructors
 # ---------------------------------------------------------------------------
 
-def _interval_channel(kind, A, lo, fisher, params, **outputs):
-    """The spec on [lo, A] whose params are kind, A and ``params``; default cost and sqrt(J).
+def _interval_channel(kind, peak, fisher, params, *, signed, **outputs):
+    """The spec on [-A, A] if ``signed``, else [0, A], with params kind, A and ``params``.
 
-    Wraps ``fisher`` and every callable in ``outputs`` so that each takes
-    theta in [lo, A] only.  The constructor has checked the peak A.
+    Checks the peak A for every interval constructor and wraps ``fisher``
+    and every callable in ``outputs`` to take theta in the space only.
     """
+    A = _real(peak, f"{kind}_channel: peak", 0.0, error=ValidationError)
+    lo = -A if signed else 0.0
     for name in ("sqrt_det_fisher", "output_pmf"):
         if name in outputs:
             outputs[name] = _on_space(outputs[name], lo, A, f"{kind}.{name}")
@@ -340,14 +342,13 @@ def awgn_channel(peak):
 
     ``cell_mass_dtheta`` is the ADC's at the given cuts, which it checks.
     """
-    A = _real(peak, "awgn_channel: peak", 0.0, error=ValidationError)
 
     def logdensity_dtheta(y, theta):
         r = np.asarray(y, dtype=float) - theta
         return -0.5 * np.log(2.0 * np.pi) - 0.5 * r * r, r
 
     return _interval_channel(
-        "awgn", A, -A, np.ones_like, {},
+        "awgn", peak, np.ones_like, {}, signed=True,
         output_logdensity_dtheta=logdensity_dtheta,
         cell_mass_dtheta=lambda theta, cuts: _gauss_cells(_adc_edges(cuts) - theta[..., None]),
     )
@@ -360,7 +361,6 @@ def clipped_awgn_channel(peak, clip):
     (Q(s) + s phi(s) - phi(s)^2/Q(s)); the loss term vanishes as the
     clip level recedes.
     """
-    A = _real(peak, "clipped_awgn_channel: peak", 0.0, error=ValidationError)
     B = _real(clip, "clipped_awgn_channel: B", 0.0, error=ValidationError)
 
     def logdensity_dtheta(y, theta):
@@ -379,7 +379,7 @@ def clipped_awgn_channel(peak, clip):
         return logp, dlog
 
     return _interval_channel(
-        "clipped_awgn", A, -A, lambda t: _fisher_clipped(t, B), {"B": B},
+        "clipped_awgn", peak, lambda t: _fisher_clipped(t, B), {"B": B}, signed=True,
         output_logdensity_dtheta=logdensity_dtheta,
     )
 
@@ -393,7 +393,6 @@ def truncated_awgn_channel(peak, support_radius):
     a = -B - theta, b = B - theta and z = P(|y| < B | theta).  Needs z
     to be a normal float on all of [-A, A]; z is smallest at theta = +-A.
     """
-    A = _real(peak, "truncated_awgn_channel: peak", 0.0, error=ValidationError)
     B = _real(support_radius, "truncated_awgn_channel: B", 0.0, error=ValidationError)
 
     def _z_dz(t):
@@ -424,10 +423,11 @@ def truncated_awgn_channel(peak, support_radius):
         return (-0.5 * np.log(2.0 * np.pi) - 0.5 * r * r - np.log(z), r - dz / z)
 
     spec = _interval_channel(
-        "truncated_awgn", A, -A, fisher, {"B": B},
+        "truncated_awgn", peak, fisher, {"B": B}, signed=True,
         output_logdensity_dtheta=logdensity_dtheta,
         cell_mass_dtheta=cell_mass_dtheta,
     )
+    A = spec.param_space.profile_bounds[1]
     if not _cell_mass(np.array([-B - A, B - A]))[0] >= sys.float_info.min:  # z at theta = A
         raise ValidationError(
             f"truncated_awgn_channel: P(|y| < B) at theta = A is below the normal float range "
@@ -447,15 +447,14 @@ def quantized_awgn_channel(peak, thresholds):
     with phi(+-inf) = 0, Q(-inf) = 1, Q(inf) = 0.  Cells whose mass
     underflows contribute nothing.  The cell edges are built once, here.
     """
-    A = _real(peak, "quantized_awgn_channel: peak", 0.0, error=ValidationError)
     edges = _adc_edges(thresholds)
 
     def cells(t):
         return _gauss_cells(edges - t[..., None])
 
     return _interval_channel(
-        "quantized_awgn", A, -A, lambda t: _pmf_fisher(*cells(t)),
-        {"thresholds": edges[1:-1].tolist()},
+        "quantized_awgn", peak, lambda t: _pmf_fisher(*cells(t)),
+        {"thresholds": edges[1:-1].tolist()}, signed=True,
         alphabet_size=edges.size - 1,
         output_pmf=lambda t: cells(t)[0],
     )
@@ -481,9 +480,8 @@ def energy_detection_channel(peak):
         # a sum of logs, finite where the density itself underflows
         return math.log(0.5) - 0.5 * (r - math.sqrt(2.0) * theta) ** 2 + np.log(i0), score
 
-    A = _real(peak, "energy_detection_channel: peak", 0.0, error=ValidationError)
     return _interval_channel(
-        "energy_detection", A, 0.0, _fisher_energy, {},
+        "energy_detection", peak, _fisher_energy, {}, signed=False,
         output_logdensity_dtheta=logdensity_dtheta,
     )
 
@@ -535,11 +533,10 @@ def noncoherent_channel(peak, sigma2):
     sqrt(J) = 2 s t/(1+s t^2); J is formed as (2 s t/(1+s t^2))^2 where
     s^2 or the squared denominator overflows.
     """
-    A = _real(peak, "noncoherent_channel: peak", 0.0, error=ValidationError)
     sigma2 = _real(sigma2, "noncoherent_channel: sigma2", 0.0)
 
     return _interval_channel(
-        "noncoherent", A, 0.0, lambda t: _fisher_noncoherent(t, sigma2), {"sigma2": sigma2},
+        "noncoherent", peak, lambda t: _fisher_noncoherent(t, sigma2), {"sigma2": sigma2}, signed=False,
         sqrt_det_fisher=lambda t: 2.0 * sigma2 * t / (1.0 + sigma2 * t * t),
     )
 
@@ -552,14 +549,13 @@ def poisson_channel(peak, h_dist, mu_dist):
     receiver; ``fisher`` refuses a theta where h theta + mu = 0 on the
     support.
     """
-    A = _real(peak, "poisson_channel: peak", 0.0, error=ValidationError)
     hv, hp = _validate_discrete(h_dist, "poisson_channel h_dist")
     mv, mp = _validate_discrete(mu_dist, "poisson_channel mu_dist")
 
     return _interval_channel(
-        "poisson", A, 0.0, lambda t: _fisher_poisson(t, hv, hp, mv, mp),
+        "poisson", peak, lambda t: _fisher_poisson(t, hv, hp, mv, mp),
         {"h": {"values": hv.tolist(), "probs": hp.tolist()},
-         "mu": {"values": mv.tolist(), "probs": mp.tolist()}},
+         "mu": {"values": mv.tolist(), "probs": mp.tolist()}}, signed=False,
     )
 
 
@@ -578,7 +574,6 @@ def dithered_onebit_channel(peak, dither):
     equal probabilities 1/n, or a ``DiscreteInput`` of distinct scalar
     shifts with their probabilities.
     """
-    A = _real(peak, "dithered_onebit_channel: peak", 0.0, error=ValidationError)
     if not isinstance(dither, DiscreteInput):
         pts = _reals(dither, "dithered_onebit_channel: dither", error=ValidationError)
         if pts.ndim != 1 or pts.size == 0:
@@ -595,8 +590,8 @@ def dithered_onebit_channel(peak, dither):
         return stacked.reshape(th.shape + (2 * pts.size,))
 
     return _interval_channel(
-        "dithered_onebit", A, -A, lambda t: _fisher_dithered(t, pts, w),
-        {"points": pts.tolist(), "weights": w.tolist()},
+        "dithered_onebit", peak, lambda t: _fisher_dithered(t, pts, w),
+        {"points": pts.tolist(), "weights": w.tolist()}, signed=True,
         alphabet_size=2 * pts.size,
         output_pmf=pmf,
     )
@@ -608,13 +603,12 @@ def correlated_awgn_channel(peak, acov):
     J is constant, so only the capacity offset tracks the correlation.
     ``params`` carry ``acov.record``, so an acov without one is refused.
     """
-    A = _real(peak, "correlated_awgn_channel: peak", 0.0, error=ValidationError)
     if acov.record is None:
         raise ValidationError("correlated_awgn_channel: acov needs a record; build it with "
                               "white_noise_autocovariance, ar1_autocovariance or autocovariance_from_json")
     rate = fisher_rate_limit(acov)
-    return _interval_channel("correlated_awgn", A, -A, lambda t: np.full_like(t, rate),
-                             {"acov": acov.record})
+    return _interval_channel("correlated_awgn", peak, lambda t: np.full_like(t, rate),
+                             {"acov": acov.record}, signed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .errors import (
     ConvergenceError,
     DegenerateChannelError,
     DomainError,
-    PositivityError,
     RangeError,
     ToleranceError,
     UnboundedTiltError,
@@ -34,12 +33,11 @@ from .errors import (
 )
 from .quad import _midpoints
 
-# TypeError: the channel lacks the output model the command needs (e.g. mi on awgn)
-_VALIDATION_ERRORS = (ValidationError, DomainError, PositivityError, ValueError,
-                      KeyError, TypeError, OSError, json.JSONDecodeError)
+# ValueError covers the library's refusals and bad JSON, TypeError a channel without the output
+# model a command needs (mi on awgn); numerical is tried first, DegenerateChannelError is a ValueError
+_VALIDATION_ERRORS = (ValueError, KeyError, TypeError, OSError)
 _NUMERICAL_ERRORS = (ToleranceError, ConvergenceError, UnboundedTiltError,
-                     BudgetError, DegenerateChannelError, RangeError, FloatingPointError,
-                     np.linalg.LinAlgError)
+                     BudgetError, DegenerateChannelError, RangeError, np.linalg.LinAlgError)
 
 
 def _fmt(x):
@@ -251,10 +249,7 @@ def _cmd_fisher_rate(args, channel):
     n_list = _parse_int_list(args.n_list)
     acov = _ni.autocovariance_from_json(_load_json_arg(args.acov))
     limit = _ni.fisher_rate_limit(acov)
-    n_list = [_count(n, "fisher_rate_finite: n", 1) for n in n_list]
-    # one recursion up to the largest n serves the whole ladder
-    terms = _ni._levinson_terms(acov, max(n_list, default=1))
-    rows = [(n, _ni._rate(terms, n), float(limit)) for n in n_list]
+    rows = [(n, rate, float(limit)) for n, rate in zip(n_list, _ni._rates(acov, n_list))]
     return _csv(["n (outputs)", "fisher_rate (per noise power)", "limit (per noise power)"], rows)
 
 

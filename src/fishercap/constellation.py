@@ -110,9 +110,12 @@ def _monomial_integrals(lo, x, n):
 
 def poly_cdf(p, theta):
     """Closed-form cdf F(theta) = sum_i xi_i (theta^(i+1) - lo^(i+1)) / (i+1)."""
-    lo, hi = p.support
-    t = _check_profile(theta, lo, hi, "poly_cdf")
-    return _scalar(np.clip(_row_dots(_monomial_integrals(lo, t, p.coeffs.size), p.coeffs), 0.0, 1.0))
+    return _scalar(_poly_cdf(p, _check_profile(theta, *p.support, "poly_cdf")))
+
+
+def _poly_cdf(p, t):
+    # poly_cdf at a checked theta array: the monomial sum, clipped to [0, 1]
+    return np.clip(_row_dots(_monomial_integrals(p.support[0], t, p.coeffs.size), p.coeffs), 0.0, 1.0)
 
 
 def poly_cdf_inverse(p, u):
@@ -120,7 +123,7 @@ def poly_cdf_inverse(p, u):
     lo, hi = p.support
 
     def solve(v):
-        return invert_monotone(lambda t, k: (poly_cdf(p, t), p.pdf(t)), v, lo, hi, lo + v * (hi - lo))
+        return invert_monotone(lambda t, k: (_poly_cdf(p, t), p.pdf(t)), v, lo, hi, lo + v * (hi - lo))
 
     return _compand(_reals(u, "poly_cdf_inverse: u", 0.0, 1.0), lo, hi, solve)
 

@@ -47,10 +47,9 @@ class ValidationError(FisherCapError, ValueError):
 class ToleranceError(FisherCapError, RuntimeError):
     """Quadrature failed to meet its tolerance; carries the best estimate."""
 
-    def __init__(self, message, best=None, err_est=None):
+    def __init__(self, message, best, err_est):
         super().__init__(message)
-        self.best = best
-        self.err_est = err_est
+        self.best, self.err_est = best, err_est
 
 
 class ConvergenceError(FisherCapError, RuntimeError):

@@ -325,9 +325,8 @@ def average_cost(channel, lam):
 
 @dataclass(frozen=True, eq=False)
 class JeffreysSolution:
-    """The solved tilt for a (channel, P) pair: its prior, JF(lambda*) and log2 JF(lambda*)."""
+    """The solved tilt for a (channel, P): its prior, which holds lambda*, and JF and log2 JF there."""
 
-    P: float
     prior: TiltedPrior
     jf: float
     log2_jf: float
@@ -348,7 +347,7 @@ class JeffreysSolution:
 
 
 def _solution(P, prior):
-    return JeffreysSolution(P, prior, prior.jf(P), prior.log2_jf(P))
+    return JeffreysSolution(prior, prior.jf(P), prior.log2_jf(P))
 
 
 def _newton_root(table, P, lo, hi):
@@ -429,7 +428,7 @@ def solve_lambda_star(channel, P):
 def prior_cdf(prior, theta):
     """F(theta), the cdf of the profile density on [lo, hi]; a float or an array of theta's shape."""
     t = _check_profile(theta, prior.lo, prior.hi, "prior_cdf")
-    return _scalar(np.clip(prior.cdf(np.clip(t, prior.lo, prior.hi)), 0.0, 1.0))
+    return _scalar(np.clip(prior.cdf(t), 0.0, 1.0))
 
 
 def _compand(u, lo, hi, inverse):

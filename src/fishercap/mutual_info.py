@@ -37,7 +37,6 @@ distribution; ``discretize_prior`` and ``blahut_arimoto`` return one.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,19 +53,6 @@ _SLICE_TOTALS = 32  # one slice copy costs about as much as gathering 140 column
 _BA_MAX_ITER = 10 ** 4
 _BA_TOL_BITS = 1e-9  # Blahut-Arimoto stops once its capacity bound gap is below this
 _SPAN_SIGMAS = 40.0  # the sample-mean MI integrates this many sigmas beyond the extreme points
-
-
-@dataclass(frozen=True)
-class TypeIndex:
-    """Per-bin output counts; the sufficient statistic of an i.i.d. block."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        c = np.asarray(self.counts)
-        if c.ndim != 1 or c.size == 0 or np.any(c < 0) or not np.issubdtype(c.dtype, np.integer):
-            raise ValidationError("TypeIndex: counts must be nonnegative integers")
-        object.__setattr__(self, "counts", tuple(c.tolist()))
 
 
 def _add_part(v, v_sum, starts, r0, r1):

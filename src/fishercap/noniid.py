@@ -6,7 +6,8 @@ autocovariance gamma(k), the n-output Fisher information is
 converges to 1 / sum_k gamma(k), the reciprocal of the spectral density
 at frequency zero (times 2 pi).  Because the limit is constant in
 theta, the tilted prior is untouched by the correlation; only the
-capacity offset moves (``channels.correlated_awgn_channel``).
+capacity offset moves (``channels.correlated_awgn_channel``).  Every
+finite rate, of one n or a CLI list, comes from one ladder, ``_rates``.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, _count, _from_record, _real
+from .errors import DomainError, ValidationError, _count, _from_record, _need, _real
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,6 +31,8 @@ class Autocovariance:
     record: dict | None = None
 
     def __post_init__(self):
+        if not callable(self.gamma):
+            raise ValidationError(_need("Autocovariance: gamma", "a callable {}", self.gamma))
         _real(self.gamma(0), "Autocovariance: gamma(0)", 0.0, error=ValidationError)
         if self.series_sum is not None:
             object.__setattr__(self, "series_sum", _real(self.series_sum, "Autocovariance: series_sum", 0.0))
@@ -63,13 +66,22 @@ def fisher_rate_finite(acov, n):
     from the reflection coefficients kappa_k; Sigma_n is positive definite
     iff every e_k > 0.
     """
-    n = _count(n, "fisher_rate_finite: n", 1)
-    return _rate(_levinson_terms(acov, n), n)
+    return _rates(acov, [n])[0]
+
+
+def _rates(acov, n_list):
+    """fisher_rate_finite at each n of n_list, from one recursion up to the largest n."""
+    n_list = [_count(n, "fisher_rate_finite: n", 1) for n in n_list]
+    terms = _levinson_terms(acov, max(n_list, default=1))
+    return [_rate(terms, n) for n in n_list]
 
 
 def _levinson_terms(acov, n):
     """The terms (1^T a_k)^2 / e_k, k < n, up to the first e_k <= 0; term k does not depend on n."""
     gamma = np.array([acov.gamma(k) for k in range(n)], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(gamma))
+    if bad.size:  # name the first lag that is not finite
+        raise DomainError(_need(f"fisher_rate_finite: gamma({bad[0]})", "a finite {}", float(gamma[bad[0]])))
     phi = np.zeros(n)  # phi[:k] = phi_k1..phi_kk
     err = gamma[0]
     ones_a = 1.0  # 1^T a_k

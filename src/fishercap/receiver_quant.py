@@ -5,7 +5,7 @@ overflow bin for |y| > r (bin index 0); ``Quantizer1D(r, L)`` checks r
 and L, in one place.  This receiver is the ADC of ``channels`` with its
 cuts at the L + 1 bin edges: the channel's ``cell_mass_dtheta`` gives
 the cells (-inf, -r], the L bins and (r, inf), and the two tail cells
-merge into the overflow bin.  The per-bin type then drives a
+merge into the overflow bin.  The per-bin type, ``TypeIndex``, drives a
 log-likelihood whose cost is O(L) regardless of the array size, and the
 information lost to binning is tracked by
 
@@ -26,7 +26,6 @@ import numpy as np
 
 from .channels import _pmf_fisher
 from .errors import DomainError, ValidationError, _count, _real, _reals
-from .mutual_info import TypeIndex
 from .quad import _midpoints
 from .specfun import _scalar
 
@@ -53,6 +52,19 @@ class Quantizer1D:
     @property
     def num_cells(self):
         return self.L + 1
+
+
+@dataclass(frozen=True)
+class TypeIndex:
+    """Per-bin output counts; the sufficient statistic of an i.i.d. block."""
+
+    counts: tuple
+
+    def __post_init__(self):
+        c = np.asarray(self.counts)
+        if c.ndim != 1 or c.size == 0 or np.any(c < 0) or not np.issubdtype(c.dtype, np.integer):
+            raise ValidationError("TypeIndex: counts must be nonnegative integers")
+        object.__setattr__(self, "counts", tuple(c.tolist()))
 
 
 def build_quantizer(r, L):

@@ -51,6 +51,7 @@ _DEGREE = 5    # polynomial degree on each cell
 # fit nodes on a cell, in its local coordinate u in [0, 1]: Chebyshev-Lobatto, the first at u = 0
 _NODES = 0.5 - 0.5 * np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE)
 _ERFCX_SCALE = 4.0
+_WEIDEMAN_N = 40  # terms of Weideman's erfcx series
 _BESSEL_SCALE = 8.0
 _BESSEL_SPLIT = 22.0  # power series below, Hankel series above
 
@@ -92,9 +93,9 @@ def _cell_poly(table, scale, x):
     return p
 
 
-def _weideman_erfcx(x, n=40):
+def _weideman_erfcx(x):
     # erfcx(x) = 2 p(Z) / (L + x)^2 + 1 / (sqrt(pi) (L + x)), Z = (L - x) / (L + x), for finite x >= 0
-    m = 2 * n
+    n, m = _WEIDEMAN_N, 2 * _WEIDEMAN_N
     lam = math.sqrt(n / math.sqrt(2.0))
     t = lam * np.tan(np.arange(-m + 1, m) * math.pi / (2 * m))
     f = np.concatenate(([0.0], np.exp(-t * t) * (lam * lam + t * t)))
@@ -211,8 +212,7 @@ def gauss_phi_q(x):
     arguments, which stays accurate far beyond where ``1 - cdf`` dies.
     """
     a = _reals(x, "gauss_phi_q: x")
-    phi = np.exp(-0.5 * a * a) / SQRT_2PI
-    return _scalar(phi), _scalar(_q_pair(a)[0])
+    return _scalar(_phi_raw(a)), _scalar(_q_pair(a)[0])
 
 
 def _q_abs(a):

@@ -607,6 +607,25 @@ def test_callables_take_theta_in_the_space_only(kind):
             assert isinstance(fn(mid), float)
 
 
+@pytest.mark.parametrize("kind", sorted(CONTRACT_RECORDS))
+def test_each_kind_refuses_a_bad_peak_in_its_own_name(kind):
+    # the nine interval kinds check the peak in _interval_channel, the ball channel in its own
+    # constructor; each message names the constructor
+    for bad, wanted in ((0, "finite"), (-1.0, "finite"), (math.nan, "finite"), ("2", "real"), (True, "real")):
+        with pytest.raises(ValidationError, match=rf"^{kind}_channel: need a {wanted} peak"):
+            ch.channel_from_json({**CONTRACT_RECORDS[kind], "A": bad})
+
+
+def test_a_bad_peak_is_named_after_the_other_parameters():
+    # the constructor checks its own parameters before _interval_channel checks the peak
+    with pytest.raises(ValidationError, match="^clipped_awgn_channel: need a finite B > 0, got inf$"):
+        ch.clipped_awgn_channel(-1.0, math.inf)
+    with pytest.raises(ValidationError, match="^thresholds must be a nonempty"):
+        ch.quantized_awgn_channel(0.0, [1.0, 0.0])
+    with pytest.raises(ValidationError, match="^quantized_awgn_channel: need a finite peak > 0, got 0.0$"):
+        ch.quantized_awgn_channel(0.0, [0.0, 1.0])
+
+
 # Non-finite parameters, as JSON overflows them (1e999 is inf) or spells them (NaN).
 NON_FINITE_RECORDS = [
     json.dumps({**rec, "A": "PEAK"}).replace('"PEAK"', "1e999") for rec in CONTRACT_RECORDS.values()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fishercap as fc
+from fishercap import cli
 from fishercap.cli import main
 
 
@@ -346,3 +347,34 @@ def test_acov_file_is_closed(tmp_path, monkeypatch):
                  "--output", str(tmp_path / "rate.csv")]) == 0
     monkeypatch.undo()
     assert opened and all(fh.closed for fh in opened)
+
+
+# Every failure class the library raises, with the exit code the CLI has always given it.
+_FAILURES = [
+    (fc.ValidationError("x"), 1), (fc.DomainError("x"), 1), (fc.PositivityError("x"), 1),
+    (json.JSONDecodeError("x", "{", 0), 1), (ValueError("x"), 1), (KeyError("x"), 1),
+    (TypeError("x"), 1), (OSError("x"), 1),
+    (fc.ToleranceError("x", 0.5, 1e-3), 2), (fc.ConvergenceError("x"), 2),
+    (fc.UnboundedTiltError("x"), 2), (fc.BudgetError("x"), 2), (fc.DegenerateChannelError("x"), 2),
+    (fc.RangeError("x"), 2), (np.linalg.LinAlgError("x"), 2),
+]
+
+
+@pytest.mark.parametrize("error, code", _FAILURES, ids=[type(e).__name__ for e, _ in _FAILURES])
+def test_each_failure_class_keeps_its_exit_code(error, code, monkeypatch, capsys):
+    def fail(args, channel):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_lambda_star", fail)
+    assert main(["lambda-star", "--channel", '{"kind": "awgn", "A": 1}', "--P", "0.5"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"fishercap lambda-star: {'invalid input' if code == 1 else 'numerical failure'}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("record", ['{"kind": "clipped_awgn", "A": -1, "B": 1.5}',
+                                    '{"kind": "energy_detection", "A": 0}'])
+def test_bad_peak_exits_invalid_naming_the_constructor(record, capsys):
+    assert main(["fisher", "--channel", record, "--grid", "3"]) == 1
+    want = f"fishercap fisher: invalid input: {json.loads(record)['kind']}_channel: need a finite peak > 0"
+    assert capsys.readouterr().err.startswith(want)

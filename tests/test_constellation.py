@@ -457,3 +457,46 @@ def test_constellation_csv_export_vector(mimo, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert "radial_constellation_isotropic" in captured.err
+
+
+class _FlatProblem:
+    """A one-coefficient fit whose objective never decreases, with gradient g and unit Hessian.
+
+    The Newton decrement squared is g^2, so g sets which way a failed line search ends.
+    """
+
+    gamma = 0.1
+    basis = np.ones((3, 1))
+
+    def __init__(self, g):
+        self.g = np.array([g])
+
+    def density_on_grid(self, xi):
+        return np.ones(3)
+
+    def _value(self, f):
+        return 0.0
+
+    def _gradient(self, f):
+        return self.g
+
+    def _hessian(self, f):
+        return np.eye(1)
+
+
+def test_failed_line_search_raises_when_newton_promised_progress():
+    # decrement^2 / 2 = 5e-7, far above 1e-12 (1 + |objective|): a stall, not the floor
+    info = PolyFitInfo()
+    with pytest.raises(ConvergenceError, match=r"^fit_poly_density: line search failed at stage gamma=0\.1$"):
+        constellation._newton_stage(_FlatProblem(1e-3), np.zeros(1), 100, info)
+    assert info.min_hessian_eigenvalues == [1.0] and info.objective_path == []
+
+
+def test_failed_line_search_ends_the_stage_at_the_objective_floor():
+    # decrement^2 / 2 = 5e-15, above the 1e-15 early stop and below 1e-12: nothing is left to
+    # resolve, so the stage ends where it stands
+    info = PolyFitInfo()
+    xi = np.array([0.25])
+    out, iters, gnorm = constellation._newton_stage(_FlatProblem(1e-7), xi, 100, info)
+    assert out is xi and iters == 0 and gnorm == 1e-7
+    assert info.min_hessian_eigenvalues == [1.0] and info.objective_path == []

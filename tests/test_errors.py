@@ -102,6 +102,7 @@ INVALID_CALLS = {
     "series_sum_0": lambda: fc.Autocovariance(lambda k: 1.0, series_sum=0),
     "series_sum_negative": lambda: fc.Autocovariance(lambda k: 1.0, series_sum=-1.0),
     "gamma_0_nan": lambda: fc.Autocovariance(lambda k: math.nan),
+    "gamma_not_callable": lambda: fc.Autocovariance([1.0, 0.5]),
     "type_from_no_samples": lambda: fc.type_from_samples(_quantizer(), []),
     "type_from_2d_samples": lambda: fc.type_from_samples(_quantizer(), [[0.1, 0.2]]),
     "approx_loglik_type_length": lambda: fc.approx_loglik(
@@ -125,7 +126,8 @@ def test_autocovariance_refusals_keep_their_classes():
     # except gamma(0), whose refusal has always been a ValidationError
     for name, error in (("series_sum_string", ValidationError), ("series_sum_nan", DomainError),
                         ("series_sum_inf", DomainError), ("series_sum_0", DomainError),
-                        ("series_sum_negative", DomainError), ("gamma_0_nan", ValidationError)):
+                        ("series_sum_negative", DomainError), ("gamma_0_nan", ValidationError),
+                        ("gamma_not_callable", ValidationError)):
         with pytest.raises(error, match="^Autocovariance: need a "):
             INVALID_CALLS[name]()
 

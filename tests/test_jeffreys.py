@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,3 +318,50 @@ def test_table_cache_holds_at_most_eight_tables():
         fc.jeffreys_factor(fc.awgn_channel(1.0 + k), 0.5)
     assert jef._TABLE_CACHE_SIZE == 8
     assert jef._table.cache_info().currsize <= 8
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": "awgn", "A": 1.0},
+    {"kind": "clipped_awgn", "A": 3.0, "B": 1.5},
+    {"kind": "energy_detection", "A": 2.0},
+    {"kind": "mimo_imperfect_csi", "A": 2.0, "nt": 1, "sigma2": 0.1},
+], ids=lambda r: r["kind"])
+def test_prior_cdf_reads_theta_past_an_end_as_that_end(record):
+    # the cdf clamps the panel and its local coordinate, so theta in the check's slack outside
+    # [lo, hi] gets the bits of the end itself, as when prior_cdf clipped theta first
+    prior = fc.solve_lambda_star(fc.channel_from_json(record), 0.5).prior
+    for end, out in ((prior.lo, -math.inf), (prior.hi, math.inf)):
+        at_end = fc.prior_cdf(prior, end)
+        for theta in (np.nextafter(end, out), end + math.copysign(1e-12, out)):
+            assert fc.prior_cdf(prior, theta) == at_end
+        assert np.array_equal(fc.prior_cdf(prior, np.array([np.nextafter(end, out), end])), [at_end] * 2)
+    assert (fc.prior_cdf(prior, prior.lo), fc.prior_cdf(prior, prior.hi)) == (0.0, 1.0)
+
+
+def test_newton_stops_when_a_step_no_longer_moves_lambda():
+    # a variance so large that the Newton step rounds away: the bracket's top tilt is returned
+    # as lambda*, and no further tilt is asked for
+    class NoMoreTilts:
+        def tilt(self, lam):
+            raise AssertionError(f"tilted again at {lam!r}")
+
+    top = SimpleNamespace(lam=2.0, m=0.5, var=1e300)
+    assert jef._newton_root(NoMoreTilts(), 1.0, 0.0, top) is top
+
+
+def test_doubling_bracket_gives_up_after_200_doublings(monkeypatch):
+    # no honest channel keeps M(lambda) above P while lambda doubles 200 times; a table whose
+    # every tilt has M = 2P does, and the solve refuses it instead of looping on
+    channel = fc.awgn_channel(1.0)
+    tilts = []
+
+    def above_p(table, lam):
+        tilts.append(lam)
+        return SimpleNamespace(lam=lam, m=1.0)
+
+    monkeypatch.setattr(jef._ProfileTable, "tilt", above_p)
+    with pytest.raises(fc.ConvergenceError) as info:
+        fc.solve_lambda_star(channel, 0.5)
+    assert str(info.value) == (f"solve_lambda_star: M(lambda) still above P=0.5 at lambda={2.0 ** 201!r}; "
+                               "channel 'awgn'")
+    assert tilts == [0.0] + [2.0 ** k for k in range(1, 202)]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,28 @@ def test_validation():
         fc.Autocovariance(gamma=lambda k: -1.0)
     with pytest.raises(DomainError):
         fc.fisher_rate_finite(fc.white_noise_autocovariance(), 0)
+
+
+def test_a_lag_that_is_not_finite_is_named():
+    # once reported as "Toeplitz matrix not PD at n=4": a NaN reflection coefficient made the
+    # error variance NaN
+    nan_lag = fc.Autocovariance(lambda k: 1.0 if k == 0 else math.nan, series_sum=1.0)
+    with pytest.raises(DomainError, match=r"^fisher_rate_finite: need a finite gamma\(1\), got nan$"):
+        fc.fisher_rate_finite(nan_lag, 4)
+    assert fc.fisher_rate_finite(nan_lag, 1) == 1.0  # gamma(1) is not read at n = 1
+    # the CLI's ladder reads the lags up to its largest n, through the same check
+    gamma = [1.0, 0.5, 0.25]
+    late = fc.Autocovariance(lambda k: gamma[k] if k < 3 else math.inf, series_sum=2.5)
+    with pytest.raises(DomainError, match=r"^fisher_rate_finite: need a finite gamma\(3\), got inf$"):
+        noniid._rates(late, [2, 8])
+    assert noniid._rates(late, [3, 1, 2]) == [fc.fisher_rate_finite(late, n) for n in (3, 1, 2)]
+
+
+def test_the_ladder_checks_each_n_once_and_matches_one_n_at_a_time():
+    acov = fc.ar1_autocovariance(0.5)
+    ladder = [64, 1, 300, 2.0]
+    assert noniid._rates(acov, ladder) == [fc.fisher_rate_finite(acov, n) for n in ladder]
+    assert noniid._rates(acov, []) == []
+    for bad, error in ((0, DomainError), (2.5, DomainError), ("3", ValidationError), (True, ValidationError)):
+        with pytest.raises(error, match="^fisher_rate_finite: need an integer n >= 1, got "):
+            noniid._rates(acov, [4, bad])
