@@ -29,8 +29,6 @@ from .constellation import (
     fit_poly_density,
     jeffreys_constellation,
     pam_constellation,
-    poly_cdf,
-    poly_cdf_inverse,
     radial_constellation_isotropic,
 )
 from .errors import (
@@ -50,7 +48,6 @@ from .jeffreys import (
     TiltedPrior,
     average_cost,
     jeffreys_factor,
-    prior_cdf,
     prior_cdf_inverse,
     solve_lambda_star,
     tilted_prior,
@@ -75,12 +72,10 @@ from .receiver_quant import (
     ScalingResult,
     TypeIndex,
     approx_loglik,
-    bin_probs_and_dtheta,
     build_quantizer,
     capacity_loss_eL,
     default_radius_schedule,
     exact_loglik,
-    fit_loglog_slope,
     ml_detect,
     quantized_fisher,
     scaling_study,

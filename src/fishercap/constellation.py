@@ -4,10 +4,11 @@ The exact design pushes a midpoint grid on [0, 1] through the inverse
 prior cdf (a compander) in one array call, then rescales so the average
 power budget holds.  Ball channels get a radius-times-direction design
 on a caller's direction set; the CLI, whose CSV has one point column,
-refuses them.  When the cdf has no closed form, a polynomial
-density is fitted to the prior by Newton descent on the KL divergence
-with a logarithmic barrier enforcing positivity; its closed-form cdf
-inverts a whole grid with the same safeguarded Newton solver as the prior's.
+refuses them.  When the cdf has no closed form, a ``PolyDensity`` is
+fitted to the prior by Newton descent on the KL divergence with a
+logarithmic barrier enforcing positivity; its closed-form ``cdf`` and
+its ``inverse``, which solves a whole grid with the prior's safeguarded
+Newton solver, check their argument as ``TiltedPrior``'s do.
 
 A fit is one grid problem: it is built once, each barrier stage only sets
 its barrier weight gamma, and a stage fails after ``max_newton`` Newton
@@ -77,7 +78,7 @@ def pam_constellation(channel, P, M):
 
 @dataclass(frozen=True)
 class PolyDensity:
-    """Density sum_i coeffs[i] theta^i on [lo, hi], positive on the fit grid."""
+    """Density sum_i coeffs[i] theta^i on [lo, hi], positive on its grid; each method checks its input."""
 
     coeffs: np.ndarray
     support: tuple
@@ -99,7 +100,22 @@ class PolyDensity:
         object.__setattr__(self, "support", (lo, hi))
 
     def pdf(self, theta):
-        return np.polynomial.polynomial.polyval(np.asarray(theta, dtype=float), self.coeffs)
+        t = _check_profile(theta, *self.support, "PolyDensity.pdf")
+        return np.polynomial.polynomial.polyval(t, self.coeffs)
+
+    def cdf(self, theta):
+        """Closed-form F(theta) = sum_i xi_i (theta^(i+1) - lo^(i+1)) / (i+1)."""
+        return _scalar(_poly_cdf(self, _check_profile(theta, *self.support, "PolyDensity.cdf")))
+
+    def inverse(self, u):
+        """Solve F(theta) = u for a float u or an array by safeguarded Newton on the closed-form cdf."""
+        lo, hi = self.support
+        u = _reals(u, "PolyDensity.inverse: u", 0.0, 1.0)
+        return _compand(u, lo, hi, lambda v: invert_monotone(self._F_dF, v, lo, hi, lo + v * (hi - lo)))
+
+    def _F_dF(self, t, k):
+        # F and F' = f at Newton's iterates t, which stay in the support
+        return _poly_cdf(self, t), np.polynomial.polynomial.polyval(t, self.coeffs)
 
 
 def _monomial_integrals(lo, x, n):
@@ -108,24 +124,9 @@ def _monomial_integrals(lo, x, n):
     return (np.asarray(x)[..., None] ** (i + 1) - lo ** (i + 1)) / (i + 1)
 
 
-def poly_cdf(p, theta):
-    """Closed-form cdf F(theta) = sum_i xi_i (theta^(i+1) - lo^(i+1)) / (i+1)."""
-    return _scalar(_poly_cdf(p, _check_profile(theta, *p.support, "poly_cdf")))
-
-
 def _poly_cdf(p, t):
-    # poly_cdf at a checked theta array: the monomial sum, clipped to [0, 1]
+    # p.cdf at a checked theta array: the monomial sum, clipped to [0, 1]
     return np.clip(_row_dots(_monomial_integrals(p.support[0], t, p.coeffs.size), p.coeffs), 0.0, 1.0)
-
-
-def poly_cdf_inverse(p, u):
-    """Solve F(theta) = u for a float u or an array by safeguarded Newton on the closed-form cdf."""
-    lo, hi = p.support
-
-    def solve(v):
-        return invert_monotone(lambda t, k: (_poly_cdf(p, t), p.pdf(t)), v, lo, hi, lo + v * (hi - lo))
-
-    return _compand(_reals(u, "poly_cdf_inverse: u", 0.0, 1.0), lo, hi, solve)
 
 
 def _simpson_weights(n, lo, hi):
@@ -170,7 +171,7 @@ class BarrierObjective:
         self.width = 2.0  # tau support width
         self.degree = degree
         self.gamma = float(gamma)
-        self.lam_star = float(lam_star)
+        self.lam_star = _real(lam_star, "BarrierObjective: lambda*", 0.0, closed=True)
         self.grid = np.linspace(-1.0, 1.0, _GRID_POINTS)
         self.weights = _simpson_weights(_GRID_POINTS, -1.0, 1.0)
         self.alphas = _monomial_integrals(-1.0, 1.0, degree + 1)
@@ -274,12 +275,12 @@ def _newton_stage(problem, xi, max_newton, info):
                 f"after {iters} steps (grad norm {gnorm:.3e})"
             )
         h = problem._hessian(f)
-        try:
-            np.linalg.cholesky(h)  # the positive-definite check
+        try:  # Cholesky is the positive-definite check; LU may still meet a zero pivot
+            np.linalg.cholesky(h)
+            step = -np.linalg.solve(h, g)
         except np.linalg.LinAlgError as e:
             raise ConvergenceError(
                 f"fit_poly_density: Hessian not PD at gamma={problem.gamma:g}") from e
-        step = -np.linalg.solve(h, g)
         decrement2 = float(-g @ step)
         floor = 1.0 + abs(obj)
         if decrement2 * 0.5 <= 1e-15 * floor:
@@ -332,7 +333,7 @@ def fit_poly_density(channel, lam_star, degree, max_newton=100, full_output=Fals
 def approx_jeffreys_constellation(p, P, M):
     """Constellation from the fitted polynomial cdf, same scaling rule."""
     M = _count(M, "approx_jeffreys_constellation: M", 2)
-    return _scaled_constellation(poly_cdf_inverse(p, _midpoints(0.0, 1.0, M)), P)
+    return _scaled_constellation(p.inverse(_midpoints(0.0, 1.0, M)), P)
 
 
 def radial_constellation_isotropic(channel, P, M_r, directions):

@@ -51,7 +51,7 @@ up to a term that vanishes as the number of antennas n_r grows; that
 vanishing term is not modeled here.
 
 A tilt is one object, ``TiltedPrior``: the normalized prior at lambda,
-with its node sums, density, cdf and inverse cdf.  The
+with its node sums and checked ``density``, ``cdf`` and ``inverse``.  The
 ``JeffreysSolution`` that ``solve_lambda_star`` returns carries the
 solved tilt as its ``prior``, so the designs and the CLI read the
 prior at lambda* without tilting again.
@@ -158,11 +158,6 @@ class _ProfileTable:
         root_det = self._surface * np.asarray(self.channel.sqrt_det_fisher(t), dtype=float)
         return root_det * t ** self._radial
 
-    def weight(self, t, lam):
-        """The tilted weight at arbitrary points (evaluated, not cached)."""
-        t = np.asarray(t, dtype=float)
-        return np.exp2(-lam * (self.channel.cost(t) - self.c_min)) * self._root_det(t)
-
     def _panel_values(self, a, b):
         """cost - c_min and sqrt det J on the panels [a_i, b_i], shape (2, k, 15); one channel call."""
         ends = list(zip(a, b))
@@ -224,10 +219,10 @@ class _ProfileTable:
 class TiltedPrior:
     """The normalized tilted Jeffreys prior at one lambda, on [lo, hi].
 
-    Holds the converged panels of the weight, its node sums (z, the mean
-    cost m and its variance) and the panel cdf with its inverse, each
-    taking a float or an array.  Built by ``tilted_prior``, and carried
-    by the ``JeffreysSolution`` of the solved tilt.
+    Holds the converged panels of the weight and its node sums (z, the
+    mean cost m and its variance).  Its density, panel cdf and inverse
+    each check a float or an array once.  Built by ``tilted_prior``, and
+    carried by the ``JeffreysSolution`` of the solved tilt.
     """
 
     def __init__(self, table, lam, leaves, dc):
@@ -247,16 +242,17 @@ class TiltedPrior:
         self.m = table.c_min + mean_dc
         self.var = float((mass * (dc - mean_dc) ** 2).sum()) / self.z
 
-    def density(self, t):
+    def density(self, theta):
         """The normalized density at arbitrary points (vectorized; radial marginal for balls)."""
-        return self.table.weight(t, self.lam) / self.z
+        t, table = _check_profile(theta, self.lo, self.hi, "TiltedPrior.density"), self.table
+        return np.exp2(-self.lam * (table.channel.cost(t) - table.c_min)) * table._root_det(t) / self.z
 
-    def log2_jf(self, P):
+    def _log2_jf(self, P):
         return self.lam * (P - self.table.c_min) + math.log2(self.z)
 
     def jf(self, P):
         P = _real(P, "TiltedPrior.jf: P")
-        log2_jf = self.log2_jf(P)
+        log2_jf = self._log2_jf(P)
         jf = 2.0 ** log2_jf if log2_jf < 1024.0 else math.inf
         if not 0.0 < jf < math.inf:
             raise RangeError(
@@ -279,24 +275,31 @@ class TiltedPrior:
         half = 0.5 * (self.leaves.b[i] - self.leaves.a[i])
         return half * _row_dots(coef[i], q), half * _row_dots(coef[i], p[:, :15])
 
-    def cdf(self, t):
+    def cdf(self, theta):
+        """F(theta) on [lo, hi], in [0, 1]; a float or an array of theta's shape."""
+        t = _check_profile(theta, self.lo, self.hi, "TiltedPrior.cdf")
         cum, _ = self._cdf_table
         a, b = self.leaves.a, self.leaves.b
         flat = np.ravel(t)
         i = np.minimum(np.searchsorted(b, flat), b.size - 1)
         s = np.clip((2.0 * flat - a[i] - b[i]) / (b[i] - a[i]), -1.0, 1.0)
-        return _scalar(np.reshape((cum[i] + self._panel_mass(i, s)[0]) / cum[-1], np.shape(t)))
+        F = np.reshape((cum[i] + self._panel_mass(i, s)[0]) / cum[-1], np.shape(t))
+        return _scalar(np.clip(F, 0.0, 1.0))
 
     def inverse(self, u):
+        """Solve F(theta) = u for a float u in [0, 1] or an array: panel search, then Newton in the panel."""
+        return _compand(_reals(u, "TiltedPrior.inverse: u", 0.0, 1.0), self.lo, self.hi, self._inverse)
+
+    def _inverse(self, u):
+        # u a 1-D array inside (0, 1): panel search, then safeguarded Newton in the panel
         cum, _ = self._cdf_table
-        target = np.ravel(u) * cum[-1]
+        target = u * cum[-1]
         i = np.minimum(np.searchsorted(cum[1:], target), cum.size - 2)
         mass = cum[i + 1] - cum[i]
         need = np.minimum(np.maximum(target - cum[i], 0.0), mass)
         s = invert_monotone(lambda s, k: self._panel_mass(i[k], s), need, -1.0, 1.0, 2.0 * need / mass - 1.0)
         a, b = self.leaves.a[i], self.leaves.b[i]
-        x = np.minimum(np.maximum(0.5 * (a + b) + 0.5 * (b - a) * s, a), b)
-        return _scalar(np.reshape(x, np.shape(u)))
+        return np.minimum(np.maximum(0.5 * (a + b) + 0.5 * (b - a) * s, a), b)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -347,7 +350,7 @@ class JeffreysSolution:
 
 
 def _solution(P, prior):
-    return JeffreysSolution(prior, prior.jf(P), prior.log2_jf(P))
+    return JeffreysSolution(prior, prior.jf(P), prior._log2_jf(P))
 
 
 def _newton_root(table, P, lo, hi):
@@ -425,12 +428,6 @@ def solve_lambda_star(channel, P):
     return _solution(P, _newton_root(table, P, below, top))
 
 
-def prior_cdf(prior, theta):
-    """F(theta), the cdf of the profile density on [lo, hi]; a float or an array of theta's shape."""
-    t = _check_profile(theta, prior.lo, prior.hi, "prior_cdf")
-    return _scalar(np.clip(prior.cdf(t), 0.0, 1.0))
-
-
 def _compand(u, lo, hi, inverse):
     """inverse(v) at the v of u inside (0, 1), lo at u = 0 and hi at u = 1, in the shape of u."""
     x, inside = np.where(u == 0.0, lo, hi), (0.0 < u) & (u < 1.0)
@@ -439,5 +436,5 @@ def _compand(u, lo, hi, inverse):
 
 
 def prior_cdf_inverse(prior, u):
-    """Solve F(theta) = u for a float u or an array: panel search, then safeguarded Newton in the panel."""
-    return _compand(_reals(u, "prior_cdf_inverse: u", 0.0, 1.0), prior.lo, prior.hi, prior.inverse)
+    """``prior.inverse(u)``; the designs call it, and perfbench's ``jeffreys.inverse_s`` times it."""
+    return prior.inverse(u)

@@ -78,10 +78,7 @@ def _rates(acov, n_list):
 
 def _levinson_terms(acov, n):
     """The terms (1^T a_k)^2 / e_k, k < n, up to the first e_k <= 0; term k does not depend on n."""
-    gamma = np.array([acov.gamma(k) for k in range(n)], dtype=float)
-    bad = np.flatnonzero(~np.isfinite(gamma))
-    if bad.size:  # name the first lag that is not finite
-        raise DomainError(_need(f"fisher_rate_finite: gamma({bad[0]})", "a finite {}", float(gamma[bad[0]])))
+    gamma = np.array([_real(acov.gamma(k), f"fisher_rate_finite: gamma({k})") for k in range(n)])
     phi = np.zeros(n)  # phi[:k] = phi_k1..phi_kk
     err = gamma[0]
     ones_a = 1.0  # 1^T a_k

@@ -29,7 +29,7 @@ from .errors import DomainError, ValidationError, _count, _real, _reals
 from .quad import _midpoints
 from .specfun import _scalar
 
-_SLOPE_FLOOR = 1e-15  # fit_loglog_slope drops e_L values below this (underflowed)
+_SLOPE_FLOOR = 1e-15  # _fit_loglog_slope drops e_L values below this (underflowed)
 _EL_CHUNK = 64  # e_L grid points per quantized_fisher call: a (64, L+1) cell block bounds memory
 
 
@@ -77,7 +77,7 @@ def _merge_tails(cells):
     return np.concatenate([(cells[..., -1] + cells[..., 0])[..., None], cells[..., 1:-1]], axis=-1)
 
 
-def bin_probs_and_dtheta(channel, q, theta):
+def _bin_probs_and_dtheta(channel, q, theta):
     """Bin probabilities p_l(theta) and derivatives, overflow first.
 
     One ``cell_mass_dtheta`` call on the bin edges, tails merged.
@@ -92,7 +92,7 @@ def bin_probs_and_dtheta(channel, q, theta):
 
 def quantized_fisher(channel, q, theta):
     """Fisher information of the binned output, sum of (dp)^2 / p over cells."""
-    return _scalar(_pmf_fisher(*bin_probs_and_dtheta(channel, q, theta)))
+    return _scalar(_pmf_fisher(*_bin_probs_and_dtheta(channel, q, theta)))
 
 
 def capacity_loss_eL(channel, q, grid_size=1025):
@@ -146,7 +146,7 @@ def approx_loglik(channel, q, type_index, theta):
     n_r = counts.sum()
     if n_r <= 0:
         raise ValidationError("approx_loglik: empty type")
-    p, _ = bin_probs_and_dtheta(channel, q, theta)
+    p, _ = _bin_probs_and_dtheta(channel, q, theta)
     observed = counts > 0
     with np.errstate(divide="ignore"):  # log 0 = -inf, times a positive count stays -inf
         return _scalar((np.log(p[..., observed]) * counts[observed]).sum(axis=-1))
@@ -165,7 +165,7 @@ def ml_detect(channel, q, type_index, constellation):
     return int(np.argmax(approx_loglik(channel, q, type_index, points)))
 
 
-def fit_loglog_slope(L_values, e_values):
+def _fit_loglog_slope(L_values, e_values):
     """Least-squares slope of ln e against ln L (each L >= 1, two distinct), dropping underflowed points."""
     L = _reals(L_values, "fit_loglog_slope: L_values", 1.0)
     e = _reals(e_values, "fit_loglog_slope: e_values")
@@ -208,7 +208,7 @@ def scaling_study(channel, r_schedule, L_list):
     for l in L:
         q = build_quantizer(r_schedule(l), l)
         es.append(capacity_loss_eL(channel, q))
-    slope = fit_loglog_slope(L, es)
+    slope = _fit_loglog_slope(L, es)
     return ScalingResult(tuple(L), tuple(es), slope)
 
 

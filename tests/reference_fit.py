@@ -5,7 +5,8 @@ expression and takes the final gradient norm from the last stage.  This
 copy keeps the earlier form: a branch for the full step, and the
 gradient evaluated again at the end.  It runs on the library's
 ``BarrierObjective``, so a test can compare every recorded field of the
-two fits with ``==``.
+two fits with ``==``.  Both solve for the step inside the Cholesky
+test's ``try``, so a zero LU pivot is the same ``ConvergenceError``.
 """
 
 import math
@@ -34,10 +35,10 @@ def _newton_stage(problem, xi, max_newton, info):
         h = problem._hessian(f)
         try:
             np.linalg.cholesky(h)  # the positive-definite check
+            step = -np.linalg.solve(h, g)
         except np.linalg.LinAlgError as e:
             raise ConvergenceError(
                 f"fit_poly_density: Hessian not PD at gamma={problem.gamma:g}") from e
-        step = -np.linalg.solve(h, g)
         decrement2 = float(-g @ step)
         floor = 1.0 + abs(obj)
         if decrement2 * 0.5 <= 1e-15 * floor:

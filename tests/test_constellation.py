@@ -257,17 +257,28 @@ def test_schedule_validation():
     assert _GAMMAS[0] == 10.0 and _GAMMAS[-1] == pytest.approx(1e-8, rel=1e-6)
 
 
+@pytest.mark.parametrize("channel, degree, gamma", [
+    (fc.truncated_awgn_channel(4, 1.0), 3, "1e-08"),
+    (fc.quantized_awgn_channel(4, [-1, 0, 1]), 5, "1e-07"),
+], ids=["truncated_awgn", "adc_4_level"])
+def test_a_hessian_lu_cannot_solve_is_a_convergence_error(channel, degree, gamma):
+    # Cholesky passes these Hessians and LU meets a zero pivot: numpy's "Singular matrix" escaped
+    lam = fc.solve_lambda_star(channel, 0.8).lambda_star
+    with pytest.raises(ConvergenceError, match=rf"^fit_poly_density: Hessian not PD at gamma={gamma}$"):
+        fc.fit_poly_density(channel, lam, degree)
+
+
 # --- polynomial cdf -----------------------------------------------------------
 
 def test_poly_cdf_endpoints(awgn_fit):
     _, poly, _ = awgn_fit
-    assert fc.poly_cdf(poly, -1.0) == 0.0
-    assert fc.poly_cdf(poly, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert poly.cdf(-1.0) == 0.0
+    assert poly.cdf(1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_degree_zero_inverse():
     poly = fc.PolyDensity(np.array([0.5]), (-1.0, 1.0))
-    assert fc.poly_cdf_inverse(poly, 0.75) == pytest.approx(0.5, abs=1e-12)
+    assert poly.inverse(0.75) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_poly_cdf_on_an_array_gives_each_scalar_call():
@@ -275,16 +286,16 @@ def test_poly_cdf_on_an_array_gives_each_scalar_call():
     channel = fc.quantized_awgn_channel(2.0, [0.0])
     poly = fc.fit_poly_density(channel, fc.solve_lambda_star(channel, 0.5).lambda_star, 8)
     theta = np.linspace(-2.0, 2.0, 4001)
-    want = [fc.poly_cdf(poly, t) for t in theta]
-    assert fc.poly_cdf(poly, theta).tolist() == want
-    assert fc.poly_cdf(poly, theta[:4000].reshape(2, 50, 40)).ravel().tolist() == want[:4000]
+    want = [poly.cdf(t) for t in theta]
+    assert poly.cdf(theta).tolist() == want
+    assert poly.cdf(theta[:4000].reshape(2, 50, 40)).ravel().tolist() == want[:4000]
 
 
 def test_poly_cdf_round_trip(awgn_fit):
     _, poly, _ = awgn_fit
     for u in [0.01, 0.37, 0.99]:
-        theta = fc.poly_cdf_inverse(poly, u)
-        assert fc.poly_cdf(poly, theta) == pytest.approx(u, abs=1e-12)
+        theta = poly.inverse(u)
+        assert poly.cdf(theta) == pytest.approx(u, abs=1e-12)
 
 
 def test_poly_density_validation():
@@ -293,12 +304,12 @@ def test_poly_density_validation():
     with pytest.raises(ValidationError):
         fc.PolyDensity(np.array([1.0]), (-1.0, 1.0))  # integrates to 2
     with pytest.raises(DomainError):
-        fc.poly_cdf_inverse(fc.PolyDensity(np.array([0.5]), (-1.0, 1.0)), 1.5)
+        fc.PolyDensity(np.array([0.5]), (-1.0, 1.0)).inverse(1.5)
 
 
 def test_poly_cdf_rejects_nan():
     with pytest.raises(DomainError):
-        fc.poly_cdf(fc.PolyDensity(np.array([0.5]), (-1.0, 1.0)), math.nan)
+        fc.PolyDensity(np.array([0.5]), (-1.0, 1.0)).cdf(math.nan)
 
 
 def test_midpoint_grid_needs_an_integer():

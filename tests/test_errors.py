@@ -7,6 +7,7 @@ import pytest
 
 import fishercap as fc
 from fishercap import channels as ch
+from fishercap import receiver_quant as rq
 from fishercap.constellation import BarrierObjective
 from fishercap.errors import DomainError, ValidationError, _count, _probabilities, _real, _reals
 
@@ -37,7 +38,7 @@ def _vector_points():
 
 # Each call is refused.  The calls up to "poly_density_support_string" once returned a value
 # (a NaN, a truncated count, a string read as a number) or raised a bare TypeError or an
-# exit-2 RangeError; the rest reach refusals that no other test reaches.
+# exit-2 RangeError or ConvergenceError; the rest reach refusals that no other test reaches.
 INVALID_CALLS = {
     "clip_inf": lambda: ch.clipped_awgn_channel(1.0, math.inf),
     "peak_string": lambda: fc.awgn_channel("2"),
@@ -63,8 +64,8 @@ INVALID_CALLS = {
         {"kind": "poisson", "A": 1, "h": {"values": ["1"], "probs": [1.0]},
          "mu": {"values": [1.0], "probs": [1.0]}}),
     "prior_cdf_inverse_string": lambda: fc.prior_cdf_inverse(_prior(), "0.5"),
-    "prior_cdf_bool": lambda: fc.prior_cdf(_prior(), True),
-    "poly_cdf_inverse_string": lambda: fc.poly_cdf_inverse(_poly(), "0.25"),
+    "prior_cdf_bool": lambda: _prior().cdf(True),
+    "poly_cdf_inverse_string": lambda: _poly().inverse("0.25"),
     "quantized_fisher_theta_nan": lambda: fc.quantized_fisher(
         fc.awgn_channel(1.0), fc.build_quantizer(4.0, 8), math.nan),
     "type_from_samples_nan": lambda: fc.type_from_samples(
@@ -77,8 +78,23 @@ INVALID_CALLS = {
     "poly_density_nan_coeff": lambda: fc.PolyDensity(np.array([math.nan]), (-1.0, 1.0)),
     "radial_direction_nan": lambda: fc.radial_constellation_isotropic(
         fc.mimo_imperfect_csi_channel(1.0, 1, 0.1), 0.5, 2, [[math.nan, 0.0]]),
-    "loglog_slope_L_nan": lambda: fc.fit_loglog_slope([math.nan, 2, 4, 8], [1, .5, .25, .1]),
-    "loglog_slope_L_below_1": lambda: fc.fit_loglog_slope([-1, 2, 4, 8], [1, .5, .25, .1]),
+    "loglog_slope_L_nan": lambda: rq._fit_loglog_slope([math.nan, 2, 4, 8], [1, .5, .25, .1]),
+    "loglog_slope_L_below_1": lambda: rq._fit_loglog_slope([-1, 2, 4, 8], [1, .5, .25, .1]),
+    "prior_density_string": lambda: _prior().density("0.5"),
+    "prior_density_bool": lambda: _prior().density(True),
+    "prior_cdf_nan": lambda: _prior().cdf(math.nan),
+    "prior_inverse_1.5": lambda: _prior().inverse(1.5),
+    "prior_inverse_nan": lambda: _prior().inverse(math.nan),
+    "poly_pdf_3": lambda: _poly().pdf(3.0),
+    "poly_pdf_nan": lambda: _poly().pdf(math.nan),
+    "fit_lambda_string": lambda: fc.fit_poly_density(fc.awgn_channel(1.0), "0.5", 4),
+    "fit_lambda_bool": lambda: fc.fit_poly_density(fc.awgn_channel(1.0), True, 4),
+    "fit_lambda_negative": lambda: fc.fit_poly_density(fc.awgn_channel(1.0), -1.0, 4),
+    "fit_lambda_nan": lambda: fc.fit_poly_density(fc.awgn_channel(1.0), math.nan, 4),
+    "lag_string": lambda: fc.fisher_rate_finite(
+        fc.Autocovariance(lambda k: 1.0 if k == 0 else "0.5", series_sum=2.0), 3),
+    "lag_bool": lambda: fc.fisher_rate_finite(
+        fc.Autocovariance(lambda k: 1.0 if k == 0 else False, series_sum=2.0), 3),
     "poly_density_support_string": lambda: fc.PolyDensity(np.array([0.5]), ("-1", "1")),
     "parameter_space_unknown_shape": lambda: ch.ParameterSpace(1, "cube", (0.0, 1.0)),
     "parameter_space_ball_from_1": lambda: ch.ParameterSpace(2, "ball", (1.0, 2.0)),
@@ -111,7 +127,7 @@ INVALID_CALLS = {
         fc.awgn_channel(1.0), _quantizer(), fc.TypeIndex((0,) * 9), 0.0),
     "ml_detect_no_points": lambda: fc.ml_detect(
         fc.awgn_channel(1.0), _quantizer(), fc.TypeIndex((1,) * 9), []),
-    "loglog_slope_shapes_differ": lambda: fc.fit_loglog_slope([2, 4, 8], [1, .5]),
+    "loglog_slope_shapes_differ": lambda: rq._fit_loglog_slope([2, 4, 8], [1, .5]),
 }
 
 
@@ -136,7 +152,7 @@ def test_autocovariance_refusals_keep_their_classes():
 INVALID_ARRAY_U = {
     f"{name}_{label}": (inverse, u, error)
     for name, inverse in (("prior_cdf_inverse", lambda u: fc.prior_cdf_inverse(_prior(), u)),
-                          ("poly_cdf_inverse", lambda u: fc.poly_cdf_inverse(_poly(), u)))
+                          ("poly_cdf_inverse", lambda u: _poly().inverse(u)))
     for label, u, error in (("string_entry", [0.5, "0.5"], ValidationError),
                             ("nan_entry", [0.5, math.nan], DomainError),
                             ("entry_1.2", [[0.5], [1.2]], DomainError))
@@ -194,8 +210,8 @@ def test_reals_returns_float_arrays_of_any_shape():
 def test_points_and_edges_take_numpy_floats_and_closed_ends():
     prior = _prior()
     assert fc.prior_cdf_inverse(prior, 1) == prior.hi and fc.prior_cdf_inverse(prior, 0) == prior.lo
-    assert fc.prior_cdf(prior, np.float64(prior.hi)) == 1.0
-    assert fc.poly_cdf_inverse(_poly(), np.float32(1.0)) == 1.0
+    assert prior.cdf(np.float64(prior.hi)) == 1.0
+    assert _poly().inverse(np.float32(1.0)) == 1.0
     pts = np.array([-0.5, 0.5], dtype=np.float32)
     assert fc.DiscreteInput(pts, [0.5, 0.5]).points.tolist() == [-0.5, 0.5]
     onebit = fc.quantized_awgn_channel(1.0, np.array([0.0], dtype=np.float32))

@@ -170,7 +170,7 @@ def test_capacity_fn_scaling_one_dim(awgn_unit):
 def test_prior_cdf_uniform_inverse(awgn_unit):
     prior = fc.tilted_prior(awgn_unit, 0.0)
     assert fc.prior_cdf_inverse(prior, 0.25) == pytest.approx(-0.5, abs=1e-11)
-    assert fc.prior_cdf(prior, 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert prior.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_prior_cdf_round_trip_clipped_channel():
@@ -179,7 +179,7 @@ def test_prior_cdf_round_trip_clipped_channel():
     prior = fc.tilted_prior(channel, s.lambda_star)
     for u in [0.1, 0.5, 0.9]:
         theta = fc.prior_cdf_inverse(prior, u)
-        assert fc.prior_cdf(prior, theta) == pytest.approx(u, abs=1e-12)
+        assert prior.cdf(theta) == pytest.approx(u, abs=1e-12)
 
 
 def test_prior_median_symmetric(awgn_unit):
@@ -291,7 +291,7 @@ def test_capacity_needs_finite_antenna_count(awgn_unit):
 
 def test_prior_cdf_rejects_nan(awgn_unit):
     with pytest.raises(DomainError):
-        fc.prior_cdf(fc.tilted_prior(awgn_unit, 1.0), math.nan)
+        fc.tilted_prior(awgn_unit, 1.0).cdf(math.nan)
 
 
 def test_invert_monotone_one_call_per_iteration():
@@ -331,11 +331,11 @@ def test_prior_cdf_reads_theta_past_an_end_as_that_end(record):
     # [lo, hi] gets the bits of the end itself, as when prior_cdf clipped theta first
     prior = fc.solve_lambda_star(fc.channel_from_json(record), 0.5).prior
     for end, out in ((prior.lo, -math.inf), (prior.hi, math.inf)):
-        at_end = fc.prior_cdf(prior, end)
+        at_end = prior.cdf(end)
         for theta in (np.nextafter(end, out), end + math.copysign(1e-12, out)):
-            assert fc.prior_cdf(prior, theta) == at_end
-        assert np.array_equal(fc.prior_cdf(prior, np.array([np.nextafter(end, out), end])), [at_end] * 2)
-    assert (fc.prior_cdf(prior, prior.lo), fc.prior_cdf(prior, prior.hi)) == (0.0, 1.0)
+            assert prior.cdf(theta) == at_end
+        assert np.array_equal(prior.cdf(np.array([np.nextafter(end, out), end])), [at_end] * 2)
+    assert (prior.cdf(prior.lo), prior.cdf(prior.hi)) == (0.0, 1.0)
 
 
 def test_newton_stops_when_a_step_no_longer_moves_lambda():

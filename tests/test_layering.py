@@ -67,3 +67,32 @@ def test_module_imports_only_lower_layers(module):
 def test_the_reader_sees_each_import_form():
     assert _package_imports("cli") >= {"channels", "noniid", "errors", "quad"}
     assert _package_imports("constellation") >= {"channels", "errors", "jeffreys", "quad", "specfun"}
+
+
+# Every public name of the package: 65 exports and the 9 modules they come from.  A new
+# export, or one made private, changes this list on purpose.
+PUBLIC = [
+    "Autocovariance", "BudgetError", "ChannelSpec", "ConvergenceError", "DegenerateChannelError",
+    "DiscreteInput", "DomainError", "FisherCapError", "JeffreysSolution", "ParameterSpace",
+    "PolyDensity", "PositivityError", "Quantizer1D", "RangeError", "ScalingResult", "TiltedPrior",
+    "ToleranceError", "TypeIndex", "UnboundedTiltError", "ValidationError",
+    "approx_jeffreys_constellation", "approx_loglik", "ar1_autocovariance", "average_cost",
+    "awgn_channel", "bessel_i01_scaled", "blahut_arimoto", "build_quantizer", "capacity_loss_eL",
+    "channel_from_json", "channels", "clipped_awgn_channel", "constellation",
+    "correlated_awgn_channel", "default_radius_schedule", "discretize_prior",
+    "dithered_onebit_channel", "energy_detection_channel", "errors", "exact_loglik",
+    "exp_integral_e1", "fisher_rate_finite", "fisher_rate_limit", "fit_poly_density", "gauss_mass",
+    "gauss_phi_q", "integrate_interval", "jeffreys", "jeffreys_constellation", "jeffreys_factor",
+    "log_gamma", "mi_finite_output", "mi_from_pmf_matrix", "mi_gaussian_sufficient",
+    "mimo_imperfect_csi_channel", "ml_detect", "mutual_info", "noncoherent_channel", "noniid",
+    "pam_constellation", "poisson_channel", "prior_cdf_inverse", "quad", "quantized_awgn_channel",
+    "quantized_fisher", "radial_constellation_isotropic", "receiver_quant", "scaling_study",
+    "solve_lambda_star", "specfun", "tilted_prior", "truncated_awgn_channel", "type_from_samples",
+    "white_noise_autocovariance",
+]
+
+
+def test_the_public_names_are_the_listed_ones():
+    assert len(PUBLIC) == len(set(PUBLIC)) == 74
+    # the command module joins them once something imports it
+    assert {name for name in dir(fishercap) if not name.startswith("_")} - {"cli"} == set(PUBLIC)

@@ -165,6 +165,15 @@ def test_a_lag_that_is_not_finite_is_named():
     assert noniid._rates(late, [3, 1, 2]) == [fc.fisher_rate_finite(late, n) for n in (3, 1, 2)]
 
 
+def test_a_lag_that_is_not_a_real_is_named():
+    # a string or a bool lag was read as a number: False as white noise, True as a singular matrix
+    for lag in ("0.5", False, True):
+        acov = fc.Autocovariance(lambda k, lag=lag: 1.0 if k == 0 else lag, series_sum=2.0)
+        want = rf"^fisher_rate_finite: need a real gamma\(1\), got {lag!r}$"
+        with pytest.raises(ValidationError, match=want):
+            fc.fisher_rate_finite(acov, 3)
+
+
 def test_the_ladder_checks_each_n_once_and_matches_one_n_at_a_time():
     acov = fc.ar1_autocovariance(0.5)
     ladder = [64, 1, 300, 2.0]

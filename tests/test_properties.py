@@ -42,7 +42,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fishercap as fc
-from fishercap import mutual_info, specfun
+from fishercap import mutual_info, receiver_quant, specfun
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -113,7 +113,7 @@ def test_inverse_cdf_undoes_cdf(kind, data, bits, frac):
     theta = prior.lo + frac * width
     # the round trip is well conditioned only where the density is not tiny
     assume(float(prior.density(theta)) * width > 1e-6)
-    back = fc.prior_cdf_inverse(prior, fc.prior_cdf(prior, theta))
+    back = fc.prior_cdf_inverse(prior, prior.cdf(theta))
     assert abs(back - theta) <= 1e-9 * width
 
 
@@ -174,7 +174,7 @@ def test_solution_prior_is_the_fresh_tilt(kind, data, frac):
     grid = np.linspace(prior.lo, prior.hi, 33)
     assert s.prior.density(grid).tobytes() == prior.density(grid).tobytes()
     for t in grid[1:-1:4]:
-        assert fc.prior_cdf(s.prior, t) == fc.prior_cdf(prior, t)
+        assert s.prior.cdf(t) == prior.cdf(t)
     for u in (1e-3, 0.25, 0.5, 0.9):
         assert fc.prior_cdf_inverse(s.prior, u) == fc.prior_cdf_inverse(prior, u)
 
@@ -278,7 +278,7 @@ def test_shared_cut_bins_are_pairwise_bins(truncated, A, B, r_over_b, L, fracs, 
     theta = -A + 2.0 * A * np.array(fracs)
     if scalar:
         theta = float(theta[0])
-    p, dp = fc.bin_probs_and_dtheta(channel, q, theta)
+    p, dp = receiver_quant._bin_probs_and_dtheta(channel, q, theta)
     want_p, want_dp = _pair_bins(q, theta, B if truncated else None)
     assert p.shape == want_p.shape == np.shape(theta) + (L + 1,)
     assert p.tobytes() == want_p.tobytes() and dp.tobytes() == want_dp.tobytes()

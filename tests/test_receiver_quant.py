@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fishercap as fc
+from fishercap import receiver_quant as rq
 from fishercap.errors import DomainError, ValidationError
 
 
@@ -60,10 +61,10 @@ def test_e_l_needs_a_grid(awgn):
 
 def test_bin_probs_symmetry_and_normalization(awgn):
     q = fc.build_quantizer(3.0, 6)
-    p, dp = fc.bin_probs_and_dtheta(awgn, q, 0.0)
+    p, dp = rq._bin_probs_and_dtheta(awgn, q, 0.0)
     assert p.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(p[1:], p[1:][::-1], atol=1e-15)  # interior symmetry
-    p, dp = fc.bin_probs_and_dtheta(awgn, q, 0.6)
+    p, dp = rq._bin_probs_and_dtheta(awgn, q, 0.6)
     assert p.sum() == pytest.approx(1.0, abs=1e-13)
     assert abs(dp.sum()) < 1e-12
 
@@ -71,7 +72,7 @@ def test_bin_probs_symmetry_and_normalization(awgn):
 def test_bin_probs_match_quadrature(awgn):
     q = fc.build_quantizer(2.5, 5)
     theta = 0.4
-    p, _ = fc.bin_probs_and_dtheta(awgn, q, theta)
+    p, _ = rq._bin_probs_and_dtheta(awgn, q, theta)
     for idx in range(1, q.num_cells):
         lo, hi = q.edges[idx - 1], q.edges[idx]
         want, _ = fc.integrate_interval(
@@ -82,7 +83,7 @@ def test_bin_probs_match_quadrature(awgn):
 def test_bin_probs_unsupported_channel():
     channel = fc.quantized_awgn_channel(1.0, [0.0])
     with pytest.raises(TypeError):
-        fc.bin_probs_and_dtheta(channel, fc.build_quantizer(2.0, 4), 0.0)
+        rq._bin_probs_and_dtheta(channel, fc.build_quantizer(2.0, 4), 0.0)
 
 
 # --- quantized Fisher information ----------------------------------------------
@@ -152,7 +153,7 @@ def test_approx_loglik_all_samples_equal(awgn):
     q = fc.build_quantizer(4.0, 8)
     y = np.full(25, 0.3)
     t = fc.type_from_samples(q, y)
-    p, _ = fc.bin_probs_and_dtheta(awgn, q, 0.1)
+    p, _ = rq._bin_probs_and_dtheta(awgn, q, 0.1)
     occupied = int(np.argmax(t.counts))
     assert fc.approx_loglik(awgn, q, t, 0.1) == pytest.approx(
         25.0 * math.log(p[occupied]), rel=1e-14)
@@ -180,7 +181,7 @@ def test_type_statistic_loses_nothing(awgn):
     y = rng.normal(size=400)
     q = fc.build_quantizer(5.0, 16)
     t = fc.type_from_samples(q, y)
-    p, _ = fc.bin_probs_and_dtheta(awgn, q, 0.2)
+    p, _ = rq._bin_probs_and_dtheta(awgn, q, 0.2)
     edges = np.asarray(q.edges)
     per_sample = 0.0
     for v in y:
@@ -259,7 +260,7 @@ def test_ml_detect_is_first_argmax(awgn):
     assert fc.ml_detect(awgn, q, t, points) == int(np.argmax(ll)) == 2
     # a repeated point ties with itself; the first copy wins
     assert fc.ml_detect(awgn, q, t, np.array([0.0, 0.4, 0.4])) == 1
-    p, _ = fc.bin_probs_and_dtheta(awgn, q, points)
+    p, _ = rq._bin_probs_and_dtheta(awgn, q, points)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-10)
 
 
@@ -289,21 +290,21 @@ def test_bounded_support_slope():
 def test_slope_affine_invariance():
     L = [8, 16, 32, 64]
     e = [0.2, 0.06, 0.015, 0.004]
-    s1 = fc.fit_loglog_slope(L, e)
-    s2 = fc.fit_loglog_slope(L, [2.0 * x for x in e])
+    s1 = rq._fit_loglog_slope(L, e)
+    s2 = rq._fit_loglog_slope(L, [2.0 * x for x in e])
     assert s1 == pytest.approx(s2, abs=1e-12)
 
 
 def test_slope_drops_underflowed_points():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        s = fc.fit_loglog_slope([8, 16, 32, 64], [0.2, 0.05, 1e-17, 0.003])
+        s = rq._fit_loglog_slope([8, 16, 32, 64], [0.2, 0.05, 1e-17, 0.003])
         assert any("dropped" in str(w.message) for w in caught)
     assert math.isfinite(s)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(DomainError):
-            fc.fit_loglog_slope([8, 16], [1e-16, 1e-17])
+            rq._fit_loglog_slope([8, 16], [1e-16, 1e-17])
 
 
 def test_scaling_study_validation(awgn):
@@ -317,9 +318,9 @@ def test_scaling_study_validation(awgn):
 
 def test_slope_needs_two_distinct_L():
     with pytest.raises(DomainError, match="two distinct"):
-        fc.fit_loglog_slope([8, 8, 8, 8], [0.2, 0.2, 0.2, 0.2])
+        rq._fit_loglog_slope([8, 8, 8, 8], [0.2, 0.2, 0.2, 0.2])
     # two distinct L are enough for a line
-    assert fc.fit_loglog_slope([8, 8, 16], [0.2, 0.2, 0.05]) == pytest.approx(-2.0, rel=1e-12)
+    assert rq._fit_loglog_slope([8, 8, 16], [0.2, 0.2, 0.05]) == pytest.approx(-2.0, rel=1e-12)
 
 
 def test_exact_loglik_needs_a_log_density():

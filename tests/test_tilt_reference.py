@@ -13,8 +13,8 @@ asked for.
 
 The inverse cdf solves every point of a design in one array pass.  The
 three designs give the reference's per-point designs by ``==``, and an
-array call of ``prior_cdf``, ``prior_cdf_inverse`` or
-``poly_cdf_inverse`` gives, element by element, the scalar calls, which
+array call of ``TiltedPrior.cdf``, ``prior_cdf_inverse`` or
+``PolyDensity.inverse`` gives, element by element, the scalar calls, which
 give the reference's scalar values.
 """
 
@@ -254,12 +254,12 @@ def test_array_calls_are_the_scalar_calls(kind, data, bits, degree, fracs):
     channel = fc.channel_from_json(data.draw(KINDS[kind]))
     prior = fc.tilted_prior(channel, bits / _cost_span(channel))
     theta = [prior.lo + f * (prior.hi - prior.lo) for f in fracs]
-    cdf = _each_shape(lambda t: fc.prior_cdf(prior, t), theta)
+    cdf = _each_shape(prior.cdf, theta)
     assert cdf == [ref.prior_cdf(prior, t) for t in theta]
     inverse = _each_shape(lambda u: fc.prior_cdf_inverse(prior, u), fracs)
     assert inverse == [ref.prior_cdf_inverse(prior, u) for u in fracs]
     poly = _fit(channel, prior.table.c_min + 0.5 * _cost_span(channel), degree) \
         if channel.param_space.shape == "interval" else None
     if poly is not None:
-        inverse = _each_shape(lambda u: fc.poly_cdf_inverse(poly, u), fracs)
+        inverse = _each_shape(poly.inverse, fracs)
         assert inverse == [ref.poly_cdf_inverse(poly, u) for u in fracs]
