@@ -12,10 +12,17 @@ Newton solver, check their argument as ``TiltedPrior``'s do.
 
 A fit is one grid problem: it is built once, each barrier stage only sets
 its barrier weight gamma, and a stage fails after ``max_newton`` Newton
-steps.  Each Newton iterate evaluates the density on the grid once, for
-its value, gradient, Hessian and boundary step; the fit's final
-gradient norm is the one its last stage stopped on.  The exact designs
-read the prior the tilt solve returns (``JeffreysSolution.prior``).
+steps.  The problem evaluates J at the grid's two ends before the rest,
+so a target that vanishes there is refused at two points.  Each Newton
+iterate evaluates the density on the grid and its log once, for its
+value, gradient, Hessian and boundary step, and the next stage starts
+from them; positivity is tested once per line-search candidate, since a
+finite objective proves it.  The Hessian's weighted basis is written
+into one buffer that lives as long as the fit's problem.  The Hessian's
+smallest eigenvalue and the objective path are computed only for
+``full_output``; the fit's final gradient norm is the one its last stage
+stopped on.  The exact designs read the prior the tilt solve returns
+(``JeffreysSolution.prior``).
 """
 
 import math
@@ -101,7 +108,7 @@ class PolyDensity:
 
     def pdf(self, theta):
         t = _check_profile(theta, *self.support, "PolyDensity.pdf")
-        return np.polynomial.polynomial.polyval(t, self.coeffs)
+        return _scalar(np.polynomial.polynomial.polyval(t, self.coeffs))
 
     def cdf(self, theta):
         """Closed-form F(theta) = sum_i xi_i (theta^(i+1) - lo^(i+1)) / (i+1)."""
@@ -177,10 +184,14 @@ class BarrierObjective:
         self.alphas = _monomial_integrals(-1.0, 1.0, degree + 1)
 
         theta = self.center + self.scale * self.grid
+        j = np.empty(_GRID_POINTS)
+        # the two ends first: a J that vanishes there (J(0) = 0 for energy detection and
+        # noncoherent) is refused before the rest of the grid is evaluated
+        for part in (np.array([0, -1]), slice(1, -1)):
+            j[part] = channel.fisher(theta[part])
+            if np.any(j[part] <= 0):
+                raise DomainError("BarrierObjective: target prior vanishes on the grid")
         cost = np.asarray(channel.cost(theta), dtype=float)
-        j = np.asarray(channel.fisher(theta), dtype=float)
-        if np.any(j <= 0):
-            raise DomainError("BarrierObjective: target prior vanishes on the grid")
         log_w = -self.lam_star * LN2 * cost + 0.5 * np.log(j)
         log_w -= math.log(float(self.weights @ np.exp(log_w - log_w.max()))) + log_w.max()
         self.log_target = log_w
@@ -189,13 +200,13 @@ class BarrierObjective:
         self.powers = powers
         # basis of the free coordinates: d f / d xi_i, i = 1..degree
         self.basis = powers[:, 1:] - self.alphas[1:] / self.alphas[0]
+        self._scaled_basis = np.empty_like(self.basis)  # the Hessian's weighted basis, reused
 
     def full_coeffs(self, xi_free):
         xi_free = np.asarray(xi_free, dtype=float)
         if xi_free.shape != (self.degree,):
             raise DomainError(f"expected {self.degree} free coefficients")
-        xi0 = (1.0 - xi_free @ self.alphas[1:]) / self.alphas[0]
-        return np.concatenate(([xi0], xi_free))
+        return self._coeffs(xi_free)
 
     def density_on_grid(self, xi_free):
         return self.powers @ self.full_coeffs(xi_free)
@@ -210,32 +221,51 @@ class BarrierObjective:
         return PolyDensity(theta_coef, (self.lo, self.hi))
 
     def value(self, xi_free):
-        return self._value(self.density_on_grid(xi_free))
+        return self._objective(self.density_on_grid(xi_free))[0]
 
     def gradient(self, xi_free):
-        return self._gradient(self.density_on_grid(xi_free))
+        f = self._feasible(xi_free, "gradient")
+        return self._gradient(f, np.log(f))
 
     def hessian(self, xi_free):
-        return self._hessian(self.density_on_grid(xi_free))
+        return self._hessian(self._feasible(xi_free, "hessian"))
 
-    def _value(self, f):
+    def _feasible(self, xi_free, what):
+        f = self.density_on_grid(xi_free)
         if np.any(f <= 0):
-            return math.inf
-        kl = float(self.weights @ (f * (np.log(f) - self.log_target)))
+            raise PositivityError(f"{what} requested at an infeasible point")
+        return f
+
+    # The private helpers take the free coefficients unchecked and the density f on the grid
+    # with its log, so a Newton iterate takes each once.
+
+    def _coeffs(self, xi_free):
+        xi0 = (1.0 - xi_free @ self.alphas[1:]) / self.alphas[0]
+        return np.concatenate(([xi0], xi_free))
+
+    def _density(self, xi_free):
+        return self.powers @ self._coeffs(xi_free)
+
+    def _objective(self, f):
+        """(objective, ln f) at f, or (inf, None) where f is not strictly positive."""
+        if np.any(f <= 0):
+            return math.inf, None
+        log_f = np.log(f)
+        return self._value(f, log_f), log_f
+
+    def _value(self, f, log_f):
+        kl = float(self.weights @ (f * (log_f - self.log_target)))
         barrier = float(self.weights @ (-np.log(f * self.width))) / self.width
         return kl + self.gamma * barrier
 
-    def _gradient(self, f):
-        if np.any(f <= 0):
-            raise PositivityError("gradient requested at an infeasible point")
-        psi = np.log(f) + 1.0 - self.log_target - (self.gamma / self.width) / f
+    def _gradient(self, f, log_f):
+        psi = log_f + 1.0 - self.log_target - (self.gamma / self.width) / f
         return self.basis.T @ (self.weights * psi)
 
     def _hessian(self, f):
-        if np.any(f <= 0):
-            raise PositivityError("hessian requested at an infeasible point")
         curv = self.weights * (1.0 / f + (self.gamma / self.width) / (f * f))
-        return (self.basis * curv[:, None]).T @ self.basis
+        np.multiply(self.basis, curv[:, None], out=self._scaled_basis)
+        return self._scaled_basis.T @ self.basis
 
 
 @dataclass
@@ -250,8 +280,13 @@ class PolyFitInfo:
         return sum(self.newton_iterations)
 
 
-def _newton_stage(problem, xi, max_newton, info):
-    """Damped Newton to the gradient-norm stop or the objective floor: (xi, steps, gradient norm at xi).
+def _newton_stage(problem, xi, f, log_f, max_newton, info):
+    """Damped Newton to the gradient-norm stop or the objective floor.
+
+    Returns (xi, f, ln f, steps, gradient norm at xi), where f and ln f
+    are the density at xi on the grid and its log; the stage starts from
+    the ones the previous stage returned.  ``info`` records the iterates,
+    or is None, and then no eigenvalue is computed.
 
     The step is capped by the exact fraction-to-boundary rule (f is
     affine in the coefficients, so the largest positive step is known in
@@ -261,14 +296,13 @@ def _newton_stage(problem, xi, max_newton, info):
     peaked targets end their small-gamma stages this way, pressed
     against the positivity boundary.
     """
-    f = problem.density_on_grid(xi)
-    obj = problem._value(f)
+    obj = problem._value(f, log_f)
     iters = 0
     while True:
-        g = problem._gradient(f)
-        gnorm = float(np.linalg.norm(g))
+        g = problem._gradient(f, log_f)
+        gnorm = math.sqrt(g @ g)
         if gnorm < _NEWTON_TOL:
-            return xi, iters, gnorm
+            return xi, f, log_f, iters, gnorm
         if iters >= max_newton:
             raise ConvergenceError(
                 f"fit_poly_density: Newton stalled at stage gamma={problem.gamma:g} "
@@ -284,28 +318,30 @@ def _newton_stage(problem, xi, max_newton, info):
         decrement2 = float(-g @ step)
         floor = 1.0 + abs(obj)
         if decrement2 * 0.5 <= 1e-15 * floor:
-            return xi, iters, gnorm
-        info.min_hessian_eigenvalues.append(float(np.linalg.eigvalsh(h)[0]))
+            return xi, f, log_f, iters, gnorm
+        if info is not None:
+            info.min_hessian_eigenvalues.append(float(np.linalg.eigvalsh(h)[0]))
         df = problem.basis @ step
         neg = df < 0
         t = min(1.0, 0.995 * float(np.min(-f[neg] / df[neg], initial=np.inf)))
         accepted = False
         while t >= 1e-14:
             cand = xi + t * step
-            cand_f = problem.density_on_grid(cand)
-            cand_obj = problem._value(cand_f)
+            cand_f = problem._density(cand)
+            cand_obj, cand_log = problem._objective(cand_f)
             if cand_obj < obj:
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             if decrement2 * 0.5 <= 1e-12 * floor:
-                return xi, iters, gnorm
+                return xi, f, log_f, iters, gnorm
             raise ConvergenceError(
                 f"fit_poly_density: line search failed at stage gamma={problem.gamma:g}"
             )
-        xi, f, obj = cand, cand_f, cand_obj
-        info.objective_path.append(obj)
+        xi, f, log_f, obj = cand, cand_f, cand_log, cand_obj
+        if info is not None:
+            info.objective_path.append(obj)
         iters += 1
 
 
@@ -316,16 +352,21 @@ def fit_poly_density(channel, lam_star, degree, max_newton=100, full_output=Fals
     Newton solve per stage, starting from the uniform density; a stage
     stops once the gradient norm is below 1e-9 and fails after
     ``max_newton`` steps.  Deterministic: identical inputs give
-    identical iterates and iteration counts.
+    identical iterates and iteration counts, with or without
+    ``full_output``, which only adds the ``PolyFitInfo`` record.
     """
     max_newton = _count(max_newton, "fit_poly_density: max_newton", 1, ValidationError)
-    info = PolyFitInfo()
+    info = PolyFitInfo() if full_output else None
     problem = BarrierObjective(channel, lam_star, degree, _GAMMAS[0])
     xi = np.zeros(problem.degree)
+    f = problem._density(xi)  # the uniform start
+    log_f = np.log(f)
     for gamma in _GAMMAS:
         problem.gamma = gamma
-        xi, iters, info.final_gradient_norm = _newton_stage(problem, xi, max_newton, info)
-        info.newton_iterations.append(iters)
+        xi, f, log_f, iters, gnorm = _newton_stage(problem, xi, f, log_f, max_newton, info)
+        if info is not None:
+            info.newton_iterations.append(iters)
+            info.final_gradient_norm = gnorm
     poly = problem.to_poly_density(xi)
     return (poly, info) if full_output else poly
 

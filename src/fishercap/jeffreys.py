@@ -245,7 +245,8 @@ class TiltedPrior:
     def density(self, theta):
         """The normalized density at arbitrary points (vectorized; radial marginal for balls)."""
         t, table = _check_profile(theta, self.lo, self.hi, "TiltedPrior.density"), self.table
-        return np.exp2(-self.lam * (table.channel.cost(t) - table.c_min)) * table._root_det(t) / self.z
+        w = np.exp2(-self.lam * (table.channel.cost(t) - table.c_min)) * table._root_det(t) / self.z
+        return _scalar(w)
 
     def _log2_jf(self, P):
         return self.lam * (P - self.table.c_min) + math.log2(self.z)

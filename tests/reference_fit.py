@@ -1,9 +1,12 @@
 """The polynomial fit's Newton stages as they were before their folds.
 
 ``fit_poly_density`` now caps the step with one fraction-to-boundary
-expression and takes the final gradient norm from the last stage.  This
-copy keeps the earlier form: a branch for the full step, and the
-gradient evaluated again at the end.  It runs on the library's
+expression, takes the final gradient norm from the last stage, and
+hands each iterate's density and its log on to the gradient, the
+Hessian and the next stage.  This copy keeps the earlier form: a branch
+for the full step, the density and its log taken again at each stage's
+start and for each gradient, ``np.linalg.norm``, and the gradient
+evaluated again at the end.  It runs on the library's
 ``BarrierObjective``, so a test can compare every recorded field of the
 two fits with ``==``.  Both solve for the step inside the Cholesky
 test's ``try``, so a zero LU pivot is the same ``ConvergenceError``.
@@ -20,10 +23,10 @@ from fishercap.errors import ConvergenceError
 
 def _newton_stage(problem, xi, max_newton, info):
     f = problem.density_on_grid(xi)
-    obj = problem._value(f)
+    obj = problem._objective(f)[0]
     iters = 0
     while True:
-        g = problem._gradient(f)
+        g = problem._gradient(f, np.log(f))
         gnorm = float(np.linalg.norm(g))
         if gnorm < _NEWTON_TOL:
             return xi, iters
@@ -54,7 +57,7 @@ def _newton_stage(problem, xi, max_newton, info):
         while t >= 1e-14:
             cand = xi + t * step
             cand_f = problem.density_on_grid(cand)
-            cand_obj = problem._value(cand_f)
+            cand_obj = problem._objective(cand_f)[0]
             if cand_obj < obj:
                 accepted = True
                 break

@@ -204,23 +204,63 @@ def test_fit_iteration_cap():
         fc.fit_poly_density(channel, 0.0, 8, max_newton=2)
 
 
-def test_fit_evaluates_the_channel_once(awgn):
-    lam = fc.solve_lambda_star(awgn, 1.0 / 9.0).lambda_star
-    calls = {"cost": 0, "fisher": 0}
+def _counted(channel, *names):
+    """The channel with each named callable recording the theta arrays it is called on."""
+    seen = {name: [] for name in names}
 
     def counted(name):
-        fn = getattr(awgn, name)
+        fn = getattr(channel, name)
 
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+        def wrapped(theta, *args, **kwargs):
+            seen[name].append(np.array(theta))
+            return fn(theta, *args, **kwargs)
         return wrapped
 
-    channel = dataclasses.replace(awgn, cost=counted("cost"), fisher=counted("fisher"))
+    return dataclasses.replace(channel, **{name: counted(name) for name in names}), seen
+
+
+def test_fit_evaluates_the_channel_once(awgn):
+    # each grid point once: cost in one call, fisher at the two ends and then at the interior
+    lam = fc.solve_lambda_star(awgn, 1.0 / 9.0).lambda_star
+    channel, seen = _counted(awgn, "cost", "fisher")
     poly, info = fc.fit_poly_density(channel, lam, 8, full_output=True)
     assert len(info.newton_iterations) == len(_GAMMAS)
-    assert calls == {"cost": 1, "fisher": 1}
+    (grid,) = seen["cost"]
+    ends, interior = seen["fisher"]
+    assert grid.size == 4097 and ends.tolist() == [grid[0], grid[-1]]
+    assert interior.tobytes() == grid[1:-1].tobytes()
     assert np.array_equal(poly.coeffs, fc.fit_poly_density(awgn, lam, 8).coeffs)
+
+
+@pytest.mark.parametrize("make", [
+    fc.awgn_channel,
+    lambda A: fc.clipped_awgn_channel(A, 1.5),
+    lambda A: fc.truncated_awgn_channel(A, 1.0),
+    lambda A: fc.quantized_awgn_channel(A, [-1.0, 0.0, 1.0]),
+    lambda A: fc.poisson_channel(A, ([0.5, 1.0], [0.5, 0.5]), ([0.5, 1.0], [0.5, 0.5])),
+    lambda A: fc.dithered_onebit_channel(A, [-0.5, 0.0, 0.5]),
+    lambda A: fc.correlated_awgn_channel(A, fc.ar1_autocovariance(0.5)),
+])
+@pytest.mark.parametrize("peak", [0.5, 3.0, 10.0])
+def test_fit_grid_in_two_calls_is_one_call(make, peak):
+    # J at the ends and at the interior, as the fit asks for it, is J on the whole grid, bit for bit
+    channel, seen = _counted(make(peak), "fisher")
+    BarrierObjective(channel, 0.0, 2, 1.0)
+    ends, interior = seen["fisher"]
+    j_ends, j_interior = channel.fisher(ends), channel.fisher(interior)
+    grid = np.concatenate((ends[:1], interior, ends[1:]))
+    parts = np.concatenate((j_ends[:1], j_interior, j_ends[1:]))
+    assert grid.size == 4097 and parts.tobytes() == channel.fisher(grid).tobytes()
+
+
+@pytest.mark.parametrize("channel", [fc.energy_detection_channel(1.5),
+                                     fc.noncoherent_channel(3.0, 0.5)])
+def test_fit_refuses_a_vanishing_prior_at_the_ends(channel):
+    # J(0) = 0: the refusal costs the two end points, not the 4,097-point grid
+    counted, seen = _counted(channel, "cost", "fisher")
+    with pytest.raises(DomainError, match=r"^BarrierObjective: target prior vanishes on the grid$"):
+        fc.fit_poly_density(counted, 0.5, 6)
+    assert sum(t.size for t in seen["fisher"]) <= 2 and seen["cost"] == []
 
 
 @pytest.mark.parametrize("gamma", [1e-2, 1e-7])
@@ -482,24 +522,30 @@ class _FlatProblem:
     def __init__(self, g):
         self.g = np.array([g])
 
-    def density_on_grid(self, xi):
+    def _density(self, xi):
         return np.ones(3)
 
-    def _value(self, f):
+    def _objective(self, f):
+        return 0.0, np.zeros(3)
+
+    def _value(self, f, log_f):
         return 0.0
 
-    def _gradient(self, f):
+    def _gradient(self, f, log_f):
         return self.g
 
     def _hessian(self, f):
         return np.eye(1)
 
 
+_FLAT = (np.ones(3), np.zeros(3))  # the stub's density on its grid, and its log
+
+
 def test_failed_line_search_raises_when_newton_promised_progress():
     # decrement^2 / 2 = 5e-7, far above 1e-12 (1 + |objective|): a stall, not the floor
     info = PolyFitInfo()
     with pytest.raises(ConvergenceError, match=r"^fit_poly_density: line search failed at stage gamma=0\.1$"):
-        constellation._newton_stage(_FlatProblem(1e-3), np.zeros(1), 100, info)
+        constellation._newton_stage(_FlatProblem(1e-3), np.zeros(1), *_FLAT, 100, info)
     assert info.min_hessian_eigenvalues == [1.0] and info.objective_path == []
 
 
@@ -508,6 +554,6 @@ def test_failed_line_search_ends_the_stage_at_the_objective_floor():
     # resolve, so the stage ends where it stands
     info = PolyFitInfo()
     xi = np.array([0.25])
-    out, iters, gnorm = constellation._newton_stage(_FlatProblem(1e-7), xi, 100, info)
+    out, _, _, iters, gnorm = constellation._newton_stage(_FlatProblem(1e-7), xi, *_FLAT, 100, info)
     assert out is xi and iters == 0 and gnorm == 1e-7
     assert info.min_hessian_eigenvalues == [1.0] and info.objective_path == []

@@ -8,14 +8,19 @@ case of ``_cell_mass``.  Neither may move a bit: each is compared with
 polynomial fit's Newton stages cap the step with one expression and hand
 the final gradient norm up from the last stage; every field the fit
 records, or the refusal it ends in, is compared with ``==`` against the
-earlier stages in ``reference_fit.py``.
+earlier stages in ``reference_fit.py``.  Without ``full_output`` the fit
+keeps no record (no Hessian eigenvalues are computed) and must end the
+same way.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fishercap as fc
+from fishercap import constellation
 import reference_fisher
 import reference_fit
 import reference_specfun
@@ -69,13 +74,30 @@ INTERVAL_CHANNELS = [
 
 
 def _outcome(fit):
-    """Every field a fit records, or the class and message of its refusal."""
+    """Every field a fit records (its coefficients alone without a record), or the class and
+    message of its refusal."""
     try:
-        poly, info = fit()
+        out = fit()
     except Exception as e:  # noqa: BLE001 - a refusal of any class is an outcome to compare
         return type(e), str(e)
+    if isinstance(out, fc.PolyDensity):
+        return (out.coeffs.tobytes(),)
+    poly, info = out
     return (poly.coeffs.tobytes(), info.newton_iterations, info.objective_path,
             info.min_hessian_eigenvalues, info.final_gradient_norm)
+
+
+def _counting_eigvalsh(fit):
+    """(fit's outcome, the np.linalg.eigvalsh calls it made), counted as constellation calls it."""
+    calls = []
+    eigvalsh = constellation.np.linalg.eigvalsh
+
+    def counted(h):
+        calls.append(h)
+        return eigvalsh(h)
+
+    with mock.patch.object(constellation.np.linalg, "eigvalsh", counted):
+        return _outcome(fit), len(calls)
 
 
 # The tilt depth lambda A^2 is the log2 range of the tilt 2^(-lambda theta^2) over theta; a
@@ -96,5 +118,11 @@ def _outcome(fit):
 def test_fit_is_the_reference(make, peak, depth, degree):
     channel, lam = make(peak), depth / (peak * peak)
     want = _outcome(lambda: reference_fit.fit_poly_density(channel, lam, degree))
-    got = _outcome(lambda: fc.fit_poly_density(channel, lam, degree, full_output=True))
+    got, recorded = _counting_eigvalsh(
+        lambda: fc.fit_poly_density(channel, lam, degree, full_output=True))
     assert got == want
+    # without full_output the fit computes no record, and ends with the same coefficients or refusal
+    plain, unrecorded = _counting_eigvalsh(lambda: fc.fit_poly_density(channel, lam, degree))
+    refused = len(got) == 2
+    assert plain == (got if refused else got[:1])
+    assert unrecorded == 0 and (refused or recorded == len(got[3]))

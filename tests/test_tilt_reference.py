@@ -256,6 +256,7 @@ def test_array_calls_are_the_scalar_calls(kind, data, bits, degree, fracs):
     theta = [prior.lo + f * (prior.hi - prior.lo) for f in fracs]
     cdf = _each_shape(prior.cdf, theta)
     assert cdf == [ref.prior_cdf(prior, t) for t in theta]
+    _each_shape(prior.density, theta)
     inverse = _each_shape(lambda u: fc.prior_cdf_inverse(prior, u), fracs)
     assert inverse == [ref.prior_cdf_inverse(prior, u) for u in fracs]
     poly = _fit(channel, prior.table.c_min + 0.5 * _cost_span(channel), degree) \
@@ -263,3 +264,5 @@ def test_array_calls_are_the_scalar_calls(kind, data, bits, degree, fracs):
     if poly is not None:
         inverse = _each_shape(poly.inverse, fracs)
         assert inverse == [ref.poly_cdf_inverse(poly, u) for u in fracs]
+        lo, hi = poly.support
+        _each_shape(poly.pdf, [lo + f * (hi - lo) for f in fracs])
